@@ -8,17 +8,21 @@ every ``D``.
 Two counting engines are provided:
 
 * a generic backtracking engine (:func:`query_homomorphisms`) that works for
-  every query and also powers structure-to-structure homomorphism counting;
+  every query and also powers structure-to-structure homomorphism counting.
+  It walks a join plan that keys each atom's relation by the positions
+  already bound when the atom is reached, so every step is one dict lookup;
 * a tree-decomposition engine
   (:func:`count_homomorphisms_via_decomposition`), the Yannakakis-style
   dynamic program, which is exponentially faster on acyclic / bounded-width
   queries and serves as the "substrate" baseline for the A1 ablation
-  benchmark.
+  benchmark.  Each bag joins its children through the same keyed grouping:
+  a child's weights are summed once per value of the shared variables.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+import itertools
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.cq.query import Atom, ConjunctiveQuery
 from repro.cq.structures import Structure, canonical_structure
@@ -55,24 +59,50 @@ def _order_atoms(query: ConjunctiveQuery) -> List[Atom]:
     return ordered
 
 
-def _matches(
-    atom: Atom, structure: Structure, assignment: Assignment
-) -> Iterator[Assignment]:
-    """Yield extensions of ``assignment`` that satisfy ``atom`` in ``structure``."""
-    for row in structure.tuples(atom.relation):
-        if len(row) != len(atom.args):
-            continue
-        extension: Assignment = {}
-        ok = True
-        for variable, value in zip(atom.args, row):
-            bound = assignment.get(variable, extension.get(variable))
-            if bound is None:
-                extension[variable] = value
-            elif bound != value:
-                ok = False
-                break
-        if ok:
-            yield extension
+#: One step of a join plan: the slots of the values an atom reads from the
+#: partial assignment, and a dict from those values to the tuples of values
+#: the matching rows give the atom's new variables.
+JoinStep = Tuple[Tuple[int, ...], Dict[Tuple, List[Tuple]]]
+
+
+def _join_plan(
+    atoms: List[Atom], structure: Structure, bound: Iterable[str]
+) -> Tuple[List[str], List[JoinStep]]:
+    """Index each atom's relation on the positions bound when the atom is reached.
+
+    ``bound`` lists the variables bound before the first atom.  Returns the
+    slot names, ``bound`` followed by the variables each atom binds for the
+    first time (slot ``i`` of an assignment holds the value of
+    ``names[i]``), and one step per atom.  A row matches when it has the
+    atom's arity and agrees wherever a variable repeats.  Each dict bucket
+    keeps rows in the relation's iteration order, so enumerating through the
+    plan visits assignments in the same order as scanning every row at
+    every step.
+    """
+    names = list(bound)
+    slot = {variable: index for index, variable in enumerate(names)}
+    plan: List[JoinStep] = []
+    for atom in atoms:
+        key_positions = [i for i, variable in enumerate(atom.args) if variable in slot]
+        first: Dict[str, int] = {}
+        equalities = []
+        for position, variable in enumerate(atom.args):
+            if variable in slot:
+                continue
+            if variable in first:
+                equalities.append((first[variable], position))
+            else:
+                first[variable] = position
+        index: Dict[Tuple, List[Tuple]] = {}
+        for row in structure.tuples(atom.relation):
+            if len(row) == len(atom.args) and all(row[i] == row[j] for i, j in equalities):
+                key = tuple(row[i] for i in key_positions)
+                index.setdefault(key, []).append(tuple(row[i] for i in first.values()))
+        plan.append((tuple(slot[atom.args[i]] for i in key_positions), index))
+        for variable in first:
+            slot[variable] = len(names)
+            names.append(variable)
+    return names, plan
 
 
 def query_homomorphisms(
@@ -85,26 +115,24 @@ def query_homomorphisms(
     ``fixed`` optionally pre-binds some variables (used to evaluate queries
     with head variables and to restrict to ``hom_φ`` in Section 4.2).
     Each yielded assignment maps every variable of the query to a domain
-    element of ``structure``.
+    element of ``structure``.  The join plan is built once per call; the
+    order of the assignments follows :func:`_order_atoms` and the
+    iteration order of the structure's relations.
     """
-    ordered = _order_atoms(query)
     base: Assignment = dict(fixed) if fixed else {}
-    for variable, value in base.items():
-        if value not in structure.domain:
-            return
+    if any(value not in structure.domain for value in base.values()):
+        return
+    names, plan = _join_plan(_order_atoms(query), structure, base)
 
-    def backtrack(index: int, assignment: Assignment) -> Iterator[Assignment]:
-        if index == len(ordered):
-            yield dict(assignment)
+    def backtrack(level: int, values: Tuple) -> Iterator[Assignment]:
+        if level == len(plan):
+            yield dict(zip(names, values))
             return
-        atom = ordered[index]
-        for extension in _matches(atom, structure, assignment):
-            assignment.update(extension)
-            yield from backtrack(index + 1, assignment)
-            for variable in extension:
-                del assignment[variable]
+        key_slots, index = plan[level]
+        for new in index.get(tuple(values[i] for i in key_slots), ()):
+            yield from backtrack(level + 1, values + new)
 
-    yield from backtrack(0, base)
+    yield from backtrack(0, tuple(base.values()))
 
 
 def count_query_homomorphisms(
@@ -156,12 +184,14 @@ def exists_query_homomorphism(
 # ---------------------------------------------------------------------- #
 # Structure-to-structure homomorphisms
 # ---------------------------------------------------------------------- #
-def _structure_as_query(structure: Structure) -> Tuple[ConjunctiveQuery, Tuple]:
+def _structure_as_query(structure: Structure) -> Tuple[Optional[ConjunctiveQuery], Tuple]:
     """View a structure as a Boolean query (facts become atoms).
 
     Returns the query together with the tuple of isolated domain elements
     (elements that appear in no fact); those are unconstrained and multiply
-    the homomorphism count by ``|target domain|`` each.
+    the homomorphism count by ``|target domain|`` each.  A structure with no
+    facts has no query (``None``): every map of its domain is a
+    homomorphism.
     """
     atoms = []
     used = set()
@@ -169,9 +199,8 @@ def _structure_as_query(structure: Structure) -> Tuple[ConjunctiveQuery, Tuple]:
         atoms.append(Atom(name, tuple(f"__elem_{value!r}" for value in row)))
         used.update(row)
     isolated = tuple(sorted((structure.domain - used), key=str))
-    if not atoms:
-        raise QueryError("structure with no facts cannot be viewed as a query")
-    return ConjunctiveQuery(atoms=tuple(atoms), head=()), isolated
+    query = ConjunctiveQuery(atoms=tuple(atoms), head=()) if atoms else None
+    return query, isolated
 
 
 def homomorphisms(source: Structure, target: Structure) -> Iterator[Dict]:
@@ -179,34 +208,25 @@ def homomorphisms(source: Structure, target: Structure) -> Iterator[Dict]:
     query, isolated = _structure_as_query(source)
     reverse = {f"__elem_{value!r}": value for value in source.domain}
     target_domain = sorted(target.domain, key=str)
-
-    def attach_isolated(core: Dict) -> Iterator[Dict]:
-        if not isolated:
-            yield core
-            return
-        import itertools
-
+    cores = query_homomorphisms(query, target) if query is not None else [{}]
+    for assignment in cores:
+        core = {reverse[variable]: value for variable, value in assignment.items()}
         for values in itertools.product(target_domain, repeat=len(isolated)):
             mapping = dict(core)
-            mapping.update(dict(zip(isolated, values)))
+            mapping.update(zip(isolated, values))
             yield mapping
-
-    for assignment in query_homomorphisms(query, target):
-        core = {reverse[variable]: value for variable, value in assignment.items()}
-        yield from attach_isolated(core)
 
 
 def count_homomorphisms(source: Structure, target: Structure) -> int:
     """Count ``|hom(source, target)|`` between two structures."""
     query, isolated = _structure_as_query(source)
-    base = count_query_homomorphisms(query, target)
+    base = count_query_homomorphisms(query, target) if query is not None else 1
     return base * (len(target.domain) ** len(isolated))
 
 
 def exists_homomorphism(source: Structure, target: Structure) -> bool:
     """True when a homomorphism ``source → target`` exists."""
-    query, _ = _structure_as_query(source)
-    return exists_query_homomorphism(query, target)
+    return next(homomorphisms(source, target), None) is not None
 
 
 def query_to_query_homomorphisms(
@@ -263,8 +283,6 @@ def _bag_assignments(
     else:
         assignments = [{}]
 
-    import itertools
-
     domain = sorted(structure.domain, key=str)
     estimated = len(assignments) * (len(domain) ** len(free))
     if estimated > _MAX_BAG_ROWS:
@@ -315,19 +333,23 @@ def count_homomorphisms_via_decomposition(
 
     for node in reversed(order):
         bag_vars = variables_of[node]
+        # Each child's weights summed once per value of the variables it
+        # shares with this bag, keyed as the bag's rows will look them up.
+        groups = []
+        for child in children[node]:
+            child_vars = variables_of[child]
+            shared = [v for v in child_vars if v in decomposition.bags[node]]
+            child_positions = [child_vars.index(v) for v in shared]
+            sums: Dict[Tuple, int] = {}
+            for child_row, child_weight in weight[child].items():
+                key = tuple(child_row[i] for i in child_positions)
+                sums[key] = sums.get(key, 0) + child_weight
+            groups.append(([bag_vars.index(v) for v in shared], sums))
         node_weights: Dict[Tuple, int] = {}
         for row in rows_of[node]:
-            row_assignment = dict(zip(bag_vars, row))
             total = 1
-            for child in children[node]:
-                child_vars = variables_of[child]
-                shared = [v for v in child_vars if v in row_assignment]
-                child_total = 0
-                for child_row, child_weight in weight[child].items():
-                    child_assignment = dict(zip(child_vars, child_row))
-                    if all(child_assignment[v] == row_assignment[v] for v in shared):
-                        child_total += child_weight
-                total *= child_total
+            for positions, sums in groups:
+                total *= sums.get(tuple(row[i] for i in positions), 0)
                 if total == 0:
                     break
             node_weights[row] = node_weights.get(row, 0) + total

@@ -1,15 +1,21 @@
 """Property-based tests for the conjunctive-query substrate."""
 
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cq.decompositions import (
     candidate_tree_decompositions,
+    heuristic_tree_decomposition,
     is_acyclic,
     join_tree,
 )
 from repro.cq.evaluation import evaluate_bag, evaluate_set
-from repro.cq.homomorphism import count_query_homomorphisms
+from repro.cq.homomorphism import (
+    _order_atoms,
+    count_homomorphisms_via_decomposition,
+    count_query_homomorphisms,
+    query_homomorphisms,
+)
 from repro.cq.query import Atom, ConjunctiveQuery
 from repro.cq.reductions import saturate_database, saturate_query
 from repro.cq.structures import Structure
@@ -33,6 +39,76 @@ def queries():
 def databases():
     return st.integers(0, 10**6).map(
         lambda seed: random_database({"R": 2, "S": 2}, 3, 4, seed=seed)
+    )
+
+
+def book_queries():
+    """Three or four pages ``p_i`` joined to a spine ``x, y``, random names and directions.
+
+    Their heuristic decompositions have a bag with two or more children
+    across two-variable separators (see the test below).
+    """
+    def edge(ends):
+        return st.builds(
+            Atom, st.sampled_from(("R", "S")), st.sampled_from((ends, ends[::-1]))
+        )
+
+    pages = st.integers(3, 4).flatmap(
+        lambda count: st.tuples(
+            *(edge((spine, f"p{page}")) for page in range(count) for spine in "xy")
+        )
+    )
+    extras = st.lists(st.one_of(edge(("x", "y")), atoms()), max_size=1)
+    return st.builds(
+        lambda body, extra: ConjunctiveQuery(atoms=body + tuple(extra), head=()),
+        pages,
+        extras,
+    )
+
+
+def structures():
+    """Small structures over ``R`` and ``S``, some elements in no fact."""
+    rows = st.frozensets(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=7)
+    return st.builds(
+        lambda relations, size: Structure(domain=range(size), relations=relations),
+        st.dictionaries(st.sampled_from(("R", "S")), rows),
+        st.integers(3, 4),
+    )
+
+
+def full_scan_homomorphisms(query, structure, fixed=None):
+    """Reference enumerator: every row of the relation at every step."""
+    base = dict(fixed or {})
+    if any(value not in structure.domain for value in base.values()):
+        return
+    atoms = _order_atoms(query)
+
+    def backtrack(index, assignment):
+        if index == len(atoms):
+            yield assignment
+            return
+        atom = atoms[index]
+        for row in structure.tuples(atom.relation):
+            extended = dict(assignment)
+            if len(row) == len(atom.args) and all(
+                extended.setdefault(variable, value) == value
+                for variable, value in zip(atom.args, row)
+            ):
+                yield from backtrack(index + 1, extended)
+
+    yield from backtrack(0, base)
+
+
+def grouped_join(decomposition):
+    """True when a bag has 2+ children and joins one of them on 2+ variables."""
+    children = {}
+    for node, parent in decomposition.rooted_parents().items():
+        if parent is not None:
+            children.setdefault(parent, []).append(node)
+    bags = decomposition.bags
+    return any(
+        len(kids) >= 2 and any(len(bags[node] & bags[kid]) >= 2 for kid in kids)
+        for node, kids in children.items()
     )
 
 
@@ -77,13 +153,42 @@ def test_join_tree_exists_iff_acyclic(query):
         assert raised
 
 
-@settings(max_examples=30, deadline=None)
-@given(queries(), databases())
+@settings(max_examples=150, deadline=None)
+@given(
+    queries(),
+    structures(),
+    st.none() | st.dictionaries(st.sampled_from(VARIABLES + ("v",)), st.integers(0, 4)),
+)
+def test_indexed_enumeration_matches_full_scan_in_order(query, structure, fixed):
+    # Fixed values 3 and 4 can fall outside the domain; "v" is in no query.
+    expected = [
+        tuple(assignment.items())
+        for assignment in full_scan_homomorphisms(query, structure, fixed)
+    ]
+    assert [
+        tuple(assignment.items())
+        for assignment in query_homomorphisms(query, structure, fixed)
+    ] == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(queries(), book_queries()), databases())
 def test_decomposition_counting_matches_backtracking(query, database):
-    assume(is_acyclic(query))
-    assert count_query_homomorphisms(
-        query, database, method="decomposition"
-    ) == count_query_homomorphisms(query, database, method="backtracking")
+    expected = sum(1 for _ in full_scan_homomorphisms(query, database))
+    decompositions = [heuristic_tree_decomposition(query)]
+    if is_acyclic(query):
+        decompositions.append(join_tree(query))
+    for decomposition in decompositions:
+        assert (
+            count_homomorphisms_via_decomposition(query, database, decomposition)
+            == expected
+        )
+
+
+@settings(max_examples=20, deadline=None)
+@given(book_queries())
+def test_book_queries_exercise_the_grouped_join(query):
+    assert grouped_join(heuristic_tree_decomposition(query))
 
 
 @settings(max_examples=25, deadline=None)

@@ -76,6 +76,37 @@ def test_structure_homomorphisms_isolated_elements(small_database):
     assert count_homomorphisms(source, small_database) == 4 * 2
 
 
+@pytest.mark.parametrize(
+    "source",
+    [
+        Structure(domain={0, 1}, relations={}),
+        Structure(domain={0, 1}, relations={"R": frozenset()}),
+    ],
+)
+def test_structure_without_facts_maps_anywhere(source):
+    # With no facts to preserve, every map of the domain is a homomorphism.
+    target = Structure.from_facts([("R", (0, 1))], domain=["a", 0, 1])
+    assert count_homomorphisms(source, target) == 3**2
+    assert exists_homomorphism(source, target)
+    listed = list(homomorphisms(source, target))
+    assert len(listed) == 9
+    assert {tuple(sorted(m.items(), key=str)) for m in listed} == {
+        ((0, a), (1, b)) for a in target.domain for b in target.domain
+    }
+
+
+def test_structure_without_facts_into_empty_target():
+    empty = Structure(domain=(), relations={})
+    two = Structure(domain={0, 1}, relations={})
+    assert count_homomorphisms(two, empty) == 0
+    assert not exists_homomorphism(two, empty)
+    assert list(homomorphisms(two, empty)) == []
+    # The empty map is the one homomorphism from the empty structure.
+    assert count_homomorphisms(empty, empty) == 1
+    assert exists_homomorphism(empty, two)
+    assert list(homomorphisms(empty, two)) == [{}]
+
+
 def test_decomposition_counting_matches_backtracking(small_database, triangle_database):
     for length in (1, 2, 3):
         query = path_query(length)
