@@ -4,13 +4,23 @@ Theorem 6.1: a max-linear inequality ``0 ≤ max_ℓ E_ℓ(h)`` holds over a clo
 convex cone exactly when some convex combination ``Σ_ℓ λ_ℓ E_ℓ`` (with
 ``λ ≥ 0`` and ``Σ λ = 1``) is itself a valid linear inequality over the cone.
 Over the *Shannon* cone ``Γn`` both the max-inequality and the combination
-are LP-checkable, so the certificate (the vector ``λ`` plus the Shannon proof
-of the combined inequality) can be computed outright — which is what
-:func:`find_convex_certificate` does.
+are LP-checkable, so the certificate — the vector ``λ`` plus the Shannon
+proof ``µ`` of the combined inequality — can be computed outright, which is
+what :func:`find_convex_certificate` does.
+
+Both halves come from one row-generation loop
+(:meth:`ShannonProver._certificate_rowgen`): a probe LP over a growing
+active set of elemental rows finds the rows the proof needs, and one joint
+solve over those rows returns ``λ`` and ``µ`` together.  The full elemental
+description of ``Γn`` is never built.  The proof is checked against
+``Σ_ℓ λ_ℓ E_ℓ`` before it is returned.
 
 The paper leaves open whether the ``λ`` can always be chosen rational over
-``Γ*n``; over ``Γn`` the LP below always returns rational-representable
-floating-point multipliers.
+``Γ*n``.  Over ``Γn`` they can: the joint system has rational data, so when
+it is feasible it has a rational vertex.  The weights returned here are the
+solver's floating-point vertex, checked by the solver-free sum of
+:meth:`~repro.infotheory.shannon.ShannonCertificate.verify` (to its
+tolerance), not in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -19,11 +29,21 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
+from repro.exceptions import CertificateError
 from repro.infotheory.expressions import LinearExpression, MaxInformationInequality
 from repro.infotheory.shannon import ShannonCertificate, ShannonProver, shannon_prover
-from repro.lp.solver import check_feasibility
+
+
+def _combine(
+    lambdas: Sequence[float],
+    expressions: Sequence[LinearExpression],
+    ground: Tuple[str, ...],
+) -> LinearExpression:
+    combined = LinearExpression.zero(ground)
+    for value, expression in zip(lambdas, expressions):
+        combined = combined + value * expression.with_ground(ground)
+    return combined
 
 
 @dataclass(frozen=True)
@@ -37,16 +57,25 @@ class ConvexCertificate:
     def verify(
         self, expressions: Sequence[LinearExpression], prover: ShannonProver
     ) -> bool:
-        """Re-check the certificate: λ is a convex combination and the sum is valid."""
+        """Re-check the certificate: λ is a convex combination and the sum is valid.
+
+        The stored ``combined`` must equal ``Σ λ_ℓ E_ℓ``, and an attached
+        Shannon proof must sum to it.
+        """
         if len(self.lambdas) != len(expressions):
             return False
         if any(value < -1e-9 for value in self.lambdas):
             return False
         if abs(sum(self.lambdas) - 1.0) > 1e-6:
             return False
-        combined = LinearExpression.zero(prover.ground)
-        for value, expression in zip(self.lambdas, expressions):
-            combined = combined + value * expression.with_ground(prover.ground)
+        combined = _combine(self.lambdas, expressions, prover.ground)
+        gap = combined - self.combined
+        if any(abs(value) > 1e-6 for value in gap.coefficients.values()):
+            return False
+        if self.shannon_certificate is not None and not self.shannon_certificate.verify(
+            combined
+        ):
+            return False
         return prover.is_valid(combined)
 
 
@@ -57,9 +86,12 @@ def find_convex_certificate(
 ) -> Optional[ConvexCertificate]:
     """Find ``λ`` such that ``Σ λ_ℓ E_ℓ`` is Shannon-provable, if one exists.
 
-    The joint LP searches simultaneously for the convex weights ``λ`` and the
+    One row-generation loop searches for the convex weights ``λ`` and the
     elemental-inequality multipliers ``µ`` with
-    ``Σ_ℓ λ_ℓ c_ℓ = Aᵀ µ``, ``Σ λ = 1``, ``λ, µ ≥ 0``.
+    ``Σ_ℓ λ_ℓ c_ℓ = Aᵀ µ``, ``Σ λ = 1``, ``λ, µ ≥ 0`` over the elemental
+    rows it activates (see the module docstring); ``with_shannon_proof``
+    attaches ``µ`` to the result.  Raises :class:`CertificateError` when the
+    proof fails its check against ``Σ λ_ℓ E_ℓ``.
 
     By Theorem 6.1 (applied to the polyhedral cone ``Γn``) a certificate
     exists exactly when the Max-II ``0 ≤ max_ℓ E_ℓ(h)`` is valid over ``Γn``.
@@ -73,40 +105,18 @@ def find_convex_certificate(
     branch_vectors = np.array(
         [prover.expression_vector(e.with_ground(prover.ground)) for e in expressions]
     )
-    elemental_matrix = prover._elemental_matrix
-    num_lambdas = len(expressions)
-    num_mus = elemental_matrix.shape[0]
-    num_coords = branch_vectors.shape[1]
-
-    # Equality constraints: for every coordinate,  λ·C  -  µ·A  = 0 ; and Σλ = 1.
-    # Assembled sparsely — the elemental block has only a handful of non-zeros
-    # per column, and its dense transpose would dominate memory for larger n.
-    top = sp.hstack(
-        [sp.csr_matrix(branch_vectors.T), -elemental_matrix.T.tocsr()], format="csr"
-    )
-    bottom = sp.csr_matrix(
-        (np.ones(num_lambdas), (np.zeros(num_lambdas, dtype=int), np.arange(num_lambdas))),
-        shape=(1, num_lambdas + num_mus),
-    )
-    A_eq = sp.vstack([top, bottom], format="csr")
-    b_eq = np.zeros(num_coords + 1)
-    b_eq[num_coords] = 1.0
-
-    feasible, solution = check_feasibility(
-        num_variables=num_lambdas + num_mus,
-        A_eq=A_eq,
-        b_eq=b_eq,
-        bounds=[(0, None)] * (num_lambdas + num_mus),
-    )
-    if not feasible or solution is None:
+    found = prover._certificate_rowgen(branch_vectors, tolerance=1e-6)
+    if found is None:
         return None
-    lambdas = tuple(float(v) for v in solution[:num_lambdas])
-    combined = LinearExpression.zero(prover.ground)
-    for value, expression in zip(lambdas, expressions):
-        combined = combined + value * expression.with_ground(prover.ground)
-    certificate = None
-    if with_shannon_proof:
-        certificate = prover.certificate(combined)
+    weights, proof = found
+    lambdas = tuple(float(v) for v in weights)
+    combined = _combine(lambdas, expressions, prover.ground)
+    if not proof.verify(combined):
+        raise CertificateError(
+            "the Shannon proof does not sum to the combined inequality Σ λ_ℓ E_ℓ"
+        )
     return ConvexCertificate(
-        lambdas=lambdas, combined=combined, shannon_certificate=certificate
+        lambdas=lambdas,
+        combined=combined,
+        shannon_certificate=proof if with_shannon_proof else None,
     )

@@ -304,7 +304,8 @@ class ShannonProver:
         resolved = self._resolve_method(method)
         backend = self._resolve_backend(backend)
         if resolved == "rowgen":
-            return self._certificate_rowgen(target, tolerance, backend)
+            found = self._certificate_rowgen(target[np.newaxis, :], tolerance, backend)
+            return None if found is None else found[1]
         multipliers = nonnegative_combination(
             self._elemental_matrix, target, tolerance, backend=backend
         )
@@ -318,36 +319,71 @@ class ShannonProver:
         return ShannonCertificate(ground=self.ground, multipliers=pairs)
 
     def _certificate_rowgen(
-        self, target: np.ndarray, tolerance: float, backend=None
-    ) -> Optional[ShannonCertificate]:
-        """Multiplier recovery by Farkas-driven row generation.
+        self, targets: np.ndarray, tolerance: float, backend=None
+    ) -> Optional[Tuple[np.ndarray, ShannonCertificate]]:
+        """Convex weights and their Shannon proof by Farkas-driven row generation.
 
-        Alternates two primal LPs over the growing active row set ``A``:
+        ``targets`` holds one row ``c_ℓ`` per branch of ``0 ≤ max_ℓ E_ℓ(h)``.
+        Returns ``(λ, proof)`` with ``λ ≥ 0``, ``Σλ = 1`` and the proof
+        certifying ``Σ_ℓ λ_ℓ E_ℓ``, or ``None`` when no such ``λ`` exists
+        (Theorem 6.1: exactly when the Max-II fails on ``Γn``).  With one
+        target, ``λ = (1,)`` and the proof certifies that target — the
+        :meth:`certificate` row-generation path;
+        :func:`~repro.core.convex_certificate.find_convex_certificate` passes
+        every branch.
 
-        1. the *probe* ``min c·x`` over ``{A x ≥ 0, -1 ≤ x ≤ 1}`` — by
-           Farkas' lemma its optimum is 0 exactly when ``c`` is a
-           non-negative combination of the active rows;
+        Alternates two LPs over the growing active row set ``A``:
+
+        1. the *probe* ``min t`` over ``{c_ℓ·x ≤ t for every ℓ, A x ≥ 0,
+           -1 ≤ x ≤ 1}`` — by LP duality its optimum is 0 exactly when some
+           convex combination ``Σλ_ℓ c_ℓ`` is a non-negative combination of
+           the active rows;
         2. when the probe goes negative, its minimizer ``y`` satisfies every
-           active row but ``c·y < 0``; the separation oracle either finds
-           elemental rows ``y`` violates (which join the active set) or
-           proves ``y ∈ Γn`` — a genuine violation, so no certificate
-           exists.
+           active row but every ``c_ℓ·y < 0``; the separation oracle either
+           finds elemental rows ``y`` violates (which join the active set)
+           or proves ``y ∈ Γn`` — a genuine violation, so no certificate
+           exists.  Once the probe reaches 0, one joint solve of
+           ``Σλ_ℓ c_ℓ = Aᵀµ``, ``Σλ = 1``, ``λ, µ ≥ 0`` over the active rows
+           yields both ``λ`` and the proof ``µ``.
 
         The box keeps the probe bounded and is harmless: cone membership and
-        the sign of ``c·y`` are scale-invariant.
+        the signs of ``c_ℓ·y`` are scale-invariant.
         """
         oracle = self._oracle
+        backend = resolve_backend(backend)
         options = RowGenOptions()
+        count, width = targets.shape
+        farkas_tolerance = 1e-9 * max(1.0, float(np.abs(targets).sum(axis=1).max()))
+        # Both LPs range over (x, s) columns.  The probe minimizes
+        # max_ℓ c_ℓ·x as c_1·x + s subject to (c_ℓ - c_1)·x ≤ s, s ≥ 0; with
+        # one branch s stays 0 and the probe is the plain Farkas probe
+        # min c·x.  In the joint solve the s column carries Σλ = 1: the λ
+        # generators (c_ℓ, 1) meet the target (0, 1).  The active rows enter
+        # both LPs negated, with an empty s column.
+        objective = np.append(targets[0], 1.0)
+        branch_rows = sp.csr_matrix(
+            np.hstack([targets[1:] - targets[0], -np.ones((count - 1, 1))])
+        )
+        branch_generators = sp.csr_matrix(np.hstack([targets, np.ones((count, 1))]))
+        sum_target = np.zeros(width + 1)
+        sum_target[width] = 1.0
+        bounds = [(-1.0, 1.0)] * width + [(0.0, None)]
+
+        def negated_rows(row_ids):
+            rows = oracle.rows_matrix(row_ids)
+            return sp.csr_matrix(
+                (-rows.data, rows.indices, rows.indptr), shape=(rows.shape[0], width + 1)
+            )
+
         active_ids = [int(i) for i in oracle.seed_ids()]
         known = set(active_ids)
-        farkas_tolerance = 1e-9 * max(1.0, float(np.abs(target).sum()))
+        negated = negated_rows(active_ids)
         for _ in range(options.max_rounds):
-            A_active = oracle.rows_matrix(active_ids)
             probe = minimize(
-                target,
-                A_ub=-A_active,
-                b_ub=np.zeros(A_active.shape[0]),
-                bounds=(-1, 1),
+                objective,
+                A_ub=sp.vstack([branch_rows, negated], format="csr"),
+                b_ub=np.zeros(count - 1 + negated.shape[0]),
+                bounds=bounds,
                 backend=backend,
             )
             if probe.status != LPStatus.OPTIMAL:
@@ -355,43 +391,37 @@ class ShannonProver:
                     f"unexpected LP status {probe.status} in certificate probe"
                 )
             if probe.objective >= -farkas_tolerance:
-                try:
-                    multipliers = nonnegative_combination_over_support(
-                        A_active, target, tolerance, backend=backend
-                    )
-                except CertificateError:
-                    multipliers = None
-                if multipliers is None:
-                    # Numerically marginal; retry over the full width before
-                    # giving up on this round's active set.
-                    multipliers = nonnegative_combination(
-                        A_active, target, tolerance, backend=backend
-                    )
-                if multipliers is None:
+                weights = nonnegative_combination_over_support(
+                    sp.vstack([branch_generators, negated], format="csr"),
+                    sum_target,
+                    tolerance,
+                    backend=backend,
+                )
+                if weights is None:
                     return None
                 support = [
                     (active_ids[k], float(multiplier))
-                    for k, multiplier in enumerate(multipliers)
+                    for k, multiplier in enumerate(weights[count:])
                     if multiplier > tolerance
                 ]
-                row_ids = [row_id for row_id, _ in support]
-                masks, coeffs, kinds = oracle.row_data(row_ids)
+                masks, coeffs, kinds = oracle.row_data([row_id for row_id, _ in support])
                 inequalities = materialize_elementals(self.ground, masks, coeffs, kinds)
-                return ShannonCertificate(
+                return weights[:count], ShannonCertificate(
                     ground=self.ground,
                     multipliers=tuple(
                         (inequality, multiplier)
                         for inequality, (_, multiplier) in zip(inequalities, support)
                     ),
                 )
-            dense = oracle.dense_from_canonical(probe.solution)
+            dense = oracle.dense_from_canonical(probe.solution[:width])
             cut_ids, _ = oracle.separate(dense, options.tolerance)
             new_ids = [int(i) for i in cut_ids if int(i) not in known]
             if not new_ids:
-                # The probe point lies in Γn and makes the target negative.
+                # The probe point lies in Γn and makes every branch negative.
                 return None
             known.update(new_ids)
             active_ids.extend(new_ids)
+            negated = sp.vstack([negated, negated_rows(new_ids)], format="csr")
         raise CertificateError("certificate row generation did not converge")
 
 

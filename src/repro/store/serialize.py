@@ -280,10 +280,10 @@ def build_record(
 
     ``result`` must already be in canonical variables (the plan cache's
     stored form).  For CONTAINED verdicts with an Eq. (8) inequality a
-    Theorem 6.1 Farkas certificate is computed here — one extra feasibility
-    LP per recorded solve — so the stored verdict is independently
-    re-checkable forever after; NOT_CONTAINED verdicts persist their
-    counterexample witness instead.
+    Theorem 6.1 Farkas certificate is computed here — one row-generation
+    certificate loop per recorded solve — so the stored verdict is
+    independently re-checkable forever after; NOT_CONTAINED verdicts
+    persist their counterexample witness instead.
     """
     evidence: Dict[str, object] = {}
     if result.witness is not None:

@@ -126,14 +126,54 @@ class TestTheorem51Reduction:
 class TestTheorem61:
     """Theorem 6.1: convex certificates exist exactly for Γn-valid Max-IIs."""
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_certificate_existence_matches_validity(self, seed):
-        inequality = random_max_ii(3, 2, terms_per_branch=2, seed=seed)
+    @staticmethod
+    def check_certificate(inequality):
+        """Assert a certificate exists iff the Max-II is Γn-valid; return it."""
+        branches = list(inequality.branches)
+        ground = inequality.ground
         valid = decide_max_ii(inequality, over="gamma").valid
-        certificate = find_convex_certificate(
-            list(inequality.branches), ground=inequality.ground
-        )
+        certificate = find_convex_certificate(branches, ground=ground, with_shannon_proof=True)
         assert (certificate is not None) == valid
         if certificate is not None:
-            prover = ShannonProver(tuple(inequality.ground))
-            assert certificate.verify(list(inequality.branches), prover)
+            combined = LinearExpression.zero(ground)
+            for value, branch in zip(certificate.lambdas, branches):
+                combined = combined + value * branch
+            assert certificate.shannon_certificate.verify(combined)
+            assert certificate.verify(branches, ShannonProver(tuple(ground)))
+        return certificate
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("num_branches", [1, 2, 3, 4])
+    @pytest.mark.parametrize("num_variables", [3, 4, 5])
+    def test_certificate_existence_matches_validity(
+        self, num_variables, num_branches, seed
+    ):
+        self.check_certificate(
+            random_max_ii(num_variables, num_branches, terms_per_branch=2, seed=seed)
+        )
+
+    def test_certificate_beyond_the_seed_rows(self):
+        # I(X1;X2|X3X4) ≥ 0 is one elemental row with a two-variable context:
+        # no combination of the seed rows (monotonicity and I(Xi;Xj) ≥ 0)
+        # proves it, so the loop must add cuts before the joint solve.
+        ground = ("X1", "X2", "X3", "X4")
+        cmi = LinearExpression(
+            ground=ground,
+            coefficients={
+                frozenset({"X1", "X3", "X4"}): 1.0,
+                frozenset({"X2", "X3", "X4"}): 1.0,
+                frozenset(ground): -1.0,
+                frozenset({"X3", "X4"}): -1.0,
+            },
+        )
+        invalid = -1.0 * LinearExpression.entropy_term(ground, {"X1"})
+        certificate = self.check_certificate(
+            MaxInformationInequality(branches=(invalid, cmi))
+        )
+        assert certificate is not None
+        assert certificate.lambdas == (pytest.approx(0.0), pytest.approx(1.0))
+        contexts = [
+            min(len(subset) for subset, _ in elemental.coefficients)
+            for elemental, _ in certificate.shannon_certificate.multipliers
+        ]
+        assert max(contexts) >= 2

@@ -1,5 +1,6 @@
 """Unit tests for the DOM problem and Theorem 6.1 convex certificates."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -113,3 +114,18 @@ def test_convex_certificate_verify_rejects_wrong_lambdas():
     certificate = find_convex_certificate(branches, ground=GROUND)
     prover = ShannonProver(GROUND)
     assert not certificate.verify(branches[:2], prover)
+
+
+def test_convex_certificate_verify_checks_the_attached_proof():
+    branches = list(example_3_8_inequality().branches)
+    certificate = find_convex_certificate(branches, ground=GROUND, with_shannon_proof=True)
+    prover = ShannonProver(GROUND)
+    assert certificate.verify(branches, prover)
+    proof = certificate.shannon_certificate
+    (inequality, multiplier), *rest = proof.multipliers
+    scaled = replace(proof, multipliers=((inequality, 2.0 * multiplier), *rest))
+    assert not replace(certificate, shannon_certificate=scaled).verify(branches, prover)
+    # The stored combination must also be the one the weights produce.
+    assert not replace(certificate, combined=2.0 * certificate.combined).verify(
+        branches, prover
+    )

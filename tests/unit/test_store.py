@@ -1,6 +1,7 @@
 """Tests for the durable SQLite verdict store (:mod:`repro.store`)."""
 
 import json
+import random
 import sqlite3
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 
 from repro.core.containment import ContainmentStatus, decide_containment
 from repro.cq.parser import parse_query
-from repro.cq.query import ConjunctiveQuery
+from repro.cq.query import Atom, ConjunctiveQuery
 from repro.exceptions import StoreError
 from repro.service import BatchOptions, ContainmentService
 from repro.service.cache import PlanCache
@@ -21,6 +22,7 @@ from repro.store.serialize import (
     queries_from_key,
     validate_record,
 )
+from repro.workloads.generators import random_chordal_simple_query
 
 CORPUS = Path(__file__).resolve().parents[1] / "regression" / "containment_corpus.json"
 
@@ -245,6 +247,37 @@ class TestCorpusRoundTrip:
             assert service.stats.pipelines_run == 0
         finally:
             service.close()
+
+
+def tree_pair(arity, seed):
+    """A CONTAINED pair over ``arity`` variables.
+
+    ``Q2`` is a random tree of binary atoms and ``Q1`` adds two atoms on its
+    variables, so every homomorphism of ``Q1`` is one of ``Q2``.
+    """
+    rng = random.Random(seed)
+    q2 = random_chordal_simple_query(num_cliques=arity - 1, clique_size=2, seed=seed)
+    extra = tuple(Atom("R", tuple(rng.sample(q2.variables, 2))) for _ in range(2))
+    return ConjunctiveQuery(atoms=q2.atoms + extra, head=(), name="Q1"), q2
+
+
+class TestHighArityEvidence:
+    def test_tree_pairs_record_certificates_that_pass_the_audit(self, tmp_path):
+        path = str(tmp_path / "high-arity.sqlite")
+        service = ContainmentService(BatchOptions(on_error="capture", store_path=path))
+        try:
+            results = service.run([tree_pair(8, 5), tree_pair(9, 9)]).results
+        finally:
+            service.close()
+        assert [result.status for result in results] == [ContainmentStatus.CONTAINED] * 2
+        with VerdictStore(path) as store:
+            evidence = [record["evidence"] for _, record in store.records()]
+            report = verify_store(store)
+        assert all("note" not in entry for entry in evidence)
+        grounds = sorted(len(entry["certificate"]["shannon"]["ground"]) for entry in evidence)
+        assert grounds == [8, 9]
+        # verify_store re-sums each proof and re-derives it by a Farkas LP.
+        assert report.ok and report.certificates == 2
 
 
 class TestLifecycle:
