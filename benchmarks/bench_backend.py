@@ -6,19 +6,14 @@ For each arity ``n`` and the four canonical ``Γn`` problems of
 ``feasible-point``, ``infeasible-system`` — the script runs the *row
 generation* path through each solver backend:
 
-* ``scipy``          — the historical loop: every cutting-plane round is a
-                       fresh ``linprog`` call on the stacked active set;
-* ``scipy-incremental`` — the incremental loop (keyed rows, slack-row
-                       deletion, anti-cycling guard) on scipy solves: the
-                       row-bookkeeping ablation without warm starts;
-* ``highs-cold``     — the native ``highspy`` model, re-solved from scratch
-                       each round (``clearSolver`` before every ``run``);
-* ``highs-warm``     — the full incremental backend: one persistent model,
-                       ``addRows``/``deleteRows`` between rounds, every
-                       re-solve warm-started from the incumbent basis.
+* ``scipy`` — the keyed loop with every round a fresh ``linprog`` solve;
+* ``highs`` — the keyed loop on one HiGHS model kept across rounds (cuts
+              enter through ``addRows``), which these loops re-solve cold
+              every round (see :func:`repro.lp.rowgen.minimize_lazy`).
 
-``highs-*`` cells are recorded as ``"unavailable"`` when ``highspy`` is not
-installed (the backend is optional; scipy is the fallback everywhere).
+The ``highs`` cells drive native ``highspy`` when it is installed and the
+bindings scipy bundles otherwise; the report's ``native_highspy`` field
+says which.
 
 A second section benchmarks the Eq. (8)-aware seed: the Theorem 3.1
 containment system of an ``n``-cycle vs. the vee query is decided by row
@@ -48,7 +43,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_SIZES = (6, 8, 10, 12)
 PROBLEMS = ("valid-han", "invalid-pair", "feasible-point", "infeasible-system")
-BACKEND_CONFIGS = ("scipy", "scipy-incremental", "highs-cold", "highs-warm")
+BACKEND_CONFIGS = ("scipy", "highs")
 SEED_SIZES = (6, 8, 10, 12)
 
 
@@ -76,47 +71,13 @@ def _expressions(n):
     return ground, han, bad
 
 
-def _make_backend(config: str):
-    """Resolve a benchmark backend config to an LPBackend instance."""
-    from repro.lp.backends import HighsBackend, resolve_backend
-
-    if config in ("scipy", "scipy-incremental"):
-        return resolve_backend(config)
-    backend = HighsBackend()  # raises LPError when highspy is absent
-
-    if config == "highs-warm":
-        return backend
-
-    class _ColdHighsBackend(HighsBackend):
-        """highspy without warm starts: clearSolver before every run."""
-
-        name = "highs-cold"
-
-        def incremental_model(self, *args, **kwargs):
-            model = super().incremental_model(*args, **kwargs)
-            inner = model.solve
-            model.solve = lambda warm=True: inner(warm=False)
-            return model
-
-    return _ColdHighsBackend()
-
-
-def _rowgen_options(config: str):
-    from repro.lp.rowgen import RowGenOptions
-
-    # The cold configurations model a per-round rebuild, so slack-row
-    # deletion (which only pays off when the model persists) stays off.
-    if config == "highs-cold":
-        return RowGenOptions(drop_slack_rows=False)
-    return RowGenOptions()
-
-
 def run_cell(n: int, problem: str, config: str) -> dict:
     """Worker body: solve one (n, problem, backend) cell, return measurements."""
     import numpy as np
     import scipy.sparse as sp
 
     from repro.infotheory.shannon import ShannonProver
+    from repro.lp.backends import resolve_backend
     from repro.lp.rowgen import (
         RowGenOptions,
         check_feasibility_lazy,
@@ -127,8 +88,7 @@ def run_cell(n: int, problem: str, config: str) -> dict:
 
     ground, han, bad = _expressions(n)
     oracle = shannon_row_oracle(ground)
-    backend = _make_backend(config)
-    options = _rowgen_options(config)
+    backend = resolve_backend(config)
     started = time.perf_counter()
     if problem in ("valid-han", "invalid-pair"):
         expression = han if problem == "valid-han" else bad
@@ -144,10 +104,7 @@ def run_cell(n: int, problem: str, config: str) -> dict:
             A_ub=total_row,
             b_ub=np.array([1.0]),
             bounds=(0, 1),
-            options=RowGenOptions(
-                early_stop_objective=-1e-9,
-                drop_slack_rows=options.drop_slack_rows,
-            ),
+            options=RowGenOptions(early_stop_objective=-1e-9),
             backend=backend,
         )
         seconds = time.perf_counter() - started
@@ -161,7 +118,7 @@ def run_cell(n: int, problem: str, config: str) -> dict:
         for subset, coefficient in branch.coefficients.items():
             row[0, lattice.canon_pos[lattice.mask_of(subset)] - 1] += coefficient
         feasible, _, report = check_feasibility_lazy(
-            width, oracle, A_ub=row, b_ub=[-1.0], options=options, backend=backend
+            width, oracle, A_ub=row, b_ub=[-1.0], backend=backend
         )
         seconds = time.perf_counter() - started
         verdict = "point-found" if feasible else "no-point"
@@ -169,7 +126,6 @@ def run_cell(n: int, problem: str, config: str) -> dict:
         "seconds": round(seconds, 3),
         "rows": report.rows_used,
         "rounds": report.rounds,
-        "rows_dropped": report.rows_dropped,
         "verdict": verdict,
     }
 
@@ -291,7 +247,6 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(REPO_ROOT / "src"))
     from repro.lp.backends import highs_available
 
-    have_highs = highs_available()
     env = dict(os.environ)
     src = str(REPO_ROOT / "src")
     env["PYTHONPATH"] = (
@@ -304,9 +259,6 @@ def main(argv=None) -> int:
         for problem in args.problems:
             for config in args.backends:
                 record = {"n": n, "problem": problem, "backend": config}
-                if config.startswith("highs") and not have_highs:
-                    results.append({**record, "status": "unavailable"})
-                    continue
                 command = [sys.executable, script, "--worker", str(n), problem, config]
                 _launch(command, env, args.budget, record, results)
 
@@ -321,23 +273,17 @@ def main(argv=None) -> int:
     report = {
         "experiment": "E15-backend-grid",
         "description": (
-            "Row-generation Γn decisions across solver backends (scipy per-round "
-            "rebuild, incremental bookkeeping on scipy, cold and warm-started "
-            "native highspy) on the E14 problem grid, plus the Eq. (8) "
+            "Row-generation Γn decisions across solver backends (the keyed loop "
+            "on linprog solves and on one HiGHS model) on the "
+            "E14 problem grid, plus the Eq. (8) "
             "containment-seed comparison (generic vs |K|<=1 seeding); fresh "
             "subprocess per cell, per-cell budget"
         ),
-        "highs_available": have_highs,
+        "native_highspy": highs_available(),
         "budget_seconds": args.budget,
         "results": results,
         "seed_results": seed_results,
     }
-    if not have_highs:
-        report["note"] = (
-            "highspy was not installed in this environment; highs-cold/highs-warm "
-            "cells are recorded as unavailable and the scipy fallback numbers "
-            "stand in as the baseline"
-        )
     output.write_text(json.dumps(report, indent=1) + "\n")
     print(f"\nwrote {output} ({len(results)} grid cells, {len(seed_results)} seed cells)")
     return 0

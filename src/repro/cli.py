@@ -675,10 +675,10 @@ def build_parser() -> argparse.ArgumentParser:
     contain.add_argument(
         "--lp-backend",
         default="auto",
-        choices=["auto", "scipy", "highs", "scipy-incremental"],
+        choices=["auto", "scipy", "highs"],
         help=(
-            "LP solver backend: scipy's one-shot HiGHS vs the native incremental "
-            "highspy driver (default auto = highs when installed, else scipy)"
+            "LP solver backend: HiGHS driven incrementally vs scipy's one-shot "
+            "linprog (default auto = highs)"
         ),
     )
     contain.set_defaults(handler=_cmd_contain)
@@ -1029,7 +1029,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache_verify.add_argument(
         "--lp-backend",
         default="auto",
-        choices=["auto", "scipy", "highs", "scipy-incremental"],
+        choices=["auto", "scipy", "highs"],
         help="backend for the Farkas feasibility recheck (default auto)",
     )
     cache_verify.set_defaults(handler=_cmd_cache_verify)
@@ -1082,10 +1082,10 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--lp-backend",
         default="auto",
-        choices=["auto", "scipy", "highs", "scipy-incremental"],
+        choices=["auto", "scipy", "highs"],
         help=(
-            "LP solver backend: scipy's one-shot HiGHS vs the native incremental "
-            "highspy driver (default auto = highs when installed, else scipy)"
+            "LP solver backend: HiGHS driven incrementally vs scipy's one-shot "
+            "linprog (default auto = highs)"
         ),
     )
     parser.add_argument(

@@ -499,9 +499,8 @@ def decide_containment(
     (possibly undecidable) case.  ``lp_method`` selects the ``Γn`` LP path
     for every cone decision the pipeline issues
     (``"dense" | "rowgen" | "auto"``, see :mod:`repro.lp.rowgen`) and
-    ``lp_backend`` the solver backend (``"auto" | "scipy" | "highs" |
-    "scipy-incremental"``, see :mod:`repro.lp.backends`; ``"auto"`` drives
-    ``highspy`` directly when it is installed and falls back to scipy).
+    ``lp_backend`` the solver backend (``"auto" | "scipy" | "highs"``, see
+    :mod:`repro.lp.backends`; ``"auto"`` is ``"highs"``).
 
     This is the sequential driver over :func:`containment_pipeline`; the
     batch engine (:func:`repro.service.decide_containment_many`) runs the

@@ -10,17 +10,18 @@ what :func:`find_convex_certificate` does.
 
 Both halves come from one row-generation loop
 (:meth:`ShannonProver._certificate_rowgen`): a probe LP over a growing
-active set of elemental rows finds the rows the proof needs, and one joint
-solve over those rows returns ``λ`` and ``µ`` together.  The full elemental
-description of ``Γn`` is never built.  The proof is checked against
-``Σ_ℓ λ_ℓ E_ℓ`` before it is returned.
+active set of elemental rows finds the rows the proof needs, and the duals
+of its last solve are ``λ`` and ``µ`` — no second LP is solved.  The full
+elemental description of ``Γn`` is never built.  The loop checks the proof
+against ``Σ_ℓ λ_ℓ E_ℓ`` before it returns it.
 
 The paper leaves open whether the ``λ`` can always be chosen rational over
-``Γ*n``.  Over ``Γn`` they can: the joint system has rational data, so when
-it is feasible it has a rational vertex.  The weights returned here are the
-solver's floating-point vertex, checked by the solver-free sum of
-:meth:`~repro.infotheory.shannon.ShannonCertificate.verify` (to its
-tolerance), not in exact arithmetic.
+``Γ*n``.  Over ``Γn`` they can: the probe has rational data, so its dual
+optimum has a rational vertex.  The weights returned here are the solver's
+floating-point dual vertex, checked by a solver-free sum of the proof's
+rows (to the tolerance of
+:meth:`~repro.infotheory.shannon.ShannonCertificate.verify`), not in exact
+arithmetic.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.exceptions import CertificateError
 from repro.infotheory.expressions import LinearExpression, MaxInformationInequality
 from repro.infotheory.shannon import ShannonCertificate, ShannonProver, shannon_prover
 
@@ -86,11 +86,12 @@ def find_convex_certificate(
 ) -> Optional[ConvexCertificate]:
     """Find ``λ`` such that ``Σ λ_ℓ E_ℓ`` is Shannon-provable, if one exists.
 
-    One row-generation loop searches for the convex weights ``λ`` and the
+    One row-generation loop finds the convex weights ``λ`` and the
     elemental-inequality multipliers ``µ`` with
     ``Σ_ℓ λ_ℓ c_ℓ = Aᵀ µ``, ``Σ λ = 1``, ``λ, µ ≥ 0`` over the elemental
-    rows it activates (see the module docstring); ``with_shannon_proof``
-    attaches ``µ`` to the result.  Raises :class:`CertificateError` when the
+    rows it activates, reading both off the duals of its last probe (see
+    the module docstring); ``with_shannon_proof`` attaches ``µ`` to the
+    result.  Raises :class:`~repro.exceptions.CertificateError` when the
     proof fails its check against ``Σ λ_ℓ E_ℓ``.
 
     By Theorem 6.1 (applied to the polyhedral cone ``Γn``) a certificate
@@ -110,13 +111,8 @@ def find_convex_certificate(
         return None
     weights, proof = found
     lambdas = tuple(float(v) for v in weights)
-    combined = _combine(lambdas, expressions, prover.ground)
-    if not proof.verify(combined):
-        raise CertificateError(
-            "the Shannon proof does not sum to the combined inequality Σ λ_ℓ E_ℓ"
-        )
     return ConvexCertificate(
         lambdas=lambdas,
-        combined=combined,
+        combined=_combine(lambdas, expressions, prover.ground),
         shannon_certificate=proof if with_shannon_proof else None,
     )

@@ -76,7 +76,7 @@ def decide_max_ii(
     selects the ``Γn`` LP path (``"dense" | "rowgen" | "auto"``) and
     ``seed`` the row-generation seed set (both ignored by the generated
     cones); ``lp_backend`` picks the solver backend
-    (``"auto" | "scipy" | "highs" | "scipy-incremental"``).
+    (``"auto" | "scipy" | "highs"``).
     """
     ground = tuple(ground) if ground is not None else inequality.ground
     cone = cone_by_name(over, ground)

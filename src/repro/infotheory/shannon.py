@@ -26,9 +26,9 @@ knob (``"dense" | "rowgen" | "auto"``, constructor default ``"auto"``):
   :mod:`repro.lp.rowgen` grow a small active row set through a vectorized
   separation oracle, which is what makes ``n = 12–16`` cone problems
   decidable in practice.  Certificates stay exact — the multipliers are
-  recovered over the final active row set (enlarged by Farkas-driven
-  separation until the target is expressible), and only the rows with
-  positive multipliers are materialized as
+  the duals of the last Farkas probe over the final active row set
+  (enlarged by separation until the target is expressible), and only the
+  rows with positive multipliers are materialized as
   :class:`~repro.infotheory.polymatroid.ElementalInequality` objects.
 
 ``"auto"`` switches on the elemental row count
@@ -63,10 +63,7 @@ from repro.infotheory.polymatroid import (
     materialize_elementals,
 )
 from repro.infotheory.setfunction import SetFunction
-from repro.lp.certificates import (
-    nonnegative_combination,
-    nonnegative_combination_over_support,
-)
+from repro.lp.certificates import nonnegative_combination
 from repro.lp.backends import resolve_backend, validate_backend_name
 from repro.lp.rowgen import (
     RowGenOptions,
@@ -116,8 +113,8 @@ class ShannonProver:
 
     ``method`` sets the default LP path for every decision this prover makes
     (``"auto"`` picks per problem size) and ``backend`` the default solver
-    backend (``"auto"`` = native ``highspy`` when installed, scipy
-    otherwise); each decision method also accepts per-call overrides.
+    backend (``"auto"`` = HiGHS driven directly); each decision method also
+    accepts per-call overrides.
     """
 
     def __init__(self, ground: Sequence[str], method: str = "auto", backend: str = "auto"):
@@ -332,81 +329,94 @@ class ShannonProver:
         :func:`~repro.core.convex_certificate.find_convex_certificate` passes
         every branch.
 
-        Alternates two LPs over the growing active row set ``A``:
+        One incremental model of ``backend`` holds the *probe*
+        ``min t`` over ``{c_ℓ·x ≤ t for every ℓ, A x ≥ 0, -1 ≤ x ≤ 1}``,
+        written as ``min c_1·x + s`` with the fixed branch rows
+        ``(c_ℓ - c_1)·x - s ≤ 0`` (``ℓ ≥ 2``), ``s ≥ 0``, and the active
+        elemental rows ``A`` as keyed rows ``-a·x ≤ 0``, starting from the
+        seed.  While the probe is negative its minimizer ``x`` satisfies
+        every active row but makes every ``c_ℓ·x < 0``; the separation oracle
+        either finds elemental rows ``x`` violates, which join the model for
+        the next (warm) probe, or proves ``x ∈ Γn`` — a genuine violation, so
+        no certificate exists.
 
-        1. the *probe* ``min t`` over ``{c_ℓ·x ≤ t for every ℓ, A x ≥ 0,
-           -1 ≤ x ≤ 1}`` — by LP duality its optimum is 0 exactly when some
-           convex combination ``Σλ_ℓ c_ℓ`` is a non-negative combination of
-           the active rows;
-        2. when the probe goes negative, its minimizer ``y`` satisfies every
-           active row but every ``c_ℓ·y < 0``; the separation oracle either
-           finds elemental rows ``y`` violates (which join the active set)
-           or proves ``y ∈ Γn`` — a genuine violation, so no certificate
-           exists.  Once the probe reaches 0, one joint solve of
-           ``Σλ_ℓ c_ℓ = Aᵀµ``, ``Σλ = 1``, ``λ, µ ≥ 0`` over the active rows
-           yields both ``λ`` and the proof ``µ``.
+        Once the probe reaches 0, LP duality hands the certificate back with
+        it: with ``y = -row_duals ≥ 0``, stationarity in ``x`` reads
+        ``c_1 + Σ_{ℓ≥2} y_ℓ (c_ℓ - c_1) = Aᵀ y_A`` and in ``s`` gives
+        ``Σ_{ℓ≥2} y_ℓ ≤ 1``, so ``λ_ℓ = y_ℓ`` (``ℓ ≥ 2``),
+        ``λ_1 = 1 - Σ_{ℓ≥2} λ_ℓ`` and ``µ = y_A`` solve
+        ``Σλ_ℓ c_ℓ = Aᵀµ``.  No second LP is solved.  The box keeps the
+        probe bounded and is harmless: cone membership and the signs of
+        ``c_ℓ·x`` are scale-invariant, and at a zero optimum the box's
+        reduced costs vanish.
 
-        The box keeps the probe bounded and is harmless: cone membership and
-        the signs of ``c_ℓ·y`` are scale-invariant.
+        The proof is checked against ``Σλ_ℓ c_ℓ`` before it is returned
+        (raises :class:`CertificateError` when it does not sum to it), so
+        every caller gets a verified proof.
         """
         oracle = self._oracle
         backend = resolve_backend(backend)
         options = RowGenOptions()
         count, width = targets.shape
         farkas_tolerance = 1e-9 * max(1.0, float(np.abs(targets).sum(axis=1).max()))
-        # Both LPs range over (x, s) columns.  The probe minimizes
-        # max_ℓ c_ℓ·x as c_1·x + s subject to (c_ℓ - c_1)·x ≤ s, s ≥ 0; with
-        # one branch s stays 0 and the probe is the plain Farkas probe
-        # min c·x.  In the joint solve the s column carries Σλ = 1: the λ
-        # generators (c_ℓ, 1) meet the target (0, 1).  The active rows enter
-        # both LPs negated, with an empty s column.
-        objective = np.append(targets[0], 1.0)
-        branch_rows = sp.csr_matrix(
-            np.hstack([targets[1:] - targets[0], -np.ones((count - 1, 1))])
+        branch_rows = None
+        if count > 1:
+            branch_rows = np.hstack([targets[1:] - targets[0], -np.ones((count - 1, 1))])
+        model = backend.incremental_model(
+            width + 1,
+            np.append(targets[0], 1.0),
+            bounds=[(-1.0, 1.0)] * width + [(0.0, None)],
+            A_fixed=branch_rows,
+            b_fixed=None if branch_rows is None else np.zeros(count - 1),
         )
-        branch_generators = sp.csr_matrix(np.hstack([targets, np.ones((count, 1))]))
-        sum_target = np.zeros(width + 1)
-        sum_target[width] = 1.0
-        bounds = [(-1.0, 1.0)] * width + [(0.0, None)]
 
-        def negated_rows(row_ids):
+        def add_active(row_ids):
             rows = oracle.rows_matrix(row_ids)
-            return sp.csr_matrix(
-                (-rows.data, rows.indices, rows.indptr), shape=(rows.shape[0], width + 1)
+            model.add_rows(
+                row_ids,
+                sp.csr_matrix(
+                    (-rows.data, rows.indices, rows.indptr),
+                    shape=(rows.shape[0], width + 1),
+                ),
             )
 
-        active_ids = [int(i) for i in oracle.seed_ids()]
-        known = set(active_ids)
-        negated = negated_rows(active_ids)
+        seed = [int(i) for i in oracle.seed_ids()]
+        known = set(seed)
+        add_active(seed)
         for _ in range(options.max_rounds):
-            probe = minimize(
-                objective,
-                A_ub=sp.vstack([branch_rows, negated], format="csr"),
-                b_ub=np.zeros(count - 1 + negated.shape[0]),
-                bounds=bounds,
-                backend=backend,
-            )
+            probe = model.solve()
             if probe.status != LPStatus.OPTIMAL:
                 raise CertificateError(
                     f"unexpected LP status {probe.status} in certificate probe"
                 )
             if probe.objective >= -farkas_tolerance:
-                weights = nonnegative_combination_over_support(
-                    sp.vstack([branch_generators, negated], format="csr"),
-                    sum_target,
-                    tolerance,
-                    backend=backend,
-                )
-                if weights is None:
-                    return None
+                if probe.row_duals is None:
+                    raise CertificateError("the certificate probe returned no duals")
+                # Clip and renormalize: solver round-off can leave a dual or
+                # λ_1 a hair below 0, and Σλ must be 1.
+                y = np.maximum(-probe.row_duals, 0.0)
+                weights = np.concatenate([[1.0 - y[: count - 1].sum()], y[: count - 1]])
+                weights = np.maximum(weights, 0.0)
+                weights /= weights.sum()
                 support = [
-                    (active_ids[k], float(multiplier))
-                    for k, multiplier in enumerate(weights[count:])
+                    (row_id, float(multiplier))
+                    for row_id, multiplier in zip(model.keys(), y[count - 1 :])
                     if multiplier > tolerance
                 ]
-                masks, coeffs, kinds = oracle.row_data([row_id for row_id, _ in support])
+                support_ids = [row_id for row_id, _ in support]
+                # The solver-free check every caller relies on: the proof
+                # must sum to Σλ_ℓ c_ℓ (ShannonCertificate.verify's tolerance).
+                residual = oracle.rows_matrix(support_ids).T @ np.array(
+                    [multiplier for _, multiplier in support]
+                ) - weights @ targets
+                if np.abs(residual).max(initial=0.0) > 1e-6:
+                    raise CertificateError(
+                        "the Shannon proof does not sum to the combined "
+                        "inequality Σ λ_ℓ E_ℓ"
+                    )
+                masks, coeffs, kinds = oracle.row_data(support_ids)
                 inequalities = materialize_elementals(self.ground, masks, coeffs, kinds)
-                return weights[:count], ShannonCertificate(
+                return weights, ShannonCertificate(
                     ground=self.ground,
                     multipliers=tuple(
                         (inequality, multiplier)
@@ -420,8 +430,7 @@ class ShannonProver:
                 # The probe point lies in Γn and makes every branch negative.
                 return None
             known.update(new_ids)
-            active_ids.extend(new_ids)
-            negated = sp.vstack([negated, negated_rows(new_ids)], format="csr")
+            add_active(new_ids)
         raise CertificateError("certificate row generation did not converge")
 
 

@@ -12,9 +12,9 @@ rows plus cutting-plane loops, selected through the ``method`` knob
 (``"dense" | "rowgen" | "auto"``) every solver entry point grew for it.
 
 The :mod:`repro.lp.backends` submodule provides the solver backends behind
-the ``backend`` knob: scipy's one-shot HiGHS (always available, the
-fallback) and the native incremental ``highspy`` driver (optional, warm
-starts the cutting-plane loops between rounds).
+the ``backend`` knob: HiGHS driven incrementally (the default; native
+``highspy`` when installed, scipy's bundled bindings otherwise), which
+keeps one model per cutting-plane loop, and scipy's one-shot ``linprog``.
 """
 
 from repro.lp.backends import (

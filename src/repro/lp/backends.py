@@ -1,48 +1,32 @@
-"""Solver backends: scipy's one-shot HiGHS vs a native incremental ``highspy`` model.
+"""Solver backends: HiGHS driven incrementally, or through scipy's ``linprog``.
 
-Every LP the library solves ultimately reaches HiGHS, but there are two ways
-to get there:
+Every LP the library solves reaches HiGHS, in one of two ways:
 
-* :class:`ScipyBackend` — :func:`scipy.optimize.linprog` with
-  ``method="highs"``.  Stateless and always available, but every call builds
-  a fresh HiGHS model: scipy exposes no basis hand-off, so the cutting-plane
-  loops of :mod:`repro.lp.rowgen` re-solve each relaxation from scratch.
-* :class:`HighsBackend` — the ``highspy`` bindings driven directly.  One
+* :class:`HighsBackend` — HiGHS's own bindings driven directly.  One
   :class:`IncrementalModel` stays alive across cutting-plane rounds:
-  violated cuts enter through ``addRows``, slack rows leave through
-  ``deleteRows``, and HiGHS warm-starts every re-solve from the incumbent
-  basis.  ``highspy`` is an *optional* dependency — the backend is gated on
-  import and :func:`resolve_backend` falls back to scipy when it is absent,
-  so nothing in the library ever requires it.
+  violated cuts enter through ``addRows`` and a re-solve can warm-start
+  from the incumbent basis.  The bindings come from the native ``highspy``
+  package when it is installed and otherwise from the copy scipy (≥ 1.15)
+  bundles as ``scipy.optimize._highspy._core`` — the same classes under
+  other names — so the backend runs on every install.
+* :class:`ScipyBackend` — :func:`scipy.optimize.linprog` with
+  ``method="highs"``.  Stateless: every solve builds a fresh HiGHS model,
+  so its :class:`IncrementalModel` keeps the keyed rows in Python and
+  re-solves them from scratch each round.  The tests use it as the
+  reference the ``highs`` backend is checked against.
 
-The ``backend`` knob accepted by every LP entry point takes
+The ``backend`` knob accepted by every LP entry point takes ``"auto"`` (the
+default everywhere: ``"highs"``, or ``"scipy"`` on an install with no HiGHS
+bindings at all), ``"highs"`` or ``"scipy"``.  Both backends return the
+solve's row duals on :class:`LPResult`, which is how the certificate loop
+reads its multipliers off the last probe.
 
-* ``"auto"`` (the default everywhere) — :class:`HighsBackend` when
-  ``highspy`` imports, :class:`ScipyBackend` otherwise, so a plain
-  ``pip install highspy`` upgrades the whole library while CI and
-  scipy-only installs keep the historical behaviour bit-for-bit;
-* ``"scipy"`` / ``"highs"`` — force one backend (``"highs"`` raises
-  :class:`~repro.exceptions.LPError` when ``highspy`` is missing);
-* ``"scipy-incremental"`` — scipy solves driven through the *incremental*
-  cutting-plane loop (keyed row bookkeeping, slack-row deletion,
-  anti-cycling guard) without any warm start.  Its purpose is testing and
-  diagnostics: it exercises exactly the loop the HiGHS backend runs, on the
-  solver that is always installed.
-
-Row identity bookkeeping
-------------------------
-The cutting-plane loops used to assume active rows never leave the model,
-so a plain "seen ids" set sufficed.  With slack-row deletion that
-bookkeeping moves here:
-
-* :class:`IncrementalModel` maps stable row *keys* to current model row
-  indices (deletions renumber the tail, exactly as HiGHS does internally);
-* :class:`AntiCyclingLedger` tracks which oracle rows are active, dropped
-  or *permanent*.  The guard: a dropped row that re-violates re-enters the
-  model permanently — each row can therefore be dropped at most once, every
-  round still strictly grows the (finite) set of rows that have ever been
-  admitted-or-pinned, and the loop terminates exactly as it did before
-  deletion existed.
+Row identity
+------------
+:class:`IncrementalModel` addresses the rows the loops add by stable,
+hashable *keys* (oracle row ids, or ``(block, row id)`` in the block loop);
+:meth:`IncrementalModel.keys` lists them in model order, which is the order
+of the keyed part of ``row_duals``.
 """
 
 from __future__ import annotations
@@ -57,16 +41,42 @@ from repro.exceptions import LPError
 from repro.lp.solver import LPResult, LPStatus
 
 #: Names accepted by every ``backend`` knob.
-BACKEND_NAMES = ("auto", "scipy", "highs", "scipy-incremental")
+BACKEND_NAMES = ("auto", "scipy", "highs")
 
 
 def highs_available() -> bool:
-    """Whether the optional ``highspy`` bindings can be imported."""
+    """Whether the native ``highspy`` package imports.
+
+    The ``highs`` backend does not need it (see :func:`_highs_bindings`);
+    this only reports which bindings it drives.
+    """
     try:
         import highspy  # noqa: F401
     except ImportError:
         return False
     return True
+
+
+def _highs_bindings():
+    """``(Highs, HighsModelStatus, kHighsInf)`` from ``highspy`` or scipy's copy.
+
+    Raises :class:`LPError` when neither imports; the ``highs`` backend never
+    switches to ``linprog`` itself (only ``"auto"`` resolves to it then).
+    """
+    try:
+        import highspy
+
+        return highspy.Highs, highspy.HighsModelStatus, highspy.kHighsInf
+    except ImportError:
+        pass
+    try:
+        from scipy.optimize._highspy import _core
+    except ImportError as error:
+        raise LPError(
+            "the 'highs' LP backend needs HiGHS bindings: scipy >= 1.15 bundles "
+            "them, or pip install highspy; backend='scipy' solves through linprog"
+        ) from error
+    return _core._Highs, _core.HighsModelStatus, _core.kHighsInf
 
 
 def validate_backend_name(name: str) -> str:
@@ -81,18 +91,16 @@ def validate_backend_name(name: str) -> str:
 def resolve_backend(backend) -> "LPBackend":
     """Resolve a ``backend`` knob (name, instance or ``None``) to an instance.
 
-    ``None`` and ``"auto"`` pick :class:`HighsBackend` when ``highspy`` is
-    importable and :class:`ScipyBackend` otherwise — the scipy fallback is
-    what keeps every entry point working, with unchanged behaviour, on
-    installations without the optional dependency.
+    ``None`` and ``"auto"`` pick :class:`HighsBackend`, or
+    :class:`ScipyBackend` on an install with no HiGHS bindings at all
+    (scipy < 1.15 without ``highspy``).  An explicit ``"highs"`` raises there
+    instead.
     """
     if isinstance(backend, LPBackend):
         return backend
     if backend is None:
         backend = "auto"
     validate_backend_name(backend)
-    if backend == "auto":
-        backend = "highs" if highs_available() else "scipy"
     return _backend_instance(backend)
 
 
@@ -104,12 +112,13 @@ def _backend_instance(name: str) -> "LPBackend":
     if instance is None:
         if name == "scipy":
             instance = ScipyBackend()
-        elif name == "scipy-incremental":
-            instance = ScipyBackend(incremental=True)
         elif name == "highs":
             instance = HighsBackend()
-        else:  # pragma: no cover - guarded by validate_backend_name
-            raise LPError(f"unknown LP backend {name!r}")
+        else:
+            try:
+                instance = _backend_instance("highs")
+            except LPError:
+                instance = _backend_instance("scipy")
         _INSTANCES[name] = instance
     return instance
 
@@ -137,11 +146,6 @@ class LPBackend:
 
     #: Knob name this backend answers to.
     name = "backend"
-    #: Whether the cutting-plane loops should drive an :class:`IncrementalModel`
-    #: (one growing model per loop) instead of rebuilding a stacked LP per round.
-    incremental = False
-    #: Whether re-solves of an incremental model start from the incumbent basis.
-    warm_started = False
 
     def solve(
         self,
@@ -174,20 +178,9 @@ class LPBackend:
 # scipy
 # --------------------------------------------------------------------- #
 class ScipyBackend(LPBackend):
-    """:func:`scipy.optimize.linprog` with ``method="highs"`` (the historical path).
+    """:func:`scipy.optimize.linprog` with ``method="highs"``: a fresh model per solve."""
 
-    ``incremental=True`` keeps the same per-solve behaviour (a fresh HiGHS
-    model each call, no warm start) but routes the cutting-plane loops
-    through the incremental-model bookkeeping — the testing backend that
-    exercises row add/drop identity mapping and the anti-cycling guard
-    without the optional dependency.
-    """
-
-    warm_started = False
-
-    def __init__(self, incremental: bool = False):
-        self.incremental = incremental
-        self.name = "scipy-incremental" if incremental else "scipy"
+    name = "scipy"
 
     def solve(
         self,
@@ -212,6 +205,9 @@ class ScipyBackend(LPBackend):
                 status=LPStatus.OPTIMAL,
                 objective=float(result.fun),
                 solution=result.x,
+                row_duals=np.concatenate(
+                    [result.ineqlin.marginals, result.eqlin.marginals]
+                ),
             )
         if result.status == 2:
             return LPResult(status=LPStatus.INFEASIBLE, objective=None, solution=None)
@@ -233,27 +229,20 @@ class ScipyBackend(LPBackend):
 
 
 # --------------------------------------------------------------------- #
-# highspy
+# HiGHS
 # --------------------------------------------------------------------- #
 class HighsBackend(LPBackend):
-    """Native ``highspy`` driver with incremental, warm-started models.
+    """HiGHS bindings driven directly, with incremental, warm-started models.
 
-    Raises :class:`LPError` on construction when ``highspy`` is not
-    importable — use :func:`resolve_backend` (or the ``"auto"`` knob) to get
-    the scipy fallback instead of an error.
+    Uses native ``highspy`` when it imports and scipy's bundled copy of the
+    same bindings otherwise; raises :class:`LPError` on construction when
+    neither is present.
     """
 
     name = "highs"
-    incremental = True
-    warm_started = True
 
     def __init__(self):
-        if not highs_available():
-            raise LPError(
-                "the 'highs' LP backend needs the optional highspy package "
-                "(pip install highspy); use backend='auto' or 'scipy' to fall "
-                "back to scipy"
-            )
+        self.Highs, self.HighsModelStatus, self.inf = _highs_bindings()
 
     def solve(
         self,
@@ -294,11 +283,9 @@ class IncrementalModel:
     """One LP kept alive across cutting-plane rounds.
 
     The model owns ``num_variables`` columns with fixed bounds, a mutable
-    objective, optional *fixed* rows (the caller's explicit constraints,
-    never deleted) and a set of *keyed* rows ``A x ≤ b`` addressed by stable,
-    hashable keys.  Keys map to current model row positions through
-    :meth:`row_index`; deleting rows renumbers the tail exactly as HiGHS
-    does, and the map is maintained so callers never see raw indices.
+    objective, optional *fixed* rows (the caller's explicit constraints)
+    and the *keyed* rows ``A x ≤ b`` added since, each under a stable,
+    hashable key.
     """
 
     def __init__(self, backend: LPBackend, num_variables: int):
@@ -306,33 +293,19 @@ class IncrementalModel:
         self.num_variables = num_variables
         self.solve_count = 0
         self._keys: List[Hashable] = []
-        self._index: Dict[Hashable, int] = {}
+        self._key_set: set = set()
 
     # -- key bookkeeping ------------------------------------------------ #
     def keys(self) -> Tuple[Hashable, ...]:
-        """The keyed rows in current model order."""
+        """The keyed rows in model order."""
         return tuple(self._keys)
-
-    def row_index(self, key: Hashable) -> int:
-        """Current position of ``key`` among the keyed rows."""
-        return self._index[key]
 
     def _register(self, keys: Sequence[Hashable]) -> None:
         for key in keys:
-            if key in self._index:
+            if key in self._key_set:
                 raise LPError(f"row key {key!r} is already in the model")
-            self._index[key] = len(self._keys)
+            self._key_set.add(key)
             self._keys.append(key)
-
-    def _unregister(self, keys: Sequence[Hashable]) -> List[int]:
-        positions = sorted(self._index[key] for key in keys)
-        for key in keys:
-            del self._index[key]
-        keep = np.ones(len(self._keys), dtype=bool)
-        keep[positions] = False
-        self._keys = [key for key, kept in zip(self._keys, keep) if kept]
-        self._index = {key: i for i, key in enumerate(self._keys)}
-        return positions
 
     # -- interface ------------------------------------------------------ #
     def set_objective(self, objective) -> None:
@@ -342,12 +315,16 @@ class IncrementalModel:
         """Add keyed rows ``matrix x ≤ rhs`` (``rhs=None`` means all zeros)."""
         raise NotImplementedError
 
-    def delete_rows(self, keys: Sequence[Hashable]) -> None:
-        """Remove keyed rows; remaining keys keep resolving to the right rows."""
-        raise NotImplementedError
-
     def solve(self, warm: bool = True) -> LPResult:
-        """Re-solve the current model (warm-started when the backend supports it)."""
+        """Re-solve the current model.
+
+        With ``warm`` the solve starts from the incumbent basis when the
+        backend keeps one (``highs``); otherwise it starts from scratch.
+        An optimal result carries ``row_duals``: the fixed rows first, then
+        the keyed rows in :meth:`keys` order.  Binding ``≤`` rows of the
+        minimization get non-positive duals, so ``-row_duals`` are the
+        non-negative multipliers of the rows.
+        """
         raise NotImplementedError
 
 
@@ -395,19 +372,6 @@ class _ScipyIncrementalModel(IncrementalModel):
             self._A_keyed = sp.vstack([self._A_keyed, matrix], format="csr")
             self._b_keyed = np.concatenate([self._b_keyed, rhs])
 
-    def delete_rows(self, keys) -> None:
-        if not keys:
-            return
-        positions = self._unregister(keys)
-        keep = np.ones(self._A_keyed.shape[0], dtype=bool)
-        keep[positions] = False
-        self._A_keyed = self._A_keyed[keep]
-        self._b_keyed = self._b_keyed[keep]
-
-    def row_matrix(self) -> Tuple[Optional[sp.csr_matrix], np.ndarray]:
-        """The keyed rows as ``(matrix, rhs)`` in key order (for tests)."""
-        return self._A_keyed, self._b_keyed
-
     def solve(self, warm: bool = True) -> LPResult:
         parts_A = []
         parts_b = []
@@ -426,25 +390,20 @@ class _ScipyIncrementalModel(IncrementalModel):
 
 
 class _HighsIncrementalModel(IncrementalModel):
-    """A persistent ``highspy.Highs`` model modified in place between solves.
+    """A persistent HiGHS model modified in place between solves.
 
-    HiGHS keeps the incumbent basis across ``addRows``/``deleteRows``/
-    ``changeColsCost`` modifications and warm-starts the next ``run`` from
-    it — the basis hand-off scipy's ``linprog`` does not expose.
-    ``solve(warm=False)`` clears the solver state first (used by benchmarks
-    to measure the cold-start baseline on the same backend).
+    HiGHS keeps the incumbent basis across ``addRows``/``changeColsCost``
+    modifications and warm-starts the next ``run`` from it — the basis
+    hand-off scipy's ``linprog`` does not expose.  ``solve(warm=False)``
+    clears the solver state first, which is a cold solve of the same model.
     """
 
     def __init__(self, backend, num_variables, objective, bounds, A_fixed, b_fixed):
         super().__init__(backend, num_variables)
-        import highspy
-
-        self._highspy = highspy
-        self._inf = highspy.kHighsInf
-        model = highspy.Highs()
+        self._inf = backend.inf
+        model = backend.Highs()
         model.setOptionValue("output_flag", False)
         self._model = model
-        self._fixed_rows = 0
         lower, upper = _broadcast_bounds(bounds, num_variables)
         lower = np.where(np.isneginf(lower), -self._inf, lower)
         upper = np.where(np.isposinf(upper), self._inf, upper)
@@ -468,7 +427,6 @@ class _HighsIncrementalModel(IncrementalModel):
             A_fixed = _as_csr(A_fixed, num_variables)
             b_fixed = np.asarray(b_fixed, dtype=float)
             self._add_rows_raw(A_fixed, None, b_fixed)
-            self._fixed_rows = A_fixed.shape[0]
 
     # -- raw row plumbing ------------------------------------------------ #
     def _add_rows_raw(self, matrix: sp.csr_matrix, lower, upper) -> None:
@@ -508,20 +466,13 @@ class _HighsIncrementalModel(IncrementalModel):
         self._register(keys)
         self._add_rows_raw(matrix, None, rhs)
 
-    def delete_rows(self, keys) -> None:
-        if not keys:
-            return
-        positions = self._unregister(keys)
-        indices = np.asarray(positions, dtype=np.int32) + self._fixed_rows
-        self._model.deleteRows(indices.shape[0], indices)
-
     def solve(self, warm: bool = True) -> LPResult:
         if not warm:
             self._model.clearSolver()
         self._model.run()
         self.solve_count += 1
         status = self._model.getModelStatus()
-        HighsModelStatus = self._highspy.HighsModelStatus
+        HighsModelStatus = self.backend.HighsModelStatus
         if status == HighsModelStatus.kUnboundedOrInfeasible:
             # Disambiguate the way scipy does: re-solve without presolve.
             self._model.setOptionValue("presolve", "off")
@@ -530,104 +481,22 @@ class _HighsIncrementalModel(IncrementalModel):
             status = self._model.getModelStatus()
             self._model.setOptionValue("presolve", "choose")
         if status == HighsModelStatus.kOptimal:
-            solution = np.array(self._model.getSolution().col_value)
+            solution = self._model.getSolution()
             return LPResult(
                 status=LPStatus.OPTIMAL,
                 objective=float(self._model.getObjectiveValue()),
-                solution=solution,
+                solution=np.array(solution.col_value),
+                row_duals=np.array(solution.row_dual) if solution.dual_valid else None,
             )
         if status == HighsModelStatus.kInfeasible:
             return LPResult(status=LPStatus.INFEASIBLE, objective=None, solution=None)
         if status == HighsModelStatus.kUnbounded:
             return LPResult(status=LPStatus.UNBOUNDED, objective=None, solution=None)
-        raise LPError(f"highspy solve failed with model status {status}")
-
-
-# --------------------------------------------------------------------- #
-# Anti-cycling ledger
-# --------------------------------------------------------------------- #
-class AntiCyclingLedger:
-    """Active-set bookkeeping for cutting-plane loops with slack-row deletion.
-
-    Tracks three disjoint facts about oracle row ids: *active* (currently in
-    the model), *dropped* (was active, deleted as slack) and *permanent*
-    (never deletable — the seed rows, plus every row that re-entered after a
-    drop).  The permanence promotion is the anti-cycling guard: a row can be
-    dropped at most once, so a loop that keeps finding the same violated row
-    pins it instead of oscillating, and termination reduces to the original
-    finite-row-set argument.
-    """
-
-    __slots__ = ("_active", "_active_set", "_permanent", "_dropped", "cuts_added", "rows_dropped", "re_entries", "peak_rows")
-
-    def __init__(self, permanent_ids: Sequence[int]):
-        self._active: List[int] = [int(i) for i in permanent_ids]
-        self._active_set = set(self._active)
-        if len(self._active_set) != len(self._active):
-            raise LPError("duplicate ids in the permanent seed set")
-        self._permanent = set(self._active)
-        self._dropped: set = set()
-        self.cuts_added = 0
-        self.rows_dropped = 0
-        self.re_entries = 0
-        self.peak_rows = len(self._active)
-
-    def __len__(self) -> int:
-        return len(self._active)
-
-    @property
-    def active(self) -> List[int]:
-        """The active row ids, in model (admission) order."""
-        return self._active
-
-    def is_permanent(self, row_id: int) -> bool:
-        return int(row_id) in self._permanent
-
-    def admit(self, row_ids) -> List[int]:
-        """Admit rows into the active set; returns the ids that newly entered.
-
-        A re-admitted previously-dropped row is promoted to permanent (the
-        anti-cycling guard).
-        """
-        entered: List[int] = []
-        for row_id in row_ids:
-            row_id = int(row_id)
-            if row_id in self._active_set:
-                continue
-            if row_id in self._dropped:
-                self._dropped.discard(row_id)
-                self._permanent.add(row_id)
-                self.re_entries += 1
-            self._active_set.add(row_id)
-            self._active.append(row_id)
-            entered.append(row_id)
-        self.cuts_added += len(entered)
-        self.peak_rows = max(self.peak_rows, len(self._active))
-        return entered
-
-    def retire(self, row_ids) -> List[int]:
-        """Drop rows from the active set; returns the ids actually removed.
-
-        Permanent rows and ids that are not active are silently skipped.
-        """
-        removable = []
-        for row_id in row_ids:
-            row_id = int(row_id)
-            if row_id in self._active_set and row_id not in self._permanent:
-                removable.append(row_id)
-        if not removable:
-            return []
-        removed = set(removable)
-        self._active = [i for i in self._active if i not in removed]
-        self._active_set -= removed
-        self._dropped |= removed
-        self.rows_dropped += len(removable)
-        return removable
+        raise LPError(f"HiGHS solve failed with model status {status}")
 
 
 __all__ = [
     "BACKEND_NAMES",
-    "AntiCyclingLedger",
     "HighsBackend",
     "IncrementalModel",
     "LPBackend",

@@ -14,12 +14,19 @@ This module makes the elemental rows *implicit*:
   most-violated elemental inequalities of a candidate point costs one numpy
   sweep per variable pair and never materializes the ``2^n``-wide CSR.
 * The cutting-plane loops :func:`minimize_lazy`,
-  :func:`check_feasibility_lazy` and :func:`solve_feasibility_blocks_lazy` —
-  each starts from a small *seed* row set (the ``n`` monotonicity rows plus
-  the ``C(n,2)`` rank-1, empty-context submodularity rows ``I(i;j) ≥ 0``),
-  solves the relaxation, asks the oracle for the most-violated rows at the
-  relaxed optimum, and iterates until no elemental inequality is violated
-  beyond tolerance.
+  :func:`check_feasibility_lazy`, :func:`minimize_many_lazy` and
+  :func:`solve_feasibility_blocks_lazy` — each starts from a small *seed*
+  row set (the ``n`` monotonicity rows plus the ``C(n,2)`` rank-1,
+  empty-context submodularity rows ``I(i;j) ≥ 0``), solves the relaxation,
+  asks the oracle for the most-violated rows at the relaxed optimum, and
+  iterates until no elemental inequality is violated beyond tolerance.
+  Each loop drives one :class:`~repro.lp.backends.IncrementalModel` of its
+  backend, and cuts enter it as keyed rows.  On the ``highs`` backend (the
+  default) the block loop re-solves warm from the previous basis, while
+  the minimization loops re-solve cold: warm dual simplex stalled on
+  ``n = 12`` minimizations (see :func:`minimize_lazy`).  The certificate
+  loop of :meth:`repro.infotheory.shannon.ShannonProver._certificate_rowgen`
+  drives the same kind of model over the same oracle, warm.
 
 Soundness of the loop shapes used by the library:
 
@@ -60,7 +67,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.exceptions import LPError
-from repro.lp.backends import AntiCyclingLedger, resolve_backend
+from repro.lp.backends import resolve_backend
 from repro.obs.metrics import global_registry
 from repro.obs.tracer import record_span
 from repro.lp.solver import (
@@ -68,11 +75,7 @@ from repro.lp.solver import (
     FeasibilityBlock,
     LPResult,
     LPStatus,
-    _block_with_hard_rows,
-    _prepend_homogeneous_rows,
-    minimize,
     record_solver_path,
-    solve_feasibility_blocks,
 )
 from repro.utils.lattice import SubsetLattice, lattice_context
 
@@ -199,17 +202,6 @@ class RowGenOptions:
         submodularity row — the Eq. (8) inequalities of Theorem 3.1 are
         built from exactly these simple rows, so seeding them up front cuts
         separation rounds on containment traffic).
-    drop_slack_rows:
-        Whether incremental-model loops delete rows that are strictly slack
-        at the relaxed optimum between rounds (ignored by the per-round
-        stacked loops, which rebuild from the active set anyway).  ``None``
-        defers to the backend (drop on every incremental backend).
-    drop_tolerance:
-        A row counts as slack (deletable) when its value at the relaxed
-        optimum exceeds this.
-    drop_min_rows:
-        Don't bother deleting until the active set reaches this size — tiny
-        models re-solve instantly and the deletions would only churn keys.
     """
 
     tolerance: float = 1e-8
@@ -217,9 +209,6 @@ class RowGenOptions:
     max_rounds: int = 10_000
     early_stop_objective: Optional[float] = None
     seed: str = "generic"
-    drop_slack_rows: Optional[bool] = None
-    drop_tolerance: float = 1e-6
-    drop_min_rows: int = 512
 
 
 @dataclass(frozen=True)
@@ -232,9 +221,7 @@ class RowGenReport:
     lower-bound early exit (see
     :attr:`RowGenOptions.early_stop_objective`): the objective value is a
     proven bound but the solution is a relaxation point, not a cone point.
-    ``backend`` names the solver backend that ran the loop;
-    ``rows_dropped``/``re_entries`` count slack-row deletions and
-    anti-cycling re-admissions (non-zero only on incremental backends).
+    ``backend`` names the solver backend that ran the loop.
     """
 
     rounds: int
@@ -243,8 +230,6 @@ class RowGenReport:
     cuts_added: int
     early_stopped: bool = False
     backend: str = "scipy"
-    rows_dropped: int = 0
-    re_entries: int = 0
 
 
 class ShannonRowOracle:
@@ -489,164 +474,47 @@ def shannon_row_oracle(ground: Tuple[str, ...]) -> ShannonRowOracle:
     return ShannonRowOracle(lattice_context(tuple(ground)))
 
 
-class _ActiveRows:
-    """The growing active row set of one cutting-plane loop."""
+def _admit(known: set, cut_ids) -> List[int]:
+    """The cut ids not yet in the model, recorded in ``known`` as they enter.
 
-    __slots__ = ("oracle", "_ids", "_known", "cuts_added")
-
-    def __init__(self, oracle: ShannonRowOracle, seed_ids: Optional[Sequence[int]] = None):
-        self.oracle = oracle
-        ids = oracle.seed_ids() if seed_ids is None else np.asarray(seed_ids, dtype=np.int64)
-        self._ids: List[int] = [int(i) for i in ids]
-        self._known = set(self._ids)
-        self.cuts_added = 0
-
-    def add(self, row_ids: np.ndarray) -> int:
-        """Append the genuinely new rows; return how many were new."""
-        added = 0
-        for row_id in row_ids:
-            row_id = int(row_id)
-            if row_id not in self._known:
-                self._known.add(row_id)
-                self._ids.append(row_id)
-                added += 1
-        self.cuts_added += added
-        return added
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    @property
-    def ids(self) -> List[int]:
-        return self._ids
-
-    def matrix(self) -> sp.csr_matrix:
-        return self.oracle.rows_matrix(self._ids)
-
-
-def _with_active_rows(active: _ActiveRows, A_ub, b_ub):
-    """Stack ``-A_active x ≤ 0`` above the caller's inequality rows."""
-    cone_rows = -active.matrix()
-    return _prepend_homogeneous_rows(cone_rows, A_ub, b_ub, cone_rows.shape[1])
-
-
-def _should_drop(options: RowGenOptions, backend) -> bool:
-    """Resolve the slack-row deletion knob against the backend default."""
-    if options.drop_slack_rows is not None:
-        return options.drop_slack_rows
-    return bool(backend.incremental)
-
-
-def _drop_slack_rows(model, ledger, oracle, solution, options, key=None) -> None:
-    """Delete the active cone rows that are strictly slack at ``solution``.
-
-    Permanent rows (the seed, plus every row the anti-cycling guard pinned)
-    survive; the just-violated cuts of this round are admitted *after* the
-    drop, so they can never be deleted in the round that found them.
-    ``key`` maps an oracle row id to its model row key (identity by default;
-    the stacked block loop namespaces ids per block).
+    A row already in the model can still come back from separation when the
+    solver satisfies it only to its own feasibility tolerance; it is not
+    added twice.
     """
-    if len(ledger) < options.drop_min_rows:
-        return
-    active = np.array(ledger.active, dtype=np.int64)
-    values = oracle.rows_matrix(active) @ solution
-    slack_ids = active[values > options.drop_tolerance]
-    removed = ledger.retire(slack_ids)
-    model.delete_rows([key(i) for i in removed] if key else removed)
+    entered = [int(i) for i in cut_ids if int(i) not in known]
+    known.update(entered)
+    return entered
 
 
-def _minimize_lazy_incremental(
-    objective,
-    oracle: ShannonRowOracle,
-    A_ub,
-    b_ub,
-    bounds,
-    options: RowGenOptions,
-    backend,
-) -> LPResult:
-    """Cutting-plane minimization over one persistent incremental model."""
-    objective = np.asarray(objective, dtype=float)
-    model = backend.incremental_model(
-        objective.shape[0], objective, bounds=bounds, A_fixed=A_ub, b_fixed=b_ub
-    )
-    seed = oracle.seed_ids_for(options.seed)
-    ledger = AntiCyclingLedger(seed)
-    model.add_rows([int(i) for i in seed], -oracle.rows_matrix(seed))
-    drop = _should_drop(options, backend)
-    for round_number in range(1, options.max_rounds + 1):
-        round_started = time.perf_counter()
-        result = model.solve()
-        _ROWGEN_ROUNDS.inc(backend=backend.name)
-        if result.status == LPStatus.UNBOUNDED:
-            raise LPError(
-                "row-generation relaxation is unbounded; pass bounds that are "
-                "valid over the full cone (e.g. 0 <= x <= 1 on the h(V) <= 1 slice)"
-            )
-        report = _ledger_report(round_number, ledger, oracle, backend)
-        if result.status == LPStatus.INFEASIBLE:
-            # The relaxation's feasible set contains the true one.
-            return LPResult(
-                status=result.status, objective=None, solution=None, rowgen=report
-            )
-        if (
-            options.early_stop_objective is not None
-            and result.objective >= options.early_stop_objective
-        ):
-            return LPResult(
-                status=result.status,
-                objective=result.objective,
-                solution=result.solution,
-                rowgen=_ledger_report(
-                    round_number, ledger, oracle, backend, early_stopped=True
-                ),
-            )
-        cut_ids, _ = _separate_timed(
-            oracle,
-            result.solution,
-            options,
-            backend,
-            "minimize-incremental",
-            round_number,
-            round_started,
-        )
-        if cut_ids.size == 0:
-            return LPResult(
-                status=result.status,
-                objective=result.objective,
-                solution=result.solution,
-                rowgen=report,
-            )
-        if drop:
-            _drop_slack_rows(model, ledger, oracle, result.solution, options)
-        entered = ledger.admit(cut_ids)
-        if not entered:
-            return LPResult(
-                status=result.status,
-                objective=result.objective,
-                solution=result.solution,
-                rowgen=report,
-            )
-        model.add_rows(entered, -oracle.rows_matrix(entered))
-    raise LPError("row generation did not converge within max_rounds")
-
-
-def _ledger_report(
+def _report(
     rounds: int,
-    ledger: AntiCyclingLedger,
+    known: set,
+    seed_size: int,
     oracle: ShannonRowOracle,
     backend,
     early_stopped: bool = False,
 ) -> RowGenReport:
     return RowGenReport(
         rounds=rounds,
-        rows_used=ledger.peak_rows,
+        rows_used=len(known),
         total_rows=oracle.row_count,
-        cuts_added=ledger.cuts_added,
+        cuts_added=len(known) - seed_size,
         early_stopped=early_stopped,
         backend=backend.name,
-        rows_dropped=ledger.rows_dropped,
-        re_entries=ledger.re_entries,
     )
+
+
+def _seeded_model(objective, oracle, A_ub, b_ub, bounds, options, backend):
+    """One incremental model holding the caller's rows plus the seed cone rows.
+
+    Returns the model and the set of oracle row ids in it.
+    """
+    model = backend.incremental_model(
+        objective.shape[0], objective, bounds=bounds, A_fixed=A_ub, b_fixed=b_ub
+    )
+    seed = oracle.seed_ids_for(options.seed)
+    model.add_rows([int(i) for i in seed], -oracle.rows_matrix(seed))
+    return model, {int(i) for i in seed}
 
 
 def minimize_lazy(
@@ -667,44 +535,31 @@ def minimize_lazy(
     problem).  The returned :class:`LPResult` carries a
     :class:`RowGenReport` in ``result.rowgen``.
 
-    ``backend`` selects the solver backend: on an *incremental* backend
-    (``highspy``, or ``scipy-incremental`` for testing) one model persists
-    across rounds — cuts enter through row additions, slack rows are
-    deleted under the anti-cycling guard, and warm starts carry the basis
-    between rounds; otherwise each round rebuilds a stacked LP exactly as
-    before.
+    One model of ``backend`` persists across rounds and cuts enter through
+    row additions, but every round re-solves it cold: warm dual simplex
+    re-solves of these relaxations can take several times the iterations
+    of a cold solve (at ``n = 12``, 76 079 and 139 324 against about
+    20 000), enough to stall the Han validity decision.
     """
     options = options if options is not None else RowGenOptions()
     backend = resolve_backend(backend)
-    if backend.incremental:
-        return _minimize_lazy_incremental(
-            objective, oracle, A_ub, b_ub, bounds, options, backend
-        )
-    active = _ActiveRows(oracle, seed_ids=oracle.seed_ids_for(options.seed))
+    objective = np.asarray(objective, dtype=float)
+    model, known = _seeded_model(objective, oracle, A_ub, b_ub, bounds, options, backend)
+    seed_size = len(known)
     for round_number in range(1, options.max_rounds + 1):
         round_started = time.perf_counter()
-        A, b = _with_active_rows(active, A_ub, b_ub)
-        result = minimize(objective, A_ub=A, b_ub=b, bounds=bounds, backend=backend)
+        result = model.solve(warm=False)
         _ROWGEN_ROUNDS.inc(backend=backend.name)
         if result.status == LPStatus.UNBOUNDED:
             raise LPError(
                 "row-generation relaxation is unbounded; pass bounds that are "
                 "valid over the full cone (e.g. 0 <= x <= 1 on the h(V) <= 1 slice)"
             )
-        report = RowGenReport(
-            rounds=round_number,
-            rows_used=len(active),
-            total_rows=oracle.row_count,
-            cuts_added=active.cuts_added,
-            backend=backend.name,
-        )
+        report = _report(round_number, known, seed_size, oracle, backend)
         if result.status == LPStatus.INFEASIBLE:
             # The relaxation's feasible set contains the true one.
             return LPResult(
-                status=result.status,
-                objective=None,
-                solution=None,
-                rowgen=report,
+                status=result.status, objective=None, solution=None, rowgen=report
             )
         if (
             options.early_stop_objective is not None
@@ -714,13 +569,8 @@ def minimize_lazy(
                 status=result.status,
                 objective=result.objective,
                 solution=result.solution,
-                rowgen=RowGenReport(
-                    rounds=report.rounds,
-                    rows_used=report.rows_used,
-                    total_rows=report.total_rows,
-                    cuts_added=report.cuts_added,
-                    early_stopped=True,
-                    backend=backend.name,
+                rowgen=_report(
+                    round_number, known, seed_size, oracle, backend, early_stopped=True
                 ),
             )
         cut_ids, _ = _separate_timed(
@@ -728,17 +578,19 @@ def minimize_lazy(
             result.solution,
             options,
             backend,
-            "minimize-stacked",
+            "minimize",
             round_number,
             round_started,
         )
-        if cut_ids.size == 0 or active.add(cut_ids) == 0:
+        entered = _admit(known, cut_ids)
+        if not entered:
             return LPResult(
                 status=result.status,
                 objective=result.objective,
                 solution=result.solution,
                 rowgen=report,
             )
+        model.add_rows(entered, -oracle.rows_matrix(entered))
     raise LPError("row generation did not converge within max_rounds")
 
 
@@ -769,42 +621,42 @@ def check_feasibility_lazy(
     raise LPError("feasibility problem reported an unbounded objective")
 
 
-def _minimize_many_lazy_incremental(
-    objectives,
+def minimize_many_lazy(
+    objectives: Sequence[Sequence[float]],
     oracle: ShannonRowOracle,
-    A_ub,
-    b_ub,
-    bounds,
-    options: RowGenOptions,
-    backend,
+    A_ub=None,
+    b_ub=None,
+    bounds=None,
+    options: Optional[RowGenOptions] = None,
+    backend=None,
 ) -> List[LPResult]:
-    """Shared-model variant: one incremental model, objectives swapped in place.
+    """Minimize several objectives over one shared implicit polyhedron.
 
-    Both the active row set *and* the solver basis persist across
-    objectives, so related solves warm-start each other twice over.
+    One model serves every objective: only the objective changes between
+    solves, so the rows cut for one objective carry over to the next.  Every
+    solve is cold, as in :func:`minimize_lazy`.
     """
+    options = options if options is not None else RowGenOptions()
+    backend = resolve_backend(backend)
+    if not objectives:
+        return []
     first = np.asarray(objectives[0], dtype=float)
-    model = backend.incremental_model(
-        first.shape[0], first, bounds=bounds, A_fixed=A_ub, b_fixed=b_ub
-    )
-    seed = oracle.seed_ids_for(options.seed)
-    ledger = AntiCyclingLedger(seed)
-    model.add_rows([int(i) for i in seed], -oracle.rows_matrix(seed))
-    drop = _should_drop(options, backend)
+    model, known = _seeded_model(first, oracle, A_ub, b_ub, bounds, options, backend)
+    seed_size = len(known)
     results: List[LPResult] = []
     for k, objective in enumerate(objectives):
         if k:
             model.set_objective(np.asarray(objective, dtype=float))
         for round_number in range(1, options.max_rounds + 1):
             round_started = time.perf_counter()
-            result = model.solve()
+            result = model.solve(warm=False)
             _ROWGEN_ROUNDS.inc(backend=backend.name)
             if result.status == LPStatus.UNBOUNDED:
                 raise LPError(
                     "row-generation relaxation is unbounded; pass bounds valid "
                     "over the full cone"
                 )
-            report = _ledger_report(round_number, ledger, oracle, backend)
+            report = _report(round_number, known, seed_size, oracle, backend)
             if result.status == LPStatus.INFEASIBLE:
                 results.append(
                     LPResult(status=result.status, objective=None, solution=None, rowgen=report)
@@ -815,23 +667,11 @@ def _minimize_many_lazy_incremental(
                 result.solution,
                 options,
                 backend,
-                "minimize-many-incremental",
+                "minimize-many",
                 round_number,
                 round_started,
             )
-            if cut_ids.size == 0:
-                results.append(
-                    LPResult(
-                        status=result.status,
-                        objective=result.objective,
-                        solution=result.solution,
-                        rowgen=report,
-                    )
-                )
-                break
-            if drop:
-                _drop_slack_rows(model, ledger, oracle, result.solution, options)
-            entered = ledger.admit(cut_ids)
+            entered = _admit(known, cut_ids)
             if not entered:
                 results.append(
                     LPResult(
@@ -848,79 +688,6 @@ def _minimize_many_lazy_incremental(
     return results
 
 
-def minimize_many_lazy(
-    objectives: Sequence[Sequence[float]],
-    oracle: ShannonRowOracle,
-    A_ub=None,
-    b_ub=None,
-    bounds=None,
-    options: Optional[RowGenOptions] = None,
-    backend=None,
-) -> List[LPResult]:
-    """Minimize several objectives over one shared implicit polyhedron.
-
-    The active row set persists across objectives — cuts found for one
-    objective warm-start the next, which is the structural analogue of basis
-    reuse across the related solves.  On an incremental backend the model
-    itself persists too and only the objective changes between solves.
-    """
-    options = options if options is not None else RowGenOptions()
-    backend = resolve_backend(backend)
-    if not objectives:
-        return []
-    if backend.incremental:
-        return _minimize_many_lazy_incremental(
-            objectives, oracle, A_ub, b_ub, bounds, options, backend
-        )
-    active = _ActiveRows(oracle, seed_ids=oracle.seed_ids_for(options.seed))
-    results: List[LPResult] = []
-    for objective in objectives:
-        for round_number in range(1, options.max_rounds + 1):
-            round_started = time.perf_counter()
-            A, b = _with_active_rows(active, A_ub, b_ub)
-            result = minimize(objective, A_ub=A, b_ub=b, bounds=bounds, backend=backend)
-            _ROWGEN_ROUNDS.inc(backend=backend.name)
-            if result.status == LPStatus.UNBOUNDED:
-                raise LPError(
-                    "row-generation relaxation is unbounded; pass bounds valid "
-                    "over the full cone"
-                )
-            report = RowGenReport(
-                rounds=round_number,
-                rows_used=len(active),
-                total_rows=oracle.row_count,
-                cuts_added=active.cuts_added,
-                backend=backend.name,
-            )
-            if result.status == LPStatus.INFEASIBLE:
-                results.append(
-                    LPResult(status=result.status, objective=None, solution=None, rowgen=report)
-                )
-                break
-            cut_ids, _ = _separate_timed(
-                oracle,
-                result.solution,
-                options,
-                backend,
-                "minimize-many-stacked",
-                round_number,
-                round_started,
-            )
-            if cut_ids.size == 0 or active.add(cut_ids) == 0:
-                results.append(
-                    LPResult(
-                        status=result.status,
-                        objective=result.objective,
-                        solution=result.solution,
-                        rowgen=report,
-                    )
-                )
-                break
-        else:
-            raise LPError("row generation did not converge within max_rounds")
-    return results
-
-
 def _shift_columns(matrix: sp.csr_matrix, offset: int, total: int) -> sp.csr_matrix:
     """Embed a block-local matrix into the stacked LP's full column space."""
     coo = matrix.tocoo()
@@ -929,25 +696,31 @@ def _shift_columns(matrix: sp.csr_matrix, offset: int, total: int) -> sp.csr_mat
     )
 
 
-def _solve_feasibility_blocks_incremental(
+def solve_feasibility_blocks_lazy(
     blocks: Sequence[FeasibilityBlock],
     oracle: ShannonRowOracle,
-    slack_threshold: float,
-    options: RowGenOptions,
-    backend,
+    slack_threshold: float = 0.5,
+    options: Optional[RowGenOptions] = None,
+    backend=None,
 ) -> List[BlockFeasibilityResult]:
-    """One persistent stacked model for the whole batch of blocks.
+    """Block-diagonal feasibility with per-block implicit elemental rows.
 
     The block-diagonal slack LP of
-    :func:`repro.lp.solver.solve_feasibility_blocks` is assembled once; each
-    block's elemental rows then grow (and shrink, under the anti-cycling
-    guard) *in place*, keyed by ``(block index, row id)``, and every re-solve
-    warm-starts from the incumbent basis.  A block leaves the separation
-    loop the round its relaxation becomes infeasible (slack at margin) or
-    its relaxed point enters ``Γn``; its verdict and solution are frozen at
-    that round — later cuts only touch other blocks' rows, which share no
-    columns, so the frozen point stays feasible for its block.
+    :func:`repro.lp.solver.solve_feasibility_blocks` is assembled once, as
+    one model; each block's hard rows are its own ``A_hard`` (if any) plus
+    its active elemental rows, which start at the seed and grow *in place*,
+    keyed by ``(block index, row id)``, by separation on that block's
+    relaxed solution.  A block leaves the separation loop the round its relaxation
+    becomes infeasible (slack at margin) or its relaxed point enters
+    ``Γn``; its verdict and solution are frozen at that round — later cuts
+    only touch other blocks' rows, which share no columns, so the frozen
+    point stays feasible for its block.  A batch converges in a handful of
+    shared re-solves, each warm-started on the ``highs`` backend.
     """
+    if not blocks:
+        return []
+    options = options if options is not None else RowGenOptions()
+    backend = resolve_backend(backend)
     column_offsets: List[int] = []
     offset = 0
     for block in blocks:
@@ -987,13 +760,12 @@ def _solve_feasibility_blocks_incremental(
 
     seed = oracle.seed_ids_for(options.seed)
     seed_matrix = -oracle.rows_matrix(seed)
-    ledgers = [AntiCyclingLedger(seed) for _ in blocks]
+    known = [{int(row_id) for row_id in seed} for _ in blocks]
     for i in range(len(blocks)):
         model.add_rows(
             [(i, int(row_id)) for row_id in seed],
             _shift_columns(seed_matrix, column_offsets[i], total_columns),
         )
-    drop = _should_drop(options, backend)
 
     final: List[Optional[BlockFeasibilityResult]] = [None] * len(blocks)
     unresolved = list(range(len(blocks)))
@@ -1011,7 +783,6 @@ def _solve_feasibility_blocks_incremental(
             raise LPError(f"block feasibility program failed: {result.status}")
         still_unresolved: List[int] = []
         for i in unresolved:
-            ledger = ledgers[i]
             slack = float(result.solution[offset + i])
             start = column_offsets[i]
             solution = np.asarray(
@@ -1019,27 +790,17 @@ def _solve_feasibility_blocks_incremental(
             )
             if slack >= slack_threshold:
                 final[i] = BlockFeasibilityResult(
-                    feasible=False, solution=None, slack=slack, rows_used=ledger.peak_rows
+                    feasible=False, solution=None, slack=slack, rows_used=len(known[i])
                 )
                 continue
             dense = oracle.dense_from_canonical(solution)
             cut_ids, _ = oracle.separate(
                 dense, options.tolerance, options.max_cuts_per_round
             )
-            if cut_ids.size == 0:
-                final[i] = BlockFeasibilityResult(
-                    feasible=True, solution=solution, slack=slack, rows_used=ledger.peak_rows
-                )
-                continue
-            if drop:
-                _drop_slack_rows(
-                    model, ledger, oracle, solution, options,
-                    key=lambda row_id, i=i: (i, row_id),
-                )
-            entered = ledger.admit(cut_ids)
+            entered = _admit(known[i], cut_ids)
             if not entered:
                 final[i] = BlockFeasibilityResult(
-                    feasible=True, solution=solution, slack=slack, rows_used=ledger.peak_rows
+                    feasible=True, solution=solution, slack=slack, rows_used=len(known[i])
                 )
                 continue
             model.add_rows(
@@ -1058,97 +819,7 @@ def _solve_feasibility_blocks_incremental(
             "rowgen-round",
             round_started,
             now - round_started,
-            loop="blocks-incremental",
-            round=round_number,
-            solve_seconds=solve_done - round_started,
-            oracle_seconds=now - solve_done,
-            blocks=round_blocks,
-            cuts=round_cuts,
-        )
-    if unresolved:
-        raise LPError("block row generation did not converge within max_rounds")
-    return [result for result in final if result is not None]
-
-
-def solve_feasibility_blocks_lazy(
-    blocks: Sequence[FeasibilityBlock],
-    oracle: ShannonRowOracle,
-    slack_threshold: float = 0.5,
-    options: Optional[RowGenOptions] = None,
-    backend=None,
-) -> List[BlockFeasibilityResult]:
-    """Block-diagonal feasibility with per-block implicit elemental rows.
-
-    Each block's hard rows are its own ``A_hard`` (if any) *plus* the block's
-    active elemental rows, which start at the seed and grow by separation on
-    that block's relaxed solution.  Blocks whose relaxation is infeasible, or
-    whose relaxed point already lies in ``Γn``, drop out of the round loop;
-    only blocks that received cuts are re-solved, so a batch converges in a
-    handful of shared HiGHS invocations.  On an incremental backend the
-    stacked model persists across rounds and only the changed rows move.
-    """
-    if not blocks:
-        return []
-    options = options if options is not None else RowGenOptions()
-    backend = resolve_backend(backend)
-    if backend.incremental:
-        return _solve_feasibility_blocks_incremental(
-            blocks, oracle, slack_threshold, options, backend
-        )
-    active = [
-        _ActiveRows(oracle, seed_ids=oracle.seed_ids_for(options.seed))
-        for _ in blocks
-    ]
-    final: List[Optional[BlockFeasibilityResult]] = [None] * len(blocks)
-    unresolved = list(range(len(blocks)))
-    for round_number in range(1, options.max_rounds + 1):
-        if not unresolved:
-            break
-        round_started = time.perf_counter()
-        round_blocks = len(unresolved)
-        sub_blocks = [
-            _block_with_hard_rows(blocks[i], -active[i].matrix()) for i in unresolved
-        ]
-        round_results = solve_feasibility_blocks(
-            sub_blocks, slack_threshold, backend=backend
-        )
-        _ROWGEN_ROUNDS.inc(backend=backend.name)
-        solve_done = time.perf_counter()
-        round_cuts = 0
-        still_unresolved: List[int] = []
-        for i, result in zip(unresolved, round_results):
-            if not result.feasible or result.solution is None:
-                final[i] = BlockFeasibilityResult(
-                    feasible=False,
-                    solution=None,
-                    slack=result.slack,
-                    rows_used=len(active[i]),
-                )
-                continue
-            dense = oracle.dense_from_canonical(result.solution)
-            cut_ids, _ = oracle.separate(
-                dense, options.tolerance, options.max_cuts_per_round
-            )
-            added = active[i].add(cut_ids) if cut_ids.size else 0
-            if added == 0:
-                final[i] = BlockFeasibilityResult(
-                    feasible=True,
-                    solution=result.solution,
-                    slack=result.slack,
-                    rows_used=len(active[i]),
-                )
-            else:
-                round_cuts += added
-                still_unresolved.append(i)
-        unresolved = still_unresolved
-        if round_cuts:
-            _ROWGEN_CUTS.inc(round_cuts, backend=backend.name)
-        now = time.perf_counter()
-        record_span(
-            "rowgen-round",
-            round_started,
-            now - round_started,
-            loop="blocks-stacked",
+            loop="blocks",
             round=round_number,
             solve_seconds=solve_done - round_started,
             oracle_seconds=now - solve_done,

@@ -7,11 +7,10 @@ All decision procedures of the library reduce to two primitives:
   if so, return a point of it.
 
 The wrappers normalize the inputs (lists, numpy arrays, ``None``), route the
-solve through a :mod:`repro.lp.backends` backend (scipy's one-shot HiGHS by
-default, the native incremental ``highspy`` driver when it is installed and
-the ``backend`` knob resolves to it), and convert solver statuses into a
-small, explicit enum so that callers never have to inspect a solver's raw
-result object directly.
+solve through a :mod:`repro.lp.backends` backend (HiGHS driven directly by
+default, scipy's one-shot ``linprog`` on request), and convert solver
+statuses into a small, explicit enum so that callers never have to inspect a
+solver's raw result object directly.
 
 Batched entry points
 --------------------
@@ -23,9 +22,8 @@ batched primitives serve them:
   block-diagonally and each block receives one slack variable that relaxes
   only its "soft" rows; minimizing the sum of slacks decides every block at
   once (slack 0 ⇔ the block is feasible) inside one shared
-  presolve/factorization, which is how the library realizes basis sharing
-  across related solves (scipy's ``linprog`` does not expose HiGHS basis
-  hand-off between calls).  This is the primitive under the
+  presolve/factorization, which is how the library shares one basis
+  across independent systems.  This is the primitive under the
   :mod:`repro.service` batch engine's grouped cone decisions.
 * :func:`minimize_many` — several objectives over one shared polyhedron with
   the constraint data normalized once; a convenience API for external
@@ -149,12 +147,17 @@ class LPResult:
     rowgen:
         A :class:`repro.lp.rowgen.RowGenReport` when the result came from a
         cutting-plane loop (``None`` on the dense path).
+    row_duals:
+        The solver's row duals, in the backend model's row order (see
+        :meth:`repro.lp.backends.IncrementalModel.solve`), when the solve
+        was OPTIMAL and the solver reported valid duals.
     """
 
     status: LPStatus
     objective: Optional[float]
     solution: Optional[np.ndarray]
     rowgen: Optional[object] = None
+    row_duals: Optional[np.ndarray] = None
 
 
 def _as_array(matrix, width: Optional[int] = None):
@@ -191,8 +194,7 @@ def _prepend_homogeneous_rows(cone_rows, A, b, width: int):
     """Stack homogeneous rows ``cone_rows·x ≤ 0`` above explicit ``A x ≤ b``.
 
     The single place the "cone description first, caller rows after" layout
-    is built — shared by the dense lazy-row expansion here and the
-    cutting-plane loops of :mod:`repro.lp.rowgen`.
+    is built for the dense lazy-row expansion.
     """
     cone_rhs = np.zeros(cone_rows.shape[0])
     extra = _as_array(A, width)
@@ -245,7 +247,7 @@ def minimize(
     module docstring); ``"rowgen"`` requires ``A_eq`` to be empty and relies
     on ``bounds`` to keep every relaxation bounded.  ``backend`` picks the
     solver backend (see :mod:`repro.lp.backends`); the default ``"auto"``
-    uses ``highspy`` directly when it is installed and scipy otherwise.
+    drives HiGHS directly.
     """
     backend = _resolve_backend(backend)
     resolved = _resolve_lazy(lazy_rows, method)
@@ -340,9 +342,10 @@ def minimize_many(
         if objective.shape[0] != width:
             raise LPError("all objectives must have the same number of variables")
         normalized.append(objective)
-    if backend.incremental and A_eq is None:
+    if A_eq is None:
         # One persistent model; only the objective changes between solves,
-        # so every solve after the first warm-starts from the previous basis.
+        # so on ``highs`` every solve after the first warm-starts from the
+        # previous basis.
         model = backend.incremental_model(
             width, normalized[0], bounds=bounds, A_fixed=A_ub, b_fixed=b_ub
         )

@@ -354,9 +354,8 @@ class BatchEngine:
         ``Γn`` LP path for every cone decision (``"dense" | "rowgen" |
         "auto"``; see :mod:`repro.lp.rowgen`).
     lp_backend:
-        Solver backend for every LP solve (``"auto" | "scipy" | "highs" |
-        "scipy-incremental"``; see :mod:`repro.lp.backends`).  ``"auto"``
-        drives ``highspy`` directly when installed and falls back to scipy.
+        Solver backend for every LP solve (``"auto" | "scipy" | "highs"``;
+        see :mod:`repro.lp.backends`).  ``"auto"`` is ``"highs"``.
     process_pool:
         An externally owned :class:`~concurrent.futures.ProcessPoolExecutor`
         to borrow for process-mode work instead of creating one per engine —

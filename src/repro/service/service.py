@@ -29,6 +29,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 from repro.core.containment import ContainmentResult
 from repro.cq.query import ConjunctiveQuery
 from repro.exceptions import QueryError
+from repro.lp.backends import resolve_backend
 from repro.obs import tracer as obs_tracer
 from repro.obs.metrics import MetricsRegistry
 from repro.service.cache import PlanCache
@@ -62,9 +63,8 @@ class BatchOptions:
     ``max_workers``, ``pair_budget``, ``on_error``, ``lp_method`` and ``lp_backend``
     configure the engine (see :class:`repro.service.engine.BatchEngine`;
     ``lp_method`` picks the ``Γn`` LP path — dense elemental matrix vs.
-    lazy row generation — and ``lp_backend`` the solver backend, scipy's
-    one-shot HiGHS vs. the native incremental ``highspy`` driver with
-    ``"auto"`` preferring the latter when installed).
+    lazy row generation — and ``lp_backend`` the solver backend, HiGHS
+    driven incrementally (``"auto"``) vs. scipy's one-shot ``linprog``).
     ``cache_size`` bounds the plan cache (``None`` =
     unbounded) and ``canonicalize`` switches the isomorphism-aware dedup on
     or off (off, only the LP grouping remains).
@@ -310,6 +310,7 @@ class ContainmentService:
             cache_span.set(hits=hits, store_hits=store_hits, duplicates=duplicates)
 
         solved = engine.run_specs([self._spec(q1, q2) for (q1, q2), _, _ in jobs])
+        backend_name = resolve_backend(self.options.lp_backend).name
         canonical_by_job: Dict[int, ContainmentResult] = {}
         for job_index, (((_, _), key, labelings), result) in enumerate(
             zip(jobs, solved)
@@ -327,7 +328,7 @@ class ContainmentService:
                     canonical,
                     provenance={
                         "origin": "containment-service",
-                        "backend": self.options.lp_backend,
+                        "backend": backend_name,
                         "lp_method": self.options.lp_method,
                         "created_at": time.time(),
                         "pair_seconds": pair_seconds,

@@ -3,17 +3,16 @@
 The terminal-summary hook reports solver-path coverage along two axes: how
 many ``Γn`` cone decisions ran through the dense elemental matrix vs. lazy
 row generation, and how many were served by each solver backend (scipy's
-one-shot HiGHS, the incremental test loop, native ``highspy``).  The tier-1
-CI job greps this line to prove that every path that should have run did:
-``dense``, ``rowgen`` and the ``scipy`` backend always, the ``highs``
-backend only on legs where ``highspy`` is installed.
+one-shot ``linprog``, the warm-started ``highs`` model).  The tier-1 CI job
+greps this line to prove that every path ran: ``dense``, ``rowgen`` and
+both backends on every leg — the ``highs`` count also proves the bindings
+scipy bundles were picked up on legs without ``highspy``.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.lp.backends import highs_available
 from repro.lp.solver import backend_path_counts, solver_path_counts
 
 
@@ -23,11 +22,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if not any(counts.values()) and not any(backends.values()):
         return
     missing = [name for name in ("dense", "rowgen") if not counts.get(name)]
-    # The scipy fallback must always be exercised; the optional highspy
-    # backend only counts as missing when it is actually installed.
-    expected_backends = ["scipy"] + (["highs"] if highs_available() else [])
     missing += [
-        f"backend:{name}" for name in expected_backends if not backends.get(name)
+        f"backend:{name}" for name in ("scipy", "highs") if not backends.get(name)
     ]
     shown_backends = sorted(backends, key=lambda name: (name != "scipy", name))
     terminalreporter.write_sep("-", "solver-path coverage")

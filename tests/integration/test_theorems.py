@@ -135,6 +135,9 @@ class TestTheorem61:
         certificate = find_convex_certificate(branches, ground=ground, with_shannon_proof=True)
         assert (certificate is not None) == valid
         if certificate is not None:
+            # λ comes off the probe's duals, with λ_1 = 1 - Σ_{ℓ≥2} λ_ℓ.
+            assert all(value >= 0.0 for value in certificate.lambdas)
+            assert abs(sum(certificate.lambdas) - 1.0) <= 1e-9
             combined = LinearExpression.zero(ground)
             for value, branch in zip(certificate.lambdas, branches):
                 combined = combined + value * branch
@@ -155,7 +158,7 @@ class TestTheorem61:
     def test_certificate_beyond_the_seed_rows(self):
         # I(X1;X2|X3X4) ≥ 0 is one elemental row with a two-variable context:
         # no combination of the seed rows (monotonicity and I(Xi;Xj) ≥ 0)
-        # proves it, so the loop must add cuts before the joint solve.
+        # proves it, so the loop must add cuts before the probe reaches 0.
         ground = ("X1", "X2", "X3", "X4")
         cmi = LinearExpression(
             ground=ground,

@@ -1,4 +1,4 @@
-"""Cross-backend equivalence: scipy vs the incremental (highspy-style) path.
+"""Cross-backend equivalence: scipy's ``linprog`` vs the warm-started HiGHS model.
 
 The lockdown harness for the solver-backend layer: on hypothesis-generated
 polymatroid expressions and containment instances at ``n ≤ 8``, every
@@ -11,11 +11,11 @@ polymatroid expressions and containment instances at ``n ≤ 8``, every
   inequalities without any LP), and
 * genuine cone points for every feasible answer.
 
-``scipy-incremental`` runs the exact incremental cutting-plane loop the
-HiGHS backend uses (keyed rows, slack deletion, anti-cycling guard) on the
-always-installed solver, so the loop is exercised on every CI leg; the
-``highs`` column is skipped cleanly when ``highspy`` is absent and locks
-down the native warm-started backend when it is installed.
+Both backends run the same keyed cutting-plane loops; ``scipy`` re-solves
+them through ``linprog`` and ``highs`` — which runs on every install, on
+native ``highspy`` or on the bindings scipy bundles — keeps one HiGHS model
+per loop, warm-starts the block and certificate loops, and reads
+certificates off the last probe's duals.
 """
 
 from __future__ import annotations
@@ -29,22 +29,13 @@ from repro.infotheory.cones import cone_by_name
 from repro.infotheory.expressions import LinearExpression
 from repro.infotheory.polymatroid import is_polymatroid
 from repro.infotheory.shannon import ShannonProver, shannon_prover
-from repro.lp.backends import highs_available
 from repro.service import decide_containment_many
 from repro.workloads.generators import mixed_containment_pairs, random_max_ii
 
 TOLERANCE = 1e-6
 
-needs_highspy = pytest.mark.skipif(
-    not highs_available(), reason="highspy is not installed"
-)
-
 #: Every backend the equivalence matrix covers; "scipy" is the reference.
-BACKENDS = [
-    "scipy",
-    "scipy-incremental",
-    pytest.param("highs", marks=needs_highspy),
-]
+BACKENDS = ["scipy", "highs"]
 ALTERNATE_BACKENDS = BACKENDS[1:]
 LP_METHODS = ["dense", "rowgen"]
 

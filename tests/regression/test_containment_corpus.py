@@ -3,11 +3,9 @@
 Every entry of ``containment_corpus.json`` is a pair with a known verdict
 (paper examples plus deterministic batch-workload seeds).  The replay runs
 each pair through the sequential driver and the batch service across
-``lp_method`` (dense / rowgen) *and* ``lp_backend`` (scipy / the
-incremental loop / native highspy) — any future solver change that flips a
-verdict fails loudly with the pair's name.  The ``highs`` column is skipped
-cleanly when ``highspy`` is not installed and replays the full corpus
-through the warm-started backend when it is.
+``lp_method`` (dense / rowgen) *and* ``lp_backend`` (scipy's ``linprog`` /
+the warm-started HiGHS model) — any future solver change that flips a
+verdict fails loudly with the pair's name.
 
 Regenerate (only for deliberate corpus extensions) with::
 
@@ -24,22 +22,12 @@ import pytest
 from repro.core.containment import decide_containment
 from repro.cq.parser import parse_query
 from repro.cq.query import ConjunctiveQuery
-from repro.lp.backends import highs_available
 from repro.service import decide_containment_many
 
 CORPUS_PATH = Path(__file__).with_name("containment_corpus.json")
 CORPUS = json.loads(CORPUS_PATH.read_text())["pairs"]
 
-BACKENDS = [
-    "scipy",
-    "scipy-incremental",
-    pytest.param(
-        "highs",
-        marks=pytest.mark.skipif(
-            not highs_available(), reason="highspy is not installed"
-        ),
-    ),
-]
+BACKENDS = ["scipy", "highs"]
 
 
 def deserialize_query(record) -> ConjunctiveQuery:

@@ -129,3 +129,28 @@ def test_convex_certificate_verify_checks_the_attached_proof():
     assert not replace(certificate, combined=2.0 * certificate.combined).verify(
         branches, prover
     )
+
+
+def test_certificate_loop_rejects_a_proof_that_does_not_sum(monkeypatch):
+    """Every caller of the certificate loop gets a checked proof.
+
+    Doubling the probe's duals doubles ``µ`` while ``λ = (1,)`` stays, so
+    the proof sums to ``2·E``: the loop must raise rather than return it.
+    """
+    from repro.exceptions import CertificateError
+    from repro.lp import backends
+
+    solve = backends._HighsIncrementalModel.solve
+
+    def doubled_duals(self, warm=True):
+        result = solve(self, warm)
+        if result.row_duals is None:
+            return result
+        return replace(result, row_duals=2.0 * result.row_duals)
+
+    expression = LinearExpression.entropy_term(GROUND, {"X1"})
+    prover = ShannonProver(GROUND)
+    assert prover.certificate(expression, method="rowgen", backend="highs") is not None
+    monkeypatch.setattr(backends._HighsIncrementalModel, "solve", doubled_duals)
+    with pytest.raises(CertificateError, match="does not sum"):
+        prover.certificate(expression, method="rowgen", backend="highs")

@@ -1,25 +1,25 @@
-"""The solver-backend layer: resolution, incremental bookkeeping, seeds.
+"""The solver-backend layer: resolution, incremental models, seeds.
 
-Three concerns are locked down here, all runnable without the optional
-``highspy`` dependency:
+Three concerns are locked down here, all runnable without the native
+``highspy`` package:
 
-* backend resolution — ``"auto"`` falls back to scipy when ``highspy`` is
-  absent, forcing ``"highs"`` then fails loudly, unknown names are rejected;
-* the incremental-model bookkeeping the HiGHS backend relies on — row
-  add/drop identity mapping (stable keys over renumbering deletions) and
-  the :class:`~repro.lp.backends.AntiCyclingLedger` guard (a dropped row
-  that re-violates re-enters permanently, so even an adversarial
-  drop-everything policy terminates with the right optimum);
+* backend resolution — ``"auto"`` is ``"highs"`` on every install, driving
+  the HiGHS bindings scipy bundles when ``highspy`` is absent (a scipy
+  release that moves or trims that private module fails here, not silently
+  elsewhere), and ``"scipy"`` only where no HiGHS bindings import at all;
+  unknown names are rejected;
+* the incremental models the loops drive — keyed rows, row duals in
+  fixed-then-keyed order, warm and cold re-solves, and which loops re-solve
+  cold;
 * the Eq. (8)-aware ``seed="containment"`` row set — bit-exact against a
   brute-force ``|K| ≤ 1`` enumeration of the elemental inequalities at
   ``n ≤ 5``, and never needing more cutting-plane rounds than the generic
   seed on containment-shaped instances.
-
-The ``scipy-incremental`` backend exists exactly so this file can exercise
-the incremental loop (the code path ``highspy`` runs) on every install.
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 import pytest
@@ -33,7 +33,6 @@ from repro.exceptions import LPError
 from repro.infotheory.polymatroid import elemental_inequalities
 from repro.infotheory.shannon import shannon_prover
 from repro.lp.backends import (
-    AntiCyclingLedger,
     HighsBackend,
     ScipyBackend,
     highs_available,
@@ -44,9 +43,15 @@ from repro.lp.rowgen import (
     RowGenOptions,
     check_feasibility_lazy,
     minimize_lazy,
+    minimize_many_lazy,
     shannon_row_oracle,
 )
-from repro.lp.solver import LPStatus
+from repro.lp.solver import (
+    FeasibilityBlock,
+    LPStatus,
+    minimize,
+    solve_feasibility_blocks,
+)
 from repro.utils.lattice import lattice_context
 
 GROUNDS = {n: tuple(f"X{i}" for i in range(1, n + 1)) for n in range(2, 6)}
@@ -55,22 +60,102 @@ GROUNDS = {n: tuple(f"X{i}" for i in range(1, n + 1)) for n in range(2, 6)}
 # --------------------------------------------------------------------- #
 # Resolution and gating
 # --------------------------------------------------------------------- #
-def test_auto_resolves_to_scipy_without_highspy():
+#: Every method :class:`~repro.lp.backends._HighsIncrementalModel` calls on
+#: its HiGHS object.
+HIGHS_MODEL_METHODS = (
+    "setOptionValue",
+    "addCols",
+    "addRows",
+    "changeColsCost",
+    "clearSolver",
+    "run",
+    "getModelStatus",
+    "getSolution",
+    "getObjectiveValue",
+)
+
+
+@pytest.fixture
+def without_highspy(monkeypatch):
+    """Block the native ``highspy`` import, with no backend resolved yet."""
+    from repro.lp import backends
+
+    monkeypatch.setitem(sys.modules, "highspy", None)
+    monkeypatch.setattr(backends, "_INSTANCES", {})
+
+
+def test_auto_resolves_to_highs_without_highspy(without_highspy):
+    from scipy.optimize._highspy import _core
+
+    assert not highs_available()
     backend = resolve_backend("auto")
-    if highs_available():
-        assert backend.name == "highs"
-    else:
-        assert backend.name == "scipy"
-        assert not backend.incremental
+    assert backend.name == "highs"
+    assert backend.Highs is _core._Highs
+    assert resolve_backend(None) is resolve_backend("highs") is backend
 
 
-def test_forcing_highs_without_highspy_raises():
-    if highs_available():
-        pytest.skip("highspy is installed; the gate cannot fire")
-    with pytest.raises(LPError, match="highspy"):
-        resolve_backend("highs")
-    with pytest.raises(LPError, match="highspy"):
+def test_bundled_core_has_every_method_the_model_calls():
+    from scipy.optimize._highspy import _core
+
+    missing = [name for name in HIGHS_MODEL_METHODS if not hasattr(_core._Highs, name)]
+    assert not missing, f"scipy's bundled HiGHS lacks {missing}"
+    for status in ("kOptimal", "kInfeasible", "kUnbounded", "kUnboundedOrInfeasible"):
+        assert hasattr(_core.HighsModelStatus, status)
+    assert _core.kHighsInf == np.inf
+
+
+def test_bundled_core_runs_a_keyed_model_warm_with_row_duals(without_highspy):
+    from scipy.optimize._highspy import _core
+
+    backend = HighsBackend()
+    assert backend.Highs is _core._Highs
+    # min x0 + x1 over x >= 0 with keyed rows x0 >= 1, then x1 >= 2.
+    model = backend.incremental_model(2, np.ones(2), bounds=(0, None))
+    model.add_rows(["a"], _unit_row(2, 0, -1.0), rhs=[-1.0])
+    first = model.solve()
+    assert first.status == LPStatus.OPTIMAL
+    assert first.objective == pytest.approx(1.0)
+    model.add_rows(["b"], _unit_row(2, 1, -1.0), rhs=[-2.0])
+    # HiGHS keeps the optimal basis across the row addition: the next run
+    # starts from it.
+    assert model._model.getBasis().valid
+    second = model.solve()
+    assert second.objective == pytest.approx(3.0)
+    np.testing.assert_allclose(second.solution, [1.0, 2.0], atol=1e-9)
+    # Both rows bind with multiplier 1: row duals are -1, in key order.
+    np.testing.assert_allclose(second.row_duals, [-1.0, -1.0], atol=1e-9)
+    assert model.keys() == ("a", "b")
+    assert model.solve_count == 2
+
+
+def test_bundled_core_reports_infeasible_and_unbounded(without_highspy):
+    backend = HighsBackend()
+    assert backend.solve([1.0], A_ub=[[1.0]], b_ub=[-1.0]).status == LPStatus.INFEASIBLE
+    assert backend.solve([-1.0]).status == LPStatus.UNBOUNDED
+
+
+@pytest.fixture
+def without_any_bindings(without_highspy, monkeypatch):
+    """An install like scipy < 1.15 without ``highspy``: no HiGHS bindings."""
+    import scipy.optimize._highspy as bundled
+
+    monkeypatch.delattr(bundled, "_core")
+    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+
+
+def test_highs_without_any_bindings_raises(without_any_bindings):
+    with pytest.raises(LPError, match="HiGHS bindings"):
         HighsBackend()
+    with pytest.raises(LPError, match="HiGHS bindings"):
+        resolve_backend("highs")
+
+
+def test_auto_falls_back_to_scipy_without_any_bindings(without_any_bindings):
+    backend = resolve_backend("auto")
+    assert backend.name == "scipy"
+    assert resolve_backend(None) is backend
+    result = minimize([1.0, 1.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0])
+    assert result.objective == pytest.approx(1.0)
 
 
 def test_unknown_backend_name_rejected():
@@ -78,12 +163,6 @@ def test_unknown_backend_name_rejected():
         validate_backend_name("glpk")
     with pytest.raises(LPError):
         resolve_backend("glpk")
-
-
-def test_scipy_incremental_is_incremental_but_not_warm():
-    backend = resolve_backend("scipy-incremental")
-    assert backend.incremental
-    assert not backend.warm_started
 
 
 def test_backend_instances_are_shared():
@@ -99,6 +178,16 @@ def test_scipy_backend_solves_a_small_lp():
     result = backend.solve([1.0, 1.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0])
     assert result.status == LPStatus.OPTIMAL
     assert result.objective == pytest.approx(1.0)
+
+
+def test_scipy_backend_returns_row_duals_inequalities_first():
+    backend = resolve_backend("scipy")
+    # min x0 + 2·x1  s.t.  x0 + x1 >= 1 (as -x0 - x1 <= -1), x0 = 0.25.
+    result = backend.solve(
+        [1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0], A_eq=[[1.0, 0.0]], b_eq=[0.25]
+    )
+    assert result.objective == pytest.approx(1.75)
+    np.testing.assert_allclose(result.row_duals, [-2.0, -1.0], atol=1e-9)
 
 
 def test_scipy_backend_reports_infeasible_and_unbounded():
@@ -117,47 +206,27 @@ def _unit_row(width, column, value=1.0):
 
 
 def _model(width=4):
-    backend = resolve_backend("scipy-incremental")
+    backend = resolve_backend("scipy")
     return backend.incremental_model(width, np.ones(width), bounds=(0, None))
 
 
-def test_keys_map_to_their_rows_after_deletions():
-    model = _model(width=4)
+def test_keyed_rows_solve_in_key_order():
+    model = _model(width=3)
     # Row "c<i>" is the distinctive constraint x_i >= i + 1.
-    for i in range(4):
-        model.add_rows([f"c{i}"], _unit_row(4, i, -1.0), rhs=[-(i + 1.0)])
-    model.delete_rows(["c1", "c2"])
-    assert model.keys() == ("c0", "c3")
-    assert model.row_index("c0") == 0
-    assert model.row_index("c3") == 1
-    matrix, rhs = model.row_matrix()
-    # "c3" slid into position 1 but still constrains x3, not x1.
-    assert matrix[1].toarray().ravel().tolist() == [0.0, 0.0, 0.0, -1.0]
-    assert rhs.tolist() == [-1.0, -4.0]
-    # The solve only enforces the surviving rows.
+    for i in (2, 0):
+        model.add_rows([f"c{i}"], _unit_row(3, i, -1.0), rhs=[-(i + 1.0)])
+    assert model.keys() == ("c2", "c0")
     result = model.solve()
     assert result.status == LPStatus.OPTIMAL
-    np.testing.assert_allclose(result.solution, [1.0, 0.0, 0.0, 4.0], atol=1e-9)
+    np.testing.assert_allclose(result.solution, [1.0, 0.0, 3.0], atol=1e-9)
+    np.testing.assert_allclose(result.row_duals, [-1.0, -1.0], atol=1e-9)
 
 
-def test_adding_after_deletion_keeps_the_mapping_consistent():
-    model = _model(width=3)
-    model.add_rows(["a", "b"], sp.vstack([_unit_row(3, 0, -1.0), _unit_row(3, 1, -1.0)]), rhs=[-2.0, -3.0])
-    model.delete_rows(["a"])
-    model.add_rows(["c"], _unit_row(3, 2, -1.0), rhs=[-5.0])
-    assert model.keys() == ("b", "c")
-    assert model.row_index("c") == 1
-    result = model.solve()
-    np.testing.assert_allclose(result.solution, [0.0, 3.0, 5.0], atol=1e-9)
-
-
-def test_duplicate_key_rejected_and_unknown_key_fails():
+def test_duplicate_key_rejected():
     model = _model(width=2)
     model.add_rows(["a"], _unit_row(2, 0))
     with pytest.raises(LPError, match="already in the model"):
         model.add_rows(["a"], _unit_row(2, 1))
-    with pytest.raises(KeyError):
-        model.row_index("never-added")
 
 
 def test_row_key_matrix_shape_mismatch_rejected():
@@ -167,48 +236,7 @@ def test_row_key_matrix_shape_mismatch_rejected():
 
 
 # --------------------------------------------------------------------- #
-# AntiCyclingLedger
-# --------------------------------------------------------------------- #
-def test_seed_rows_are_permanent():
-    ledger = AntiCyclingLedger([0, 1, 2])
-    assert ledger.retire([0, 1, 2]) == []
-    assert len(ledger) == 3
-    assert ledger.rows_dropped == 0
-
-
-def test_dropped_row_reenters_permanently():
-    ledger = AntiCyclingLedger([0])
-    assert ledger.admit([5, 7]) == [5, 7]
-    assert ledger.retire([5]) == [5]
-    assert not ledger.is_permanent(7)
-    # Re-violation: the row comes back and is pinned.
-    assert ledger.admit([5]) == [5]
-    assert ledger.is_permanent(5)
-    assert ledger.re_entries == 1
-    assert ledger.retire([5]) == []
-
-
-def test_admitting_active_rows_is_a_noop():
-    ledger = AntiCyclingLedger([0])
-    ledger.admit([3])
-    assert ledger.admit([3, 0]) == []
-    assert ledger.cuts_added == 1
-
-
-def test_ledger_counters():
-    ledger = AntiCyclingLedger([0, 1])
-    ledger.admit([2, 3, 4])
-    assert ledger.peak_rows == 5
-    ledger.retire([2, 3])
-    assert ledger.rows_dropped == 2
-    assert len(ledger) == 3
-    ledger.admit([2])
-    assert ledger.peak_rows == 5
-    assert sorted(ledger.active) == [0, 1, 2, 4]
-
-
-# --------------------------------------------------------------------- #
-# The incremental loop end to end (scipy-incremental backend)
+# The incremental loop end to end
 # --------------------------------------------------------------------- #
 def _invalid_pair_objective(ground):
     """``h(1) + h(2) - 1.5·h(12)``, whose Γn minimum over the slice is -0.5."""
@@ -227,77 +255,85 @@ def _invalid_pair_objective(ground):
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
-def test_incremental_loop_matches_legacy_optimum(n):
+def test_incremental_loop_matches_dense_optimum(n):
     ground = GROUNDS[n]
     oracle = shannon_row_oracle(ground)
     objective = _invalid_pair_objective(ground)
-    legacy = minimize_lazy(objective, oracle, bounds=(0, 1), backend="scipy")
-    incremental = minimize_lazy(
-        objective, oracle, bounds=(0, 1), backend="scipy-incremental"
+    dense = minimize(
+        objective, bounds=(0, 1), lazy_rows=oracle, method="dense", backend="scipy"
     )
-    assert legacy.status == incremental.status == LPStatus.OPTIMAL
-    assert incremental.objective == pytest.approx(legacy.objective, abs=1e-8)
-    assert incremental.rowgen.backend == "scipy-incremental"
+    incremental = minimize_lazy(objective, oracle, bounds=(0, 1), backend="highs")
+    assert dense.status == incremental.status == LPStatus.OPTIMAL
+    assert incremental.objective == pytest.approx(dense.objective, abs=1e-8)
+    assert incremental.rowgen.backend == "highs"
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
-def test_incremental_round_counts_never_exceed_cold_start(n):
-    """Same relaxation sequence ⇒ the incremental loop needs no extra rounds."""
-    ground = GROUNDS[n]
+def _run_loop(loop, ground):
+    """Drive one cutting-plane loop on ``highs`` over the invalid-pair objective."""
     oracle = shannon_row_oracle(ground)
     objective = _invalid_pair_objective(ground)
-    legacy = minimize_lazy(objective, oracle, bounds=(0, 1), backend="scipy")
-    incremental = minimize_lazy(
-        objective, oracle, bounds=(0, 1), backend="scipy-incremental"
-    )
-    assert incremental.rowgen.rounds <= legacy.rowgen.rounds
+    if loop == "minimize":
+        minimize_lazy(objective, oracle, bounds=(0, 1), backend="highs")
+    elif loop == "minimize-many":
+        minimize_many_lazy([objective, -objective], oracle, bounds=(0, 1), backend="highs")
+    elif loop == "feasibility":
+        check_feasibility_lazy(
+            objective.shape[0], oracle, A_ub=objective[np.newaxis, :], b_ub=[-1.0],
+            backend="highs",
+        )
+    elif loop == "blocks":
+        block = FeasibilityBlock(
+            num_variables=objective.shape[0],
+            A_soft=objective[np.newaxis, :],
+            b_soft=np.array([-1.0]),
+        )
+        solve_feasibility_blocks([block], lazy_rows=oracle, method="rowgen", backend="highs")
+    else:
+        # I(X1;X2|X3X4) ≥ 0 needs cuts beyond the seed, so the probe re-solves.
+        from repro.infotheory.expressions import LinearExpression
+
+        cmi = LinearExpression(
+            ground=ground,
+            coefficients={
+                frozenset(ground[:1] + ground[2:]): 1.0,
+                frozenset(ground[1:]): 1.0,
+                frozenset(ground): -1.0,
+                frozenset(ground[2:]): -1.0,
+            },
+        )
+        prover = shannon_prover(ground)
+        assert prover.certificate(cmi, method="rowgen", backend="highs") is not None
 
 
-def test_adversarial_dropping_terminates_and_stays_correct():
-    """Drop *every* non-permanent row each round; the guard must converge.
+@pytest.mark.parametrize(
+    "loop,warm",
+    [
+        ("minimize", False),
+        ("minimize-many", False),
+        ("feasibility", False),
+        ("blocks", True),
+        ("certificate", True),
+    ],
+)
+def test_loop_re_solve_policy(monkeypatch, loop, warm):
+    """Which loops re-solve warm on ``highs``.
 
-    ``drop_tolerance=-1`` marks even tight rows as slack and
-    ``max_cuts_per_round=1`` starves the model, so without the
-    re-entry-pins-permanently rule this loop would oscillate forever.
+    The minimization loops re-solve cold: warm dual simplex stalled on their
+    ``n = 12`` relaxations.  The block and certificate loops re-solve warm.
     """
-    ground = GROUNDS[5]
-    oracle = shannon_row_oracle(ground)
-    objective = _invalid_pair_objective(ground)
-    options = RowGenOptions(
-        drop_slack_rows=True,
-        drop_min_rows=0,
-        drop_tolerance=-1.0,
-        max_cuts_per_round=1,
-    )
-    result = minimize_lazy(
-        objective,
-        oracle,
-        bounds=(0, 1),
-        options=options,
-        backend="scipy-incremental",
-    )
-    reference = minimize_lazy(objective, oracle, bounds=(0, 1), backend="scipy")
-    assert result.status == LPStatus.OPTIMAL
-    assert result.objective == pytest.approx(reference.objective, abs=1e-8)
-    assert result.rowgen.rows_dropped > 0
-    # Dropped rows re-violated, re-entered, and were pinned.
-    assert result.rowgen.re_entries > 0
+    from repro.lp import backends
 
+    solve = backends._HighsIncrementalModel.solve
+    warm_flags = []
 
-def test_slack_rows_are_dropped_when_enabled():
-    ground = GROUNDS[5]
-    oracle = shannon_row_oracle(ground)
-    objective = _invalid_pair_objective(ground)
-    options = RowGenOptions(drop_slack_rows=True, drop_min_rows=0)
-    result = minimize_lazy(
-        objective,
-        oracle,
-        bounds=(0, 1),
-        options=options,
-        backend="scipy-incremental",
-    )
-    assert result.status == LPStatus.OPTIMAL
-    assert result.objective == pytest.approx(-0.5, abs=1e-8)
+    def recording(self, warm=True):
+        warm_flags.append(warm)
+        return solve(self, warm)
+
+    monkeypatch.setattr(backends._HighsIncrementalModel, "solve", recording)
+    _run_loop(loop, GROUNDS[4])
+    assert len(warm_flags) > 1
+    assert set(warm_flags) == {warm}
 
 
 # --------------------------------------------------------------------- #
@@ -313,9 +349,9 @@ class _FakeHighsModelStatus:
 class _FakeHighs:
     """The slice of the ``highspy.Highs`` API the backend drives.
 
-    Rows and columns accumulate exactly as HiGHS stores them (deletions
-    renumber the tail); ``run`` delegates to ``linprog`` so solutions are
-    real.  The instance counts runs so warm/cold behaviour is observable.
+    Rows and columns accumulate exactly as HiGHS stores them; ``run`` delegates to ``linprog`` so solutions and
+    row duals are real.  The instance counts runs so warm/cold behaviour is
+    observable.
     """
 
     def __init__(self):
@@ -327,6 +363,7 @@ class _FakeHighs:
         self.runs = 0
         self.solver_cleared = 0
         self._solution = None
+        self._row_dual = None
         self._objective = None
         self._status = None
 
@@ -352,11 +389,6 @@ class _FakeHighs:
         for i, c in zip(indices, cost):
             self.cost[int(i)] = float(c)
 
-    def deleteRows(self, num, indices):
-        drop = {int(i) for i in indices}
-        assert len(drop) == num
-        self.rows = [row for r, row in enumerate(self.rows) if r not in drop]
-
     def clearSolver(self):
         self.solver_cleared += 1
 
@@ -365,17 +397,19 @@ class _FakeHighs:
 
         self.runs += 1
         width = self.cost.shape[0]
-        A_ub, b_ub = [], []
-        for lower, upper, entries in self.rows:
+        A_ub, b_ub, sides = [], [], []
+        for r, (lower, upper, entries) in enumerate(self.rows):
             dense = np.zeros(width)
             for column, value in entries.items():
                 dense[column] = value
             if np.isfinite(upper):
                 A_ub.append(dense)
                 b_ub.append(upper)
+                sides.append((r, 1.0))
             if np.isfinite(lower):
                 A_ub.append(-dense)
                 b_ub.append(-lower)
+                sides.append((r, -1.0))
         bounds = list(zip(self.col_lower, self.col_upper))
         result = linprog(
             c=self.cost,
@@ -389,6 +423,10 @@ class _FakeHighs:
             self._status = status.kOptimal
             self._solution = result.x
             self._objective = float(result.fun)
+            # A HiGHS row dual is the upper side's marginal minus the lower's.
+            self._row_dual = np.zeros(len(self.rows))
+            for (r, sign), marginal in zip(sides, result.ineqlin.marginals):
+                self._row_dual[r] += sign * marginal
         elif result.status == 2:
             self._status = status.kInfeasible
         elif result.status == 3:
@@ -402,6 +440,8 @@ class _FakeHighs:
     def getSolution(self):
         class _Solution:
             col_value = self._solution
+            row_dual = self._row_dual
+            dual_valid = True
 
         return _Solution()
 
@@ -424,7 +464,6 @@ def fake_highspy(monkeypatch):
 
 def test_highs_backend_runs_the_incremental_loop_on_the_fake(fake_highspy):
     backend = HighsBackend()
-    assert backend.incremental and backend.warm_started
     ground = GROUNDS[4]
     oracle = shannon_row_oracle(ground)
     objective = _invalid_pair_objective(ground)
@@ -435,7 +474,7 @@ def test_highs_backend_runs_the_incremental_loop_on_the_fake(fake_highspy):
     assert result.rowgen.backend == "highs"
 
 
-def test_highs_model_delete_rows_offsets_past_fixed_rows(fake_highspy):
+def test_highs_model_row_duals_list_fixed_rows_first(fake_highspy):
     backend = HighsBackend()
     fixed = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, -1.0]]))
     model = backend.incremental_model(
@@ -444,12 +483,11 @@ def test_highs_model_delete_rows_offsets_past_fixed_rows(fake_highspy):
     highs = model._model
     model.add_rows(["a", "b"], sp.csr_matrix(np.array([[-1.0, 0.0], [0.0, -1.0]])), rhs=[-1.0, -2.0])
     assert len(highs.rows) == 4
-    model.delete_rows(["a"])
-    # The fixed rows (model rows 0-1) survive; keyed row "b" is now model row 2.
-    assert len(highs.rows) == 3
-    assert highs.rows[2][2] == {1: -1.0}
+    assert highs.rows[3][2] == {1: -1.0}
     result = model.solve()
-    np.testing.assert_allclose(result.solution, [0.0, 2.0], atol=1e-9)
+    np.testing.assert_allclose(result.solution, [1.0, 2.0], atol=1e-9)
+    # Fixed rows first, then keyed rows "a" and "b", which both bind.
+    np.testing.assert_allclose(result.row_duals, [0.0, 0.0, -1.0, -1.0], atol=1e-9)
 
 
 def test_highs_model_cold_solve_clears_state(fake_highspy):
@@ -532,7 +570,7 @@ EQ8_PAIRS = [
 
 
 @pytest.mark.parametrize("q1_text,q2_text", EQ8_PAIRS)
-@pytest.mark.parametrize("backend", ["scipy", "scipy-incremental"])
+@pytest.mark.parametrize("backend", ["scipy", "highs"])
 def test_containment_seed_rounds_never_exceed_generic(q1_text, q2_text, backend):
     """On Eq. (8) systems the workload-aware seed can only save rounds."""
     q1, q2 = to_boolean_pair(parse_query(q1_text), parse_query(q2_text))

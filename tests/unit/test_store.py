@@ -280,6 +280,21 @@ class TestHighArityEvidence:
         assert report.ok and report.certificates == 2
 
 
+class TestProvenance:
+    def test_default_options_record_the_backend_that_solved(self, tmp_path):
+        # BatchOptions() leaves lp_backend at "auto"; the record must name
+        # the backend "auto" resolved to, not the setting.
+        path = str(tmp_path / "provenance.sqlite")
+        service = ContainmentService(BatchOptions(store_path=path))
+        try:
+            service.run([(TRIANGLE, VEE), (PATH2, EDGE)])
+        finally:
+            service.close()
+        with VerdictStore(path) as store:
+            backends = [record["provenance"]["backend"] for _, record in store.records()]
+        assert backends == ["highs", "highs"]
+
+
 class TestLifecycle:
     """Close/flush lifecycle: rows recorded since the last flush must
     survive a close-then-reopen, with or without the context manager."""
