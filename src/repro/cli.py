@@ -1021,8 +1021,9 @@ def build_parser() -> argparse.ArgumentParser:
     cache_verify = cache_commands.add_parser(
         "verify",
         help=(
-            "independently re-check every stored certificate (exact Shannon "
-            "sum + Farkas recheck) and witness (homomorphism recount)"
+            "independently re-check every stored certificate (solver-free "
+            "Shannon sum within 1e-6 + Farkas recheck) and witness "
+            "(homomorphism recount)"
         ),
     )
     add_store(cache_verify)

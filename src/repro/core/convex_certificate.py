@@ -13,7 +13,17 @@ Both halves come from one row-generation loop
 active set of elemental rows finds the rows the proof needs, and the duals
 of its last solve are ``λ`` and ``µ`` — no second LP is solved.  The full
 elemental description of ``Γn`` is never built.  The loop checks the proof
-against ``Σ_ℓ λ_ℓ E_ℓ`` before it returns it.
+against ``Σ_ℓ λ_ℓ E_ℓ`` before it returns it
+(:meth:`~repro.infotheory.shannon.ShannonProver.proof_from_duals`).
+
+The batch engine does not need this loop: the block LP that decides a
+Max-II over ``Γn`` (:func:`repro.infotheory.maxiip.decide_max_ii_many`)
+is itself a Farkas system, and its duals give ``λ`` and ``µ`` through the
+same checked conversion, so its verdicts arrive with their certificate.
+The durable store calls :func:`find_convex_certificate` only for a
+CONTAINED verdict that carries none: a sequential ``decide_containment``
+result (its feasibility LP has no slack, so no weights to read) or a block
+whose duals failed the check.
 
 The paper leaves open whether the ``λ`` can always be chosen rational over
 ``Γ*n``.  Over ``Γn`` they can: the probe has rational data, so its dual

@@ -27,11 +27,13 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 import numpy as np
 import scipy.sparse as sp
 
+from repro.exceptions import CertificateError
 from repro.infotheory.expressions import LinearExpression
 from repro.infotheory.functions import modular_function, normal_function, step_function
 from repro.infotheory.imeasure import is_normal_function
 from repro.infotheory.polymatroid import is_modular, is_polymatroid
 from repro.infotheory.setfunction import SetFunction
+from repro.infotheory.shannon import ShannonCertificate, shannon_prover
 from repro.lp.backends import resolve_backend
 from repro.lp.rowgen import RowGenOptions, resolve_method, shannon_row_oracle
 from repro.lp.solver import (
@@ -51,6 +53,11 @@ class ConePoint:
 
     function: SetFunction
     coefficients: Optional[Dict[FrozenSet[str], float]] = None
+
+
+#: A Theorem 6.1 certificate that no cone point lies below: the convex
+#: weights ``λ`` of the expressions and the Shannon proof of ``Σλ_ℓ E_ℓ``.
+ConeProof = Tuple[np.ndarray, ShannonCertificate]
 
 
 class Cone:
@@ -103,6 +110,27 @@ class Cone:
         return [
             self.find_point_below(exprs, margin, method=method, backend=backend, seed=seed)
             for exprs in expression_lists
+        ]
+
+    def points_or_proofs_below_many(
+        self,
+        expression_lists: Sequence[Sequence[LinearExpression]],
+        margin: float = 1.0,
+        method: str = "auto",
+        backend: str = "auto",
+        seed: str = "generic",
+    ) -> List[Tuple[Optional[ConePoint], Optional[ConeProof]]]:
+        """:meth:`find_points_below_many`, with a proof where there is no point.
+
+        One ``(point, proof)`` pair per expression list: ``proof`` is the
+        Theorem 6.1 certificate ``(λ, µ)`` that no point exists, when the
+        cone's LP yields one (only ``Γn``'s does), and ``None`` otherwise.
+        """
+        return [
+            (point, None)
+            for point in self.find_points_below_many(
+                expression_lists, margin, method=method, backend=backend, seed=seed
+            )
         ]
 
 
@@ -183,20 +211,44 @@ class GammaCone(Cone):
         backend: str = "auto",
         seed: str = "generic",
     ) -> List[Optional[ConePoint]]:
+        return [
+            point
+            for point, _ in self.points_or_proofs_below_many(
+                expression_lists, margin, method=method, backend=backend, seed=seed
+            )
+        ]
+
+    def points_or_proofs_below_many(
+        self,
+        expression_lists: Sequence[Sequence[LinearExpression]],
+        margin: float = 1.0,
+        method: str = "auto",
+        backend: str = "auto",
+        seed: str = "generic",
+    ) -> List[Tuple[Optional[ConePoint], Optional[ConeProof]]]:
+        """One block LP for every list; proofs are read off its duals.
+
+        An infeasible block's soft-row multipliers are the weights ``λ`` and
+        its elemental rows' multipliers the Shannon proof ``µ`` of
+        ``Σλ_ℓ E_ℓ`` (see :class:`~repro.lp.solver.BlockFeasibilityResult`);
+        :meth:`~repro.infotheory.shannon.ShannonProver.proof_from_duals`
+        checks them.  A block whose duals are missing or fail that check
+        gets no proof.
+        """
         if not expression_lists:
             return []
-        blocks = []
-        for expressions in expression_lists:
-            branch_rows = sp.csr_matrix(
-                np.array([self._expression_row(e) for e in expressions])
+        targets = [
+            np.array([self._expression_row(e) for e in expressions])
+            for expressions in expression_lists
+        ]
+        blocks = [
+            FeasibilityBlock(
+                num_variables=len(self._subsets),
+                A_soft=sp.csr_matrix(rows),
+                b_soft=-margin * np.ones(rows.shape[0]),
             )
-            blocks.append(
-                FeasibilityBlock(
-                    num_variables=len(self._subsets),
-                    A_soft=branch_rows,
-                    b_soft=-margin * np.ones(len(expressions)),
-                )
-            )
+            for rows in targets
+        ]
         # The optimal slack of a cone-shaped block is exactly 0 or margin
         # (see solve_feasibility_blocks); threshold at the midpoint.  The
         # elemental rows enter each block through the lazy family: dense
@@ -209,18 +261,28 @@ class GammaCone(Cone):
             rowgen_options=RowGenOptions(seed=seed),
             backend=self._resolve_backend(backend),
         )
-        points: List[Optional[ConePoint]] = []
-        for result in results:
-            if not result.feasible or result.solution is None:
-                points.append(None)
-            else:
-                points.append(
-                    ConePoint(
-                        function=SetFunction.from_vector(self.ground, result.solution),
-                        coefficients=None,
-                    )
+        prover = shannon_prover(self.ground)
+        outcomes: List[Tuple[Optional[ConePoint], Optional[ConeProof]]] = []
+        for rows, result in zip(targets, results):
+            if result.feasible and result.solution is not None:
+                point = ConePoint(
+                    function=SetFunction.from_vector(self.ground, result.solution),
+                    coefficients=None,
                 )
-        return points
+                outcomes.append((point, None))
+                continue
+            proof = None
+            if result.soft_duals is not None:
+                row_ids = [row_id for row_id, _ in result.lazy_duals]
+                multipliers = [multiplier for _, multiplier in result.lazy_duals]
+                try:
+                    proof = prover.proof_from_duals(
+                        rows, result.soft_duals, row_ids, multipliers
+                    )
+                except CertificateError:
+                    pass  # the verdict stands; it just carries no proof
+            outcomes.append((None, proof))
+        return outcomes
 
 
 class _GeneratedCone(Cone):

@@ -48,8 +48,18 @@ class MaxIIVerdict:
         of the violating function — step-function coefficients for ``Nn``,
         per-variable weights for ``Mn``.  These are the raw material of the
         witness constructions of Theorem 3.4.
+    lambdas:
+        For a valid inequality over ``Γn`` with a certificate, the convex
+        weights ``λ`` of Theorem 6.1, one per branch (``λ ≥ 0``,
+        ``Σλ = 1``).
     certificate:
-        For a valid single-branch inequality over ``Γn``, a Shannon proof.
+        The Shannon proof of ``Σλ_ℓ E_ℓ`` (``None`` when none was
+        computed).  :func:`decide_max_ii_many` reads ``λ`` and the proof
+        off the duals of the block LP that decided every valid inequality
+        over ``Γn``; a block whose duals failed the proof check has
+        neither.  :func:`decide_max_ii` computes a proof only on request
+        (``with_certificate=True``) for a single-branch inequality, with
+        ``λ = (1,)``.
     """
 
     valid: bool
@@ -57,6 +67,7 @@ class MaxIIVerdict:
     violating_function: Optional[SetFunction] = None
     violating_coefficients: Optional[Dict[FrozenSet[str], float]] = None
     certificate: Optional[ShannonCertificate] = None
+    lambdas: Optional[Tuple[float, ...]] = None
 
 
 def decide_max_ii(
@@ -96,7 +107,12 @@ def decide_max_ii(
         certificate = shannon_prover(ground).certificate(
             branches[0], method=lp_method, backend=lp_backend
         )
-    return MaxIIVerdict(valid=True, cone=over, certificate=certificate)
+    return MaxIIVerdict(
+        valid=True,
+        cone=over,
+        certificate=certificate,
+        lambdas=None if certificate is None else (1.0,),
+    )
 
 
 def decide_max_ii_many(
@@ -114,11 +130,14 @@ def decide_max_ii_many(
     same ground tuple.  This is the batched cone-decision path used by the
     :mod:`repro.service` batch engine: the per-inequality feasibility systems
     share the cone description and are stacked into one block-diagonal LP
-    (:meth:`Cone.find_points_below_many`), so a batch of ``k`` decisions pays
-    one HiGHS invocation instead of ``k``.  With ``lp_method="rowgen"`` (or
-    ``"auto"`` past the row-count threshold) the blocks carry lazily
-    generated elemental rows instead of one full matrix copy each — the
-    memory multiplier that previously capped chunk sizes at large arity.
+    (:meth:`Cone.points_or_proofs_below_many`), so a batch of ``k``
+    decisions pays one HiGHS invocation instead of ``k``.  Over ``Γn`` a
+    valid verdict carries the Theorem 6.1 certificate read off that solve's
+    duals whenever they pass the proof check (see :class:`MaxIIVerdict`).
+    With ``lp_method="rowgen"`` (or ``"auto"`` past the row-count
+    threshold) the blocks carry lazily generated elemental rows instead of
+    one full matrix copy each — the memory multiplier that previously
+    capped chunk sizes at large arity.
     """
     if not inequalities:
         return []
@@ -136,11 +155,11 @@ def decide_max_ii_many(
         [branch.with_ground(ground) for branch in inequality.branches]
         for inequality in inequalities
     ]
-    points = cone.find_points_below_many(
+    outcomes = cone.points_or_proofs_below_many(
         branch_lists, method=lp_method, backend=lp_backend, seed=seed
     )
     verdicts: List[MaxIIVerdict] = []
-    for point in points:
+    for point, proof in outcomes:
         if point is not None:
             verdicts.append(
                 MaxIIVerdict(
@@ -148,6 +167,16 @@ def decide_max_ii_many(
                     cone=over,
                     violating_function=point.function,
                     violating_coefficients=point.coefficients,
+                )
+            )
+        elif proof is not None:
+            lambdas, certificate = proof
+            verdicts.append(
+                MaxIIVerdict(
+                    valid=True,
+                    cone=over,
+                    certificate=certificate,
+                    lambdas=tuple(lambdas.tolist()),
                 )
             )
         else:

@@ -25,11 +25,14 @@ knob (``"dense" | "rowgen" | "auto"``, constructor default ``"auto"``):
 * **rowgen** never builds the full matrix: the cutting-plane loops of
   :mod:`repro.lp.rowgen` grow a small active row set through a vectorized
   separation oracle, which is what makes ``n = 12–16`` cone problems
-  decidable in practice.  Certificates stay exact — the multipliers are
-  the duals of the last Farkas probe over the final active row set
-  (enlarged by separation until the target is expressible), and only the
-  rows with positive multipliers are materialized as
-  :class:`~repro.infotheory.polymatroid.ElementalInequality` objects.
+  decidable in practice.  Row-generation certificates are the duals of
+  the last Farkas probe over the final active row set (enlarged by
+  separation until the target is expressible); only the rows with
+  positive multipliers are materialized as
+  :class:`~repro.infotheory.polymatroid.ElementalInequality` objects, and
+  the proof is checked to sum to its target in floating point, within
+  ``1e-6`` per coordinate (:meth:`ShannonProver.proof_from_duals`), not in
+  exact arithmetic.
 
 ``"auto"`` switches on the elemental row count
 (:data:`repro.lp.rowgen.AUTO_ROW_THRESHOLD`).
@@ -350,9 +353,10 @@ class ShannonProver:
         ``c_ℓ·x`` are scale-invariant, and at a zero optimum the box's
         reduced costs vanish.
 
-        The proof is checked against ``Σλ_ℓ c_ℓ`` before it is returned
-        (raises :class:`CertificateError` when it does not sum to it), so
-        every caller gets a verified proof.
+        The duals become the certificate through :meth:`proof_from_duals`,
+        which checks the proof against ``Σλ_ℓ c_ℓ`` (raising
+        :class:`CertificateError` when it does not sum to it), so every
+        caller gets a checked proof.
         """
         oracle = self._oracle
         backend = resolve_backend(backend)
@@ -392,36 +396,13 @@ class ShannonProver:
             if probe.objective >= -farkas_tolerance:
                 if probe.row_duals is None:
                     raise CertificateError("the certificate probe returned no duals")
-                # Clip and renormalize: solver round-off can leave a dual or
-                # λ_1 a hair below 0, and Σλ must be 1.
                 y = np.maximum(-probe.row_duals, 0.0)
-                weights = np.concatenate([[1.0 - y[: count - 1].sum()], y[: count - 1]])
-                weights = np.maximum(weights, 0.0)
-                weights /= weights.sum()
-                support = [
-                    (row_id, float(multiplier))
-                    for row_id, multiplier in zip(model.keys(), y[count - 1 :])
-                    if multiplier > tolerance
-                ]
-                support_ids = [row_id for row_id, _ in support]
-                # The solver-free check every caller relies on: the proof
-                # must sum to Σλ_ℓ c_ℓ (ShannonCertificate.verify's tolerance).
-                residual = oracle.rows_matrix(support_ids).T @ np.array(
-                    [multiplier for _, multiplier in support]
-                ) - weights @ targets
-                if np.abs(residual).max(initial=0.0) > 1e-6:
-                    raise CertificateError(
-                        "the Shannon proof does not sum to the combined "
-                        "inequality Σ λ_ℓ E_ℓ"
-                    )
-                masks, coeffs, kinds = oracle.row_data(support_ids)
-                inequalities = materialize_elementals(self.ground, masks, coeffs, kinds)
-                return weights, ShannonCertificate(
-                    ground=self.ground,
-                    multipliers=tuple(
-                        (inequality, multiplier)
-                        for inequality, (_, multiplier) in zip(inequalities, support)
-                    ),
+                return self.proof_from_duals(
+                    targets,
+                    np.concatenate([[1.0 - y[: count - 1].sum()], y[: count - 1]]),
+                    model.keys(),
+                    y[count - 1 :],
+                    tolerance,
                 )
             dense = oracle.dense_from_canonical(probe.solution[:width])
             cut_ids, _ = oracle.separate(dense, options.tolerance)
@@ -432,6 +413,70 @@ class ShannonProver:
             known.update(new_ids)
             add_active(new_ids)
         raise CertificateError("certificate row generation did not converge")
+
+    def proof_from_duals(
+        self,
+        targets: np.ndarray,
+        weights,
+        row_ids: Sequence[int],
+        multipliers,
+        tolerance: float = 1e-6,
+    ) -> Tuple[np.ndarray, ShannonCertificate]:
+        """A checked Theorem 6.1 certificate from an LP's dual multipliers.
+
+        ``targets`` holds one row ``c_ℓ`` per branch, ``weights`` the dual
+        weights ``λ`` of the branches and ``multipliers`` the duals ``µ`` of
+        the elemental rows ``row_ids``.  Both the certificate loop
+        (:meth:`_certificate_rowgen`) and the block LP that decides a Max-II
+        (:meth:`repro.infotheory.cones.GammaCone.points_or_proofs_below_many`)
+        read their certificates through here.
+
+        ``λ`` is clipped at 0 and renormalized to sum to 1 (solver round-off
+        can leave a dual a hair below 0), and only multipliers above
+        ``tolerance`` enter the proof.  Where ``Σλ_ℓ c_ℓ`` exceeds the
+        proof's sum on a coordinate ``h(X)`` — the dual of an LP bound
+        ``h(X) ≥ 0`` rather than of an elemental row — the excess is paid
+        with the elemental rows that sum to ``h(X)``
+        (:meth:`~repro.lp.rowgen.ShannonRowOracle.nonnegativity_row_ids`).
+        Returns ``(λ, proof)``; raises :class:`CertificateError` unless the
+        proof's rows then sum to ``Σλ_ℓ c_ℓ`` within ``1e-6`` per
+        coordinate (the tolerance of :meth:`ShannonCertificate.verify`).
+        """
+        oracle = self._oracle
+        weights = np.maximum(np.asarray(weights, dtype=float), 0.0)
+        total = weights.sum()
+        if total <= 0.0:
+            raise CertificateError("the branch duals are all zero")
+        weights = weights / total
+        target = weights @ targets
+        multipliers = np.asarray(multipliers, dtype=float)
+        proof = {
+            int(row_ids[k]): float(multipliers[k])
+            for k in np.flatnonzero(multipliers > tolerance)
+        }
+
+        def residual():
+            values = np.array(list(proof.values()))
+            return oracle.rows_matrix(list(proof)).T @ values - target
+
+        gap = residual()
+        excess = np.flatnonzero(gap < -tolerance)
+        for position in excess:
+            mask = int(oracle.lattice.canon_masks[position + 1])
+            for row_id in oracle.nonnegativity_row_ids(mask):
+                proof[row_id] = proof.get(row_id, 0.0) - float(gap[position])
+        if excess.size:
+            gap = residual()
+        if np.abs(gap).max(initial=0.0) > 1e-6:
+            raise CertificateError(
+                "the Shannon proof does not sum to the combined inequality Σ λ_ℓ E_ℓ"
+            )
+        masks, coeffs, kinds = oracle.row_data(list(proof))
+        inequalities = materialize_elementals(self.ground, masks, coeffs, kinds)
+        return weights, ShannonCertificate(
+            ground=self.ground,
+            multipliers=tuple(zip(inequalities, proof.values())),
+        )
 
 
 @lru_cache(maxsize=128)

@@ -445,6 +445,35 @@ class ShannonRowOracle:
                 kinds.append("submodularity")
         return masks, coeffs, tuple(kinds)
 
+    def nonnegativity_row_ids(self, mask: int) -> List[int]:
+        """Elemental rows that sum to ``h(X)``, ``X`` the subset bitmask ``mask``.
+
+        By the chain rule ``h(X) = Σ_i h(x_i | x_1 … x_{i-1})``, and each
+        ``h(x | Y) = h(x | V∖x) + Σ_j I(x ; z_j | Y z_1 … z_{j-1})`` over the
+        elements ``z_j`` of ``V ∖ xY``: one monotonicity row and
+        submodularity rows.  With multiplier 1 each, the returned rows (ids
+        may repeat) are a Shannon proof of ``h(X) ≥ 0``.
+        """
+        n = self.n
+        ids: List[int] = []
+        before = 0
+        for x in range(n):
+            if not mask >> x & 1:
+                continue
+            ids.append(x)
+            context = before
+            for z in range(n):
+                if z == x or before >> z & 1:
+                    continue
+                a, b = min(x, z), max(x, z)
+                pair_index = a * (2 * n - a - 1) // 2 + (b - a - 1)
+                contexts = self._pairs[pair_index][2]
+                position = int(np.flatnonzero(contexts == context)[0])
+                ids.append(n + pair_index * self._context_block + position)
+                context |= 1 << z
+            before |= 1 << x
+        return ids
+
     def rows_matrix(self, row_ids: Sequence[int]) -> sp.csr_matrix:
         """A CSR matrix of the given rows over canonical non-empty columns.
 
@@ -715,7 +744,10 @@ def solve_feasibility_blocks_lazy(
     ``Γn``; its verdict and solution are frozen at that round — later cuts
     only touch other blocks' rows, which share no columns, so the frozen
     point stays feasible for its block.  A batch converges in a handful of
-    shared re-solves, each warm-started on the ``highs`` backend.
+    shared re-solves, each warm-started on the ``highs`` backend.  An
+    infeasible block's result carries the duals of the solve that decided
+    it: its soft rows' multipliers and its keyed rows' ``(row id,
+    multiplier)`` pairs (see :class:`~repro.lp.solver.BlockFeasibilityResult`).
     """
     if not blocks:
         return []
@@ -732,6 +764,9 @@ def solve_feasibility_blocks_lazy(
 
     fixed_parts: List[sp.csr_matrix] = []
     rhs_parts: List[np.ndarray] = []
+    # Model row positions of each block's soft rows, for its duals.
+    soft_positions: List[np.ndarray] = []
+    fixed_rows = 0
     for i, block in enumerate(blocks):
         A_soft = sp.csr_matrix(block.A_soft)
         b_soft = np.asarray(block.b_soft, dtype=float)
@@ -739,6 +774,9 @@ def solve_feasibility_blocks_lazy(
             A_hard = sp.csr_matrix(block.A_hard)
             fixed_parts.append(_shift_columns(A_hard, column_offsets[i], total_columns))
             rhs_parts.append(np.asarray(block.b_hard, dtype=float))
+            fixed_rows += A_hard.shape[0]
+        soft_positions.append(np.arange(fixed_rows, fixed_rows + A_soft.shape[0]))
+        fixed_rows += A_soft.shape[0]
         soft = _shift_columns(A_soft, column_offsets[i], total_columns)
         # The slack column: one -1 entry per soft row of this block.
         slack = sp.csr_matrix(
@@ -767,6 +805,25 @@ def solve_feasibility_blocks_lazy(
             _shift_columns(seed_matrix, column_offsets[i], total_columns),
         )
 
+    def infeasible(i: int, slack: float, row_duals) -> BlockFeasibilityResult:
+        soft_duals = lazy_duals = None
+        if row_duals is not None:
+            soft_duals = -row_duals[soft_positions[i]]
+            # The keyed part of the duals follows the fixed rows, in key order.
+            lazy_duals = tuple(
+                (row_id, -float(dual))
+                for (block, row_id), dual in zip(model.keys(), row_duals[fixed_rows:])
+                if block == i and dual < 0.0
+            )
+        return BlockFeasibilityResult(
+            feasible=False,
+            solution=None,
+            slack=slack,
+            rows_used=len(known[i]),
+            soft_duals=soft_duals,
+            lazy_duals=lazy_duals,
+        )
+
     final: List[Optional[BlockFeasibilityResult]] = [None] * len(blocks)
     unresolved = list(range(len(blocks)))
     for round_number in range(1, options.max_rounds + 1):
@@ -789,9 +846,7 @@ def solve_feasibility_blocks_lazy(
                 result.solution[start : start + blocks[i].num_variables]
             )
             if slack >= slack_threshold:
-                final[i] = BlockFeasibilityResult(
-                    feasible=False, solution=None, slack=slack, rows_used=len(known[i])
-                )
+                final[i] = infeasible(i, slack, result.row_duals)
                 continue
             dense = oracle.dense_from_canonical(solution)
             cut_ids, _ = oracle.separate(

@@ -389,12 +389,25 @@ class BlockFeasibilityResult:
     is a feasible point of it.  ``rows_used`` is the block's final active
     row count when the block was decided by row generation (``None`` on the
     dense path).
+
+    An infeasible block also carries the duals of the solve that decided
+    it, as non-negative multipliers (``-row_dual``), when the solver
+    reported them and the call had ``lazy_rows``: ``soft_duals`` for its
+    soft rows, in order, and ``lazy_duals`` as ``(lazy row id, multiplier)``
+    pairs for its lazy rows with a positive multiplier.  At the optimal
+    slack the soft multipliers sum to 1 (the slack's reduced cost is 0), so
+    for the cone-decision shape they are the Theorem 6.1 weights ``λ``, and
+    the lazy multipliers are the proof ``µ`` of ``Σλ_ℓ E_ℓ`` except for
+    what the duals of the bounds ``x ≥ 0`` carry (see
+    :meth:`repro.infotheory.shannon.ShannonProver.proof_from_duals`).
     """
 
     feasible: bool
     solution: Optional[np.ndarray]
     slack: float
     rows_used: Optional[int] = None
+    soft_duals: Optional[np.ndarray] = None
+    lazy_duals: Optional[Tuple[Tuple[int, float], ...]] = None
 
 
 def solve_feasibility_blocks(
@@ -426,7 +439,9 @@ def solve_feasibility_blocks(
     drives the values to ``-margin`` with zero slack, and otherwise ``h = 0``
     is optimal with slack ``margin`` — so a ``slack_threshold`` at the
     midpoint (``margin / 2``; the default 0.5 fits the standard margin of 1)
-    separates the verdicts robustly.
+    separates the verdicts robustly.  With ``lazy_rows``, every infeasible
+    block's result carries its duals from this solve (see
+    :class:`BlockFeasibilityResult`).
     """
     if not blocks:
         return []
@@ -458,8 +473,11 @@ def solve_feasibility_blocks(
     row_parts: List[np.ndarray] = []
     column_parts: List[np.ndarray] = []
     rhs_parts: List[np.ndarray] = []
+    # Per block: the stacked index of its first hard row and of its soft rows.
+    row_starts: List[Tuple[int, int, int]] = []
     row_offset = 0
     for i, block in enumerate(blocks):
+        hard_start = row_offset
         slack_column = offset + i
         A_soft = _as_array(block.A_soft, block.num_variables)
         if A_soft is None:
@@ -480,6 +498,7 @@ def solve_feasibility_blocks(
             rhs_parts.append(b_hard)
             row_offset += A_hard.shape[0]
         soft_rows = A_soft.shape[0]
+        row_starts.append((hard_start, row_offset, soft_rows))
         data_parts.append(A_soft.data)
         row_parts.append(A_soft.row + row_offset)
         column_parts.append(A_soft.col + column_offsets[i])
@@ -507,18 +526,36 @@ def solve_feasibility_blocks(
         # whenever every b_hard ≥ 0) and bounded below by 0.
         raise LPError(f"block feasibility program failed: {result.status}")
 
+    read_duals = lazy_rows is not None and result.row_duals is not None
     outcomes: List[BlockFeasibilityResult] = []
     for i, block in enumerate(blocks):
         slack = float(result.solution[offset + i])
-        feasible = slack < slack_threshold
-        solution = None
-        if feasible:
+        if slack < slack_threshold:
             start = column_offsets[i]
             solution = np.asarray(
                 result.solution[start : start + block.num_variables]
             )
+            outcomes.append(
+                BlockFeasibilityResult(feasible=True, solution=solution, slack=slack)
+            )
+            continue
+        soft_duals = lazy_duals = None
+        if read_duals:
+            # The block's first row_count hard rows are the lazy family's
+            # rows, in row-id order (see _block_with_hard_rows).
+            hard_start, soft_start, soft_rows = row_starts[i]
+            soft_duals = -result.row_duals[soft_start : soft_start + soft_rows]
+            multipliers = -result.row_duals[hard_start : hard_start + lazy_rows.row_count]
+            row_ids = np.flatnonzero(multipliers > 0.0)
+            lazy_duals = tuple(zip(row_ids.tolist(), multipliers[row_ids].tolist()))
         outcomes.append(
-            BlockFeasibilityResult(feasible=feasible, solution=solution, slack=slack)
+            BlockFeasibilityResult(
+                feasible=False,
+                solution=None,
+                slack=slack,
+                soft_duals=soft_duals,
+                lazy_duals=lazy_duals,
+            )
         )
     return outcomes
 

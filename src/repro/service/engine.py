@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.core.containment import (
@@ -81,6 +81,7 @@ from repro.infotheory.setfunction import SetFunction
 from repro.lp.backends import BACKEND_NAMES
 from repro.obs import tracer as obs_tracer
 from repro.obs.tracer import SpanRecord
+from repro.service.evidence import rename_certificate
 from repro.service.stats import GroupTiming, ServiceStats
 
 #: Valid ``worker_mode`` values; ``"auto"`` currently resolves to threads
@@ -113,10 +114,14 @@ def _verdict_to_original(
     """Translate a verdict over the canonical ground back to the pair's names.
 
     The rename is positional and order-preserving, so the dense value vector
-    of a violating function carries over unchanged.
+    of a violating function carries over unchanged, and so do the branch
+    order of ``λ`` and the proof's multipliers.
     """
     if verdict.violating_function is None:
-        return MaxIIVerdict(valid=verdict.valid, cone=verdict.cone)
+        mapping = dict(zip(_canonical_ground(len(original_ground)), original_ground))
+        return replace(
+            verdict, certificate=rename_certificate(verdict.certificate, mapping)
+        )
     function = SetFunction.from_vector(
         original_ground, verdict.violating_function.to_vector()
     )

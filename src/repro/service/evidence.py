@@ -144,13 +144,14 @@ def _rename_verdict(
             frozenset(mapping1.get(v, v) for v in subset): value
             for subset, value in coefficients.items()
         },
-        certificate=_rename_certificate(verdict.certificate, mapping1),
+        certificate=rename_certificate(verdict.certificate, mapping1),
     )
 
 
-def _rename_certificate(
+def rename_certificate(
     certificate: Optional[ShannonCertificate], mapping1: VariableMap
 ) -> Optional[ShannonCertificate]:
+    """A Shannon proof with its ground and elementals renamed (``None`` passes)."""
     if certificate is None:
         return None
     return ShannonCertificate(

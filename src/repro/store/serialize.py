@@ -9,6 +9,12 @@ for NOT_CONTAINED verdicts.  Everything is stored over the canonical
 variable names ``c0, c1, ...`` of the key's labeling, so a record is
 machine-independent and answers every isomorphic pair.
 
+A batch-engine verdict arrives with its certificate already attached,
+read off the duals of the block LP that decided it, and the record just
+serializes it.  Only a verdict without one (a sequential
+``decide_containment`` result, or a block whose duals failed the proof
+check) runs the certificate loop at record time (see :func:`build_record`).
+
 Records are rendered with :func:`canonical_json` (sorted keys, minimal
 separators), which makes the on-disk payload — and therefore checksums,
 exports and the export → import → export round trip — byte-deterministic.
@@ -26,13 +32,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.containment import (
     ContainmentResult,
     ContainmentStatus,
 )
-from repro.core.convex_certificate import ConvexCertificate, find_convex_certificate
+from repro.core.convex_certificate import find_convex_certificate
 from repro.core.witness import WitnessDatabase
 from repro.cq.query import Atom, ConjunctiveQuery
 from repro.cq.structures import Relation, Structure
@@ -46,8 +52,9 @@ from repro.service.canonical import PairKey
 #: Bumped on incompatible record-layout changes.
 RECORD_VERSION = 1
 
-#: Largest ground-set size for which a Farkas certificate is computed at
-#: record time (the Shannon proof ranges over ``2^n - 1`` coordinates).
+#: Largest ground-set size for which a record carries a Farkas certificate
+#: (the Shannon proof ranges over ``2^n - 1`` coordinates, and a verdict
+#: without one has it computed at record time).
 CERTIFICATE_MAX_GROUND = 10
 
 
@@ -221,13 +228,12 @@ def deserialize_expression(encoded, ground: Tuple[str, ...]) -> LinearExpression
 
 
 def serialize_certificate(
-    certificate: ConvexCertificate, branches: List[LinearExpression]
+    lambdas: Sequence[float],
+    shannon: ShannonCertificate,
+    branches: List[LinearExpression],
 ) -> Dict[str, object]:
-    shannon = certificate.shannon_certificate
-    if shannon is None:
-        raise StoreError("a store certificate needs its Shannon proof attached")
     return {
-        "lambdas": [float(value) for value in certificate.lambdas],
+        "lambdas": [float(value) for value in lambdas],
         "branches": [serialize_expression(branch) for branch in branches],
         "shannon": {
             "ground": list(shannon.ground),
@@ -279,11 +285,15 @@ def build_record(
     """Serialize one *canonical* result into a store record.
 
     ``result`` must already be in canonical variables (the plan cache's
-    stored form).  For CONTAINED verdicts with an Eq. (8) inequality a
-    Theorem 6.1 Farkas certificate is computed here — one row-generation
-    certificate loop per recorded solve — so the stored verdict is
-    independently re-checkable forever after; NOT_CONTAINED verdicts
-    persist their counterexample witness instead.
+    stored form).  CONTAINED verdicts with an Eq. (8) inequality persist a
+    Theorem 6.1 Farkas certificate, so the stored verdict is independently
+    re-checkable forever after: the ``λ`` and Shannon proof the verdict
+    carries (the batch engine's block LP reads them off its duals), or,
+    for a verdict without them, one computed here by
+    :func:`~repro.core.convex_certificate.find_convex_certificate` (the
+    sequential ``decide_containment`` path, and any block whose duals
+    failed the proof check).  NOT_CONTAINED verdicts persist their
+    counterexample witness instead.
     """
     evidence: Dict[str, object] = {}
     if result.witness is not None:
@@ -322,6 +332,9 @@ def _certificate_evidence(
             f"the limit of {CERTIFICATE_MAX_GROUND}"
         )
     branches = inequality.branch_expressions()
+    verdict = result.verdict
+    if verdict is not None and verdict.certificate is not None and verdict.lambdas is not None:
+        return serialize_certificate(verdict.lambdas, verdict.certificate, branches), None
     try:
         certificate = find_convex_certificate(
             inequality.as_max_ii().branches,
@@ -332,7 +345,12 @@ def _certificate_evidence(
         return None, f"certificate computation failed: {error!r}"
     if certificate is None or certificate.shannon_certificate is None:
         return None, "certificate unavailable: the Theorem 6.1 LP found no proof"
-    return serialize_certificate(certificate, branches), None
+    return (
+        serialize_certificate(
+            certificate.lambdas, certificate.shannon_certificate, branches
+        ),
+        None,
+    )
 
 
 def result_from_record(record: Dict[str, object]) -> ContainmentResult:
@@ -353,6 +371,7 @@ def result_from_record(record: Dict[str, object]) -> ContainmentResult:
             valid=True,
             cone="gamma",
             certificate=deserialize_shannon_certificate(certificate["shannon"]),
+            lambdas=tuple(float(value) for value in certificate["lambdas"]),
         )
     return ContainmentResult(
         status=ContainmentStatus(record["status"]),

@@ -14,8 +14,9 @@ polymatroid expressions and containment instances at ``n ≤ 8``, every
 Both backends run the same keyed cutting-plane loops; ``scipy`` re-solves
 them through ``linprog`` and ``highs`` — which runs on every install, on
 native ``highspy`` or on the bindings scipy bundles — keeps one HiGHS model
-per loop, warm-starts the block and certificate loops, and reads
-certificates off the last probe's duals.
+per loop and warm-starts the block and certificate loops.  On both, the
+certificate loop reads its proof off the last probe's duals and batched
+decisions read theirs off the block LP's duals.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from hypothesis import strategies as st
 
 from repro.infotheory.cones import cone_by_name
 from repro.infotheory.expressions import LinearExpression
+from repro.infotheory.maxiip import decide_max_ii_many
 from repro.infotheory.polymatroid import is_polymatroid
 from repro.infotheory.shannon import ShannonProver, shannon_prover
 from repro.service import decide_containment_many
@@ -146,12 +148,10 @@ def test_find_point_below_verdicts_agree(backend, lp_method, seed, n, branches):
 def test_batched_cone_decisions_agree(backend, seed, n, specs):
     ground = tuple(f"X{i}" for i in range(1, n + 1))
     cone = cone_by_name("gamma", ground)
+    inequalities = [random_max_ii(n, branches, seed=seed + s) for s, branches in specs]
     expression_lists = [
-        [
-            branch.with_ground(ground)
-            for branch in random_max_ii(n, branches, seed=seed + s).branches
-        ]
-        for s, branches in specs
+        [branch.with_ground(ground) for branch in inequality.branches]
+        for inequality in inequalities
     ]
     reference = cone.find_points_below_many(
         expression_lists, method="dense", backend="scipy"
@@ -160,6 +160,44 @@ def test_batched_cone_decisions_agree(backend, seed, n, specs):
         expression_lists, method="rowgen", backend=backend
     )
     assert [p is None for p in reference] == [p is None for p in points]
+    for lp_method, lp_backend, block_points in (
+        ("dense", "scipy", reference),
+        ("rowgen", backend, points),
+    ):
+        verdicts = decide_max_ii_many(
+            inequalities,
+            over="gamma",
+            ground=ground,
+            lp_method=lp_method,
+            lp_backend=lp_backend,
+        )
+        for verdict, point, expressions in zip(verdicts, block_points, expression_lists):
+            assert_verdict_matches_block(verdict, point, expressions, ground)
+
+
+def assert_verdict_matches_block(verdict, point, expressions, ground):
+    """A batched verdict carries the block LP's point, or its dual certificate.
+
+    A valid verdict's ``λ`` is a convex combination and its proof sums to
+    ``Σλ_ℓ E_ℓ``; an invalid one carries the point
+    :meth:`~repro.infotheory.cones.Cone.find_points_below_many` returns and
+    no certificate.
+    """
+    if point is not None:
+        assert not verdict.valid
+        assert verdict.certificate is None and verdict.lambdas is None
+        assert np.allclose(
+            verdict.violating_function.to_vector(), point.function.to_vector()
+        )
+        return
+    lambdas = verdict.lambdas
+    assert verdict.valid and lambdas is not None and verdict.certificate is not None
+    assert len(lambdas) == len(expressions)
+    assert min(lambdas) >= 0.0 and abs(sum(lambdas) - 1.0) <= 1e-9
+    combined = LinearExpression.zero(ground)
+    for weight, expression in zip(lambdas, expressions):
+        combined = combined + weight * expression
+    assert verdict.certificate.verify(combined)
 
 
 @pytest.mark.parametrize("backend", ALTERNATE_BACKENDS)

@@ -8,7 +8,8 @@ dense paths must return
 * matching optimal objective values (within tolerance),
 * independently verified certificates (checked by
   :meth:`ShannonCertificate.verify`, which re-sums the weighted elemental
-  inequalities without any LP), and
+  inequalities without any LP), among them the Theorem 6.1 certificates
+  batched decisions read off the block LP's duals on either path, and
 * identical batch-service statuses across ``chunk_size`` × ``lp_method``
   combinations.
 
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 
 from repro.infotheory.cones import cone_by_name
 from repro.infotheory.expressions import LinearExpression
+from repro.infotheory.maxiip import decide_max_ii_many
 from repro.infotheory.polymatroid import is_polymatroid
 from repro.infotheory.shannon import ShannonProver, shannon_prover
 from repro.service import decide_containment_many
@@ -128,16 +130,45 @@ def test_find_point_below_verdicts_agree(seed, n, branches):
 def test_batched_cone_decisions_agree(seed, n, specs):
     ground = tuple(f"X{i}" for i in range(1, n + 1))
     cone = cone_by_name("gamma", ground)
+    inequalities = [random_max_ii(n, branches, seed=seed + s) for s, branches in specs]
     expression_lists = [
-        [
-            branch.with_ground(ground)
-            for branch in random_max_ii(n, branches, seed=seed + s).branches
-        ]
-        for s, branches in specs
+        [branch.with_ground(ground) for branch in inequality.branches]
+        for inequality in inequalities
     ]
     dense_points = cone.find_points_below_many(expression_lists, method="dense")
     lazy_points = cone.find_points_below_many(expression_lists, method="rowgen")
     assert [p is None for p in dense_points] == [p is None for p in lazy_points]
+    for lp_method, points in (("dense", dense_points), ("rowgen", lazy_points)):
+        verdicts = decide_max_ii_many(
+            inequalities, over="gamma", ground=ground, lp_method=lp_method
+        )
+        for verdict, point, expressions in zip(verdicts, points, expression_lists):
+            assert_verdict_matches_block(verdict, point, expressions, ground)
+
+
+def assert_verdict_matches_block(verdict, point, expressions, ground):
+    """A batched verdict carries the block LP's point, or its dual certificate.
+
+    A valid verdict's ``λ`` is a convex combination and its proof sums to
+    ``Σλ_ℓ E_ℓ``; an invalid one carries the point
+    :meth:`~repro.infotheory.cones.Cone.find_points_below_many` returns and
+    no certificate.
+    """
+    if point is not None:
+        assert not verdict.valid
+        assert verdict.certificate is None and verdict.lambdas is None
+        assert np.allclose(
+            verdict.violating_function.to_vector(), point.function.to_vector()
+        )
+        return
+    lambdas = verdict.lambdas
+    assert verdict.valid and lambdas is not None and verdict.certificate is not None
+    assert len(lambdas) == len(expressions)
+    assert min(lambdas) >= 0.0 and abs(sum(lambdas) - 1.0) <= 1e-9
+    combined = LinearExpression.zero(ground)
+    for weight, expression in zip(lambdas, expressions):
+        combined = combined + weight * expression
+    assert verdict.certificate.verify(combined)
 
 
 @settings(max_examples=8, deadline=None)

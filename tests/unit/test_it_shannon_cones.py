@@ -10,7 +10,12 @@ from repro.infotheory.expressions import (
 )
 from repro.infotheory.functions import modular_function, parity_function, step_function
 from repro.infotheory.imeasure import is_normal_function
-from repro.infotheory.maxiip import decide_ii, decide_max_ii, essentially_shannon_agreement
+from repro.infotheory.maxiip import (
+    decide_ii,
+    decide_max_ii,
+    decide_max_ii_many,
+    essentially_shannon_agreement,
+)
 from repro.infotheory.polymatroid import is_polymatroid
 from repro.infotheory.shannon import ShannonProver
 
@@ -120,7 +125,23 @@ def test_decide_ii_valid_with_certificate():
     )
     assert verdict.valid
     assert verdict.certificate is not None
+    assert verdict.lambdas == (1.0,)
     assert verdict.certificate.verify(submodularity_expression())
+
+
+@pytest.mark.parametrize("lp_method", ["dense", "rowgen"])
+def test_batched_proof_pays_for_the_bound_duals(lp_method):
+    # Valid because entropies are non-negative: the block LP's duals sit on
+    # its bounds h >= 0, not on elemental rows, and the certificate pays for
+    # them with the elemental rows that sum to each h(X).
+    expression = LinearExpression.entropy_term(GROUND, {"X2"}) + LinearExpression.entropy_term(
+        GROUND, {"X1", "X2"}
+    )
+    [verdict] = decide_max_ii_many(
+        [MaxInformationInequality.single(expression)], over="gamma", lp_method=lp_method
+    )
+    assert verdict.valid and verdict.lambdas == (1.0,)
+    assert verdict.certificate is not None and verdict.certificate.verify(expression)
 
 
 def test_decide_ii_invalid_returns_violating_function():

@@ -160,6 +160,21 @@ def test_rows_matrix_matches_dense_matrix_rows(n):
 
 
 @pytest.mark.parametrize("n", sorted(GROUNDS))
+def test_nonnegativity_rows_sum_to_the_subset_entropy(n):
+    # The rows are the Shannon proof of h(X) >= 0 that certificates use to
+    # pay for an LP's bound duals: they must sum to exactly h(X).
+    ground = GROUNDS[n]
+    oracle = shannon_row_oracle(ground)
+    lattice = lattice_context(ground)
+    for position, mask in enumerate(lattice.canon_masks[1:]):
+        ids = oracle.nonnegativity_row_ids(int(mask))
+        total = np.asarray(oracle.rows_matrix(ids).sum(axis=0)).ravel()
+        expected = np.zeros(lattice.size - 1)
+        expected[position] = 1.0
+        np.testing.assert_array_equal(total, expected)
+
+
+@pytest.mark.parametrize("n", sorted(GROUNDS))
 def test_seed_ids_are_monotonicity_plus_rank1_submodularity(n):
     ground = GROUNDS[n]
     oracle = shannon_row_oracle(ground)

@@ -4,15 +4,18 @@ The headline bugfix: a plan-cache or store hit must return its witness and
 inequality in the *requesting* pair's variable names, not in the names of
 whichever isomorphic representative was solved first.  These tests lock
 that contract for both tiers, plus the provenance tags and the semantics of
-``PlanCache.__contains__`` / ``peek``.
+``PlanCache.__contains__`` / ``peek``.  Hits must also carry the same
+evidence as a fresh solve: every CONTAINED result, solved or replayed,
+carries a Theorem 6.1 proof in the requester's variables.
 """
 
 import pytest
 
-from repro.core.containment import ContainmentStatus
+from repro.core.containment import ContainmentStatus, decide_containment
 from repro.core.witness import verify_witness
 from repro.cq.parser import parse_query
 from repro.cq.reductions import to_boolean_pair
+from repro.infotheory.expressions import LinearExpression
 from repro.service import BatchOptions, ContainmentService
 from repro.service.cache import PlanCache
 
@@ -52,6 +55,28 @@ def assert_evidence_in_requester_variables(result, q1, q2):
         assert set(result.witness.relation.attributes) <= allowed_q1
     if result.verdict is not None and result.verdict.certificate is not None:
         assert set(result.verdict.certificate.ground) <= allowed_q1
+        assert_proof_certifies_own_inequality(result, q1, q2)
+    if result.status is ContainmentStatus.CONTAINED:
+        assert result.verdict is not None and result.verdict.certificate is not None
+
+
+def assert_proof_certifies_own_inequality(result, q1, q2):
+    """The carried proof sums to ``Σλ_ℓ (E_ℓ − h(V))`` in the result's variables.
+
+    A store hit does not persist its inequality; the requester's own
+    sequential solve rebuilds it (the Eq. (8) branches of isomorphic pairs
+    come out in the same order).
+    """
+    verdict = result.verdict
+    inequality = result.inequality
+    if inequality is None:
+        inequality = decide_containment(q1, q2).inequality
+    branches = inequality.as_max_ii().branches
+    assert verdict.lambdas is not None and len(verdict.lambdas) == len(branches)
+    combined = LinearExpression.zero(inequality.ground)
+    for weight, branch in zip(verdict.lambdas, branches):
+        combined = combined + weight * branch
+    assert verdict.certificate.verify(combined)
 
 
 class TestCacheHitRenaming:
@@ -89,6 +114,18 @@ class TestCacheHitRenaming:
             witness.hom_q1,
             witness.hom_q2,
         )
+
+    def test_contained_batch_dedup_carries_a_renamed_proof(self):
+        service = ContainmentService(BatchOptions())
+        try:
+            solved, duplicate = service.run(
+                [(TRIANGLE_A, VEE_A), (TRIANGLE_B, VEE_B)]
+            ).outcomes
+        finally:
+            service.close()
+        assert (solved.source, duplicate.source) == ("solved", "batch-dedup")
+        assert_evidence_in_requester_variables(solved.result, TRIANGLE_A, VEE_A)
+        assert_evidence_in_requester_variables(duplicate.result, TRIANGLE_B, VEE_B)
 
     def test_batch_dedup_result_is_renamed_too(self):
         # Isomorphic pairs in the same batch: the second folds into the first.

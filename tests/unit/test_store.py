@@ -10,11 +10,13 @@ import pytest
 from repro.core.containment import ContainmentStatus, decide_containment
 from repro.cq.parser import parse_query
 from repro.cq.query import Atom, ConjunctiveQuery
-from repro.exceptions import StoreError
+from repro.exceptions import CertificateError, StoreError
+from repro.infotheory import cones
 from repro.service import BatchOptions, ContainmentService
 from repro.service.cache import PlanCache
 from repro.service.canonical import pair_key_with_labelings
 from repro.store import VerdictStore, build_record, structural_hash, verify_store
+from repro.store import serialize
 from repro.store.serialize import (
     canonical_json,
     decode_key,
@@ -278,6 +280,67 @@ class TestHighArityEvidence:
         assert grounds == [8, 9]
         # verify_store re-sums each proof and re-derives it by a Farkas LP.
         assert report.ok and report.certificates == 2
+
+
+class TestCertificatesFromTheDecision:
+    """Store certificates are the ones the block LP's duals hand back; the
+    certificate loop only fills in for a verdict that carries none."""
+
+    PAIRS = [(TRIANGLE, VEE), (PATH2, EDGE), tree_pair(8, 5), tree_pair(9, 9)]
+
+    def run_batch(self, path):
+        service = ContainmentService(BatchOptions(on_error="capture", store_path=path))
+        try:
+            statuses = [result.status for result in service.run(self.PAIRS).results]
+        finally:
+            service.close()
+        with VerdictStore(path) as store:
+            records = [record for _, record in store.records()]
+            report = verify_store(store)
+        contained = [r for r in records if r["status"] == "contained"]
+        return statuses, contained, report
+
+    def test_records_carry_the_decision_certificates(self, tmp_path, monkeypatch):
+        def no_loop(*args, **kwargs):
+            raise AssertionError("the store ran the certificate loop")
+
+        monkeypatch.setattr(serialize, "find_convex_certificate", no_loop)
+        statuses, contained, report = self.run_batch(str(tmp_path / "duals.sqlite"))
+        assert statuses.count(ContainmentStatus.CONTAINED) == 3
+        assert len(contained) == 3
+        for record in contained:
+            assert "note" not in record["evidence"]
+            assert record["evidence"]["certificate"] is not None
+        assert sorted(
+            len(r["evidence"]["certificate"]["shannon"]["ground"]) for r in contained
+        ) == [3, 8, 9]
+        assert report.ok and report.certificates == 3
+
+    def test_withheld_duals_fall_back_to_the_certificate_loop(
+        self, tmp_path, monkeypatch
+    ):
+        baseline, _, _ = self.run_batch(str(tmp_path / "duals.sqlite"))
+
+        class RejectingProver:
+            def proof_from_duals(self, *args, **kwargs):
+                raise CertificateError("block duals withheld")
+
+        monkeypatch.setattr(cones, "shannon_prover", lambda ground: RejectingProver())
+        loop_calls = []
+        loop = serialize.find_convex_certificate
+
+        def counted_loop(*args, **kwargs):
+            loop_calls.append(kwargs.get("ground"))
+            return loop(*args, **kwargs)
+
+        monkeypatch.setattr(serialize, "find_convex_certificate", counted_loop)
+        statuses, contained, report = self.run_batch(str(tmp_path / "loop.sqlite"))
+        assert statuses == baseline
+        assert len(loop_calls) == len(contained) == 3
+        for record in contained:
+            assert "note" not in record["evidence"]
+            assert record["evidence"]["certificate"] is not None
+        assert report.ok and report.certificates == 3
 
 
 class TestProvenance:
