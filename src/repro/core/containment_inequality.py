@@ -128,7 +128,8 @@ def build_containment_inequality(
     ``decompositions`` defaults to the canonical candidates of ``Q2``
     (:func:`repro.cq.decompositions.candidate_tree_decompositions`).  Every
     homomorphism ``φ ∈ hom(Q2, Q1)`` contributes one branch per
-    decomposition.
+    decomposition.  Each decomposition is validated against ``Q2`` once per
+    query.
     """
     if not q1.is_boolean or not q2.is_boolean:
         raise QueryError(
@@ -142,7 +143,7 @@ def build_containment_inequality(
     branches: List[ContainmentBranch] = []
     seen: Dict[Tuple, bool] = {}
     for decomposition in decompositions:
-        decomposition.validate(q2)
+        q2.decompositions.check(decomposition)
         template = et_expression(decomposition, ground=q2.variables)
         for homomorphism in homomorphisms:
             conditional = template.substitute(homomorphism, ground)

@@ -64,11 +64,9 @@ def et_expression_inclusion_exclusion(
     if ground is None:
         ground = tuple(sorted(decomposition.all_variables()))
     expression = LinearExpression.zero(tuple(ground))
-    for node in decomposition.bags:
-        expression = expression + LinearExpression.entropy_term(
-            ground, decomposition.bags[node]
-        )
-    for t1, t2 in decomposition.tree.edges:
+    for bag in decomposition.bags:
+        expression = expression + LinearExpression.entropy_term(ground, bag)
+    for t1, t2 in decomposition.edges:
         separator = decomposition.bags[t1] & decomposition.bags[t2]
         if separator:
             expression = expression - LinearExpression.entropy_term(ground, separator)

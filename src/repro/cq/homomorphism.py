@@ -310,8 +310,9 @@ def count_homomorphisms_via_decomposition(
     every atom is assigned to one bag that covers it, each bag materializes
     its satisfying assignments, and counts are aggregated bottom-up along the
     tree.  For decompositions of bounded width this runs in polynomial time.
+    The decomposition is validated against ``query`` once per query.
     """
-    decomposition.validate(query)
+    query.decompositions.check(decomposition)
     assignment_of_atoms = decomposition.assign_atoms(query)
     parent = decomposition.rooted_parents()
     order = decomposition.topological_order()

@@ -13,10 +13,14 @@ meaning and are eliminated when the query is constructed (Section 2.2,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Mapping, Sequence, Tuple
+from functools import cached_property
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Mapping, Sequence, Tuple
 
 from repro.exceptions import QueryError, VocabularyError
 from repro.utils.ordering import stable_unique
+
+if TYPE_CHECKING:
+    from repro.cq.decompositions import QueryDecompositions
 
 Variable = str
 RelationName = str
@@ -201,6 +205,23 @@ class ConjunctiveQuery:
     def is_projection_free(self) -> bool:
         """True when no variable is existentially quantified."""
         return set(self.head) == set(self.variables)
+
+    @cached_property
+    def decompositions(self) -> "QueryDecompositions":
+        """The query's acyclicity, chordality and tree decompositions.
+
+        Built on first use and kept on this instance (see
+        :class:`repro.cq.decompositions.QueryDecompositions`).  Pickles leave
+        it out: an unpickled query builds its own.
+        """
+        from repro.cq.decompositions import QueryDecompositions
+
+        return QueryDecompositions(self)
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        state.pop("decompositions", None)
+        return state
 
     def atoms_with_relation(self, relation: RelationName) -> Tuple[Atom, ...]:
         """All atoms whose relation name equals ``relation``."""

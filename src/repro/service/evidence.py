@@ -106,11 +106,11 @@ def _rename_inequality(
     branches = tuple(
         ContainmentBranch(
             decomposition=TreeDecomposition(
-                tree=branch.decomposition.tree,
-                bags={
-                    node: frozenset(mapping2.get(v, v) for v in bag)
-                    for node, bag in branch.decomposition.bags.items()
-                },
+                bags=tuple(
+                    frozenset(mapping2.get(v, v) for v in bag)
+                    for bag in branch.decomposition.bags
+                ),
+                edges=branch.decomposition.edges,
             ),
             homomorphism={
                 mapping2.get(source, source): mapping1.get(target, target)

@@ -1,13 +1,19 @@
 """Property-based tests for the conjunctive-query substrate."""
 
+import itertools
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cq.decompositions import (
     candidate_tree_decompositions,
+    has_simple_junction_tree,
+    has_totally_disconnected_junction_tree,
     heuristic_tree_decomposition,
     is_acyclic,
+    is_chordal,
     join_tree,
+    junction_tree,
 )
 from repro.cq.evaluation import evaluate_bag, evaluate_set
 from repro.cq.homomorphism import (
@@ -225,3 +231,151 @@ def test_star_counts_dominate_edge_count(leaves, database):
     star = count_query_homomorphisms(star_query(leaves), database)
     edge = count_query_homomorphisms(star_query(1), database)
     assert star >= edge or leaves == 1
+
+
+# ---------------------------------------------------------------------- #
+# Decompositions against the definitions
+# ---------------------------------------------------------------------- #
+WIDE_VARIABLES = tuple(f"v{i}" for i in range(8))
+
+
+def wide_atoms():
+    """Atoms of arity 1-3 over eight variables (relation ``R<arity>``)."""
+    return st.integers(1, 3).flatmap(
+        lambda arity: st.builds(
+            Atom,
+            st.just(f"R{arity}"),
+            st.tuples(*[st.sampled_from(WIDE_VARIABLES)] * arity),
+        )
+    )
+
+
+def wide_queries():
+    return st.lists(wide_atoms(), min_size=1, max_size=10).map(
+        lambda atom_list: ConjunctiveQuery(atoms=tuple(atom_list), head=())
+    )
+
+
+def neighbours_of(query):
+    """The Gaifman graph, built here from the atoms."""
+    neighbours = {variable: set() for variable in query.variables}
+    for atom in query.atoms:
+        for u, v in itertools.permutations(atom.variable_set, 2):
+            neighbours[u].add(v)
+    return neighbours
+
+
+def reach(start, nodes, edges):
+    """The nodes of ``nodes`` connected to ``start`` through edges inside ``nodes``."""
+    found = {start}
+    frontier = [start]
+    while frontier:
+        node = frontier.pop()
+        for a, b in edges:
+            for here, there in ((a, b), (b, a)):
+                if here == node and there in nodes and there not in found:
+                    found.add(there)
+                    frontier.append(there)
+    return found
+
+
+def assert_tree_decomposition(decomposition, query):
+    """Forest, running intersection and atom coverage, from the definitions."""
+    bags = decomposition.bags
+    nodes = set(range(len(bags)))
+    edges = list(decomposition.edges)
+    assert all(a != b and {a, b} <= nodes for a, b in edges)
+    assert len({frozenset(edge) for edge in edges}) == len(edges)
+    components = {frozenset(reach(node, nodes, edges)) for node in nodes}
+    assert len(edges) == len(nodes) - len(components), "not a forest"
+    assert decomposition.all_variables() == query.variable_set
+    for variable in query.variables:
+        holding = {node for node in nodes if variable in bags[node]}
+        assert reach(min(holding), holding, edges) == holding, variable
+    for atom in query.atoms:
+        assert any(atom.variable_set <= bag for bag in bags), atom
+
+
+def is_clique(neighbours, members):
+    return all(v in neighbours[u] for u, v in itertools.combinations(members, 2))
+
+
+def chordal_by_simplicial_elimination(neighbours):
+    """Remove simplicial vertices while one exists; chordal iff none remain."""
+    remaining = set(neighbours)
+    while remaining:
+        simplicial = next(
+            (
+                v
+                for v in remaining
+                if is_clique(neighbours, neighbours[v] & remaining)
+            ),
+            None,
+        )
+        if simplicial is None:
+            return False
+        remaining.discard(simplicial)
+    return True
+
+
+def brute_force_maximal_cliques(neighbours):
+    variables = sorted(neighbours)
+    cliques = [
+        frozenset(members)
+        for size in range(1, len(variables) + 1)
+        for members in itertools.combinations(variables, size)
+        if is_clique(neighbours, members)
+    ]
+    return {clique for clique in cliques if not any(clique < other for other in cliques)}
+
+
+def brute_force_minimal_separators(neighbours):
+    """Non-empty ``S`` leaving two components that every vertex of ``S`` touches."""
+    variables = sorted(neighbours)
+    edges = [(u, v) for u in variables for v in neighbours[u]]
+    separators = set()
+    for size in range(1, len(variables) - 1):
+        for separator in map(frozenset, itertools.combinations(variables, size)):
+            rest = set(variables) - separator
+            full = {
+                frozenset(component)
+                for component in (reach(v, rest, edges) for v in rest)
+                if all(neighbours[s] & component for s in separator)
+            }
+            if len(full) >= 2:
+                separators.add(separator)
+    return separators
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_queries())
+def test_every_decomposition_satisfies_the_definitions(query):
+    decompositions = [heuristic_tree_decomposition(query)]
+    decompositions += candidate_tree_decompositions(query)
+    if is_acyclic(query):
+        decompositions.append(join_tree(query))
+        assert all(bag in {a.variable_set for a in query.atoms} for bag in join_tree(query).bags)
+    if is_chordal(query):
+        decompositions.append(junction_tree(query))
+    for decomposition in decompositions:
+        assert_tree_decomposition(decomposition, query)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_queries())
+def test_chordality_and_junction_trees_match_brute_force(query):
+    neighbours = neighbours_of(query)
+    chordal = chordal_by_simplicial_elimination(neighbours)
+    assert is_chordal(query) == chordal
+    if not chordal:
+        assert not has_simple_junction_tree(query)
+        assert not has_totally_disconnected_junction_tree(query)
+        return
+    tree = junction_tree(query)
+    assert len(set(tree.bags)) == len(tree.bags)
+    assert set(tree.bags) == brute_force_maximal_cliques(neighbours)
+    # A junction tree's separators are the minimal vertex separators.
+    separators = set(tree.separators())
+    assert separators == brute_force_minimal_separators(neighbours)
+    assert has_simple_junction_tree(query) == all(len(s) <= 1 for s in separators)
+    assert has_totally_disconnected_junction_tree(query) == (not separators)

@@ -47,7 +47,7 @@ def assert_evidence_in_requester_variables(result, q1, q2):
         assert _variables(inequality.q1) <= allowed_q1
         assert _variables(inequality.q2) <= allowed_q2
         for branch in inequality.branches:
-            for bag in branch.decomposition.bags.values():
+            for bag in branch.decomposition.bags:
                 assert set(bag) <= allowed_q2
             assert set(branch.homomorphism) <= allowed_q2
             assert set(branch.homomorphism.values()) <= allowed_q1
