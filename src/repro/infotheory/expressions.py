@@ -221,12 +221,27 @@ class ConditionalExpression:
         return all(term.is_unconditioned for term in self.terms)
 
     def to_linear(self) -> LinearExpression:
-        expression = LinearExpression.zero(self.ground)
+        """``Σ_i d_i · (h(Y_i ∪ X_i) − h(X_i))`` summed term by term into one dict.
+
+        Sums run in term order and a coefficient that cancels to zero is
+        dropped (and re-appended if a later term brings it back), so the
+        result equals adding the terms one :class:`LinearExpression` at a
+        time, down to the float values and the key order.
+        """
+        coefficients: Dict[FrozenSet[str], float] = {}
         for term in self.terms:
-            expression = expression + LinearExpression.conditional_term(
-                self.ground, term.targets, term.given, term.coefficient
-            )
-        return expression
+            joint = term.targets | term.given
+            if not term.coefficient or joint == term.given:
+                continue  # the term is identically zero
+            for subset, delta in ((joint, term.coefficient), (term.given, -term.coefficient)):
+                if not subset:
+                    continue  # h(∅) = 0
+                value = coefficients.get(subset, 0.0) + delta
+                if value:
+                    coefficients[subset] = value
+                else:
+                    del coefficients[subset]
+        return LinearExpression(ground=self.ground, coefficients=coefficients)
 
     def evaluate(self, function: SetFunction) -> float:
         return self.to_linear().evaluate(function)

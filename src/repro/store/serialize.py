@@ -19,10 +19,22 @@ Records are rendered with :func:`canonical_json` (sorted keys, minimal
 separators), which makes the on-disk payload — and therefore checksums,
 exports and the export → import → export round trip — byte-deterministic.
 
-Witness databases range over *domain values*, not variables; tuples inside
-the domain (the annotated values of the normal-witness construction) are
-encoded as ``{"t": [...]}`` objects so they survive JSON's tuple/list
-collapse.
+Witness databases range over *domain values*, not variables, and a record
+stores an isomorphic copy of the witness, not its values.  The database's
+distinct values (the nested tuples of the normal-witness construction, say)
+are renumbered ``0 .. m-1`` in a canonical order that depends only on the
+values, never on hash salts; facts and the head tuple become id tuples, and
+the witness relation's rows are renumbered the same way over their own
+values.  The copy keeps the fact count, the domain size (isolated values
+included), the relation's row count and both homomorphism counts, so an
+audit recounts it unchanged and a store hit reports the same witness size.
+Facts, rows and the terms of expressions and elementals are sorted as
+tuples (a subset by its sorted variables, then its coefficient).
+
+Records written before witnesses were renumbered kept the original values,
+with tuples encoded as ``{"t": [...]}`` objects, and sorted every list by
+its JSON text; the readers here accept both encodings, and a build that
+only knows the older one reads the renumbered records too.
 
 This format is also the ``repro cache export``/``import`` interchange
 format (byte-identical round trips) — see ``docs/operations.md``.
@@ -58,9 +70,12 @@ RECORD_VERSION = 1
 CERTIFICATE_MAX_GROUND = 10
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(payload: object) -> str:
     """The one true JSON rendering of a record (sorted keys, no whitespace)."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(payload)
 
 
 def payload_checksum(payload: str) -> str:
@@ -82,8 +97,11 @@ def decode_key(encoded) -> PairKey:
 
 
 def structural_hash(key: PairKey) -> str:
-    """The structural hash a record is keyed by: sha256 of the canonical key."""
-    return hashlib.sha256(canonical_json(encode_key(key)).encode("utf-8")).hexdigest()
+    """The structural hash a record is keyed by: sha256 of the canonical key.
+
+    ``key`` may be the tuple key or its encoded lists: JSON writes both alike.
+    """
+    return hashlib.sha256(canonical_json(key).encode("utf-8")).hexdigest()
 
 
 def queries_from_key(key: PairKey) -> Tuple[ConjunctiveQuery, ConjunctiveQuery]:
@@ -123,58 +141,65 @@ def _lists_to_tuples(value):
 # ---------------------------------------------------------------------- #
 # Domain values
 # ---------------------------------------------------------------------- #
-def encode_value(value):
-    """Encode one witness domain value (tuples become ``{"t": [...]}``)."""
-    if isinstance(value, (bool, int, float, str)) or value is None:
-        return value
-    if isinstance(value, (tuple, list)):
-        return {"t": [encode_value(item) for item in value]}
+def _order_key(value):
+    """The canonical sort key of one witness domain value.
+
+    ``None`` sorts first, then numbers, strings and tuples (item by item),
+    so values of different types never compare; any other type raises
+    :class:`StoreError`.
+    """
+    if isinstance(value, str):
+        return (2, value)
+    if isinstance(value, tuple):
+        return (3, tuple(_order_key(item) for item in value))
+    if isinstance(value, (int, float)):
+        return (1, value)
+    if value is None:
+        return (0,)
     raise StoreError(
         f"cannot serialize witness domain value of type {type(value).__name__}"
     )
 
 
+def _renumbering(values) -> Dict[object, int]:
+    """Ids ``0 .. m-1`` for distinct ``values``, in canonical order."""
+    return {value: index for index, value in enumerate(sorted(values, key=_order_key))}
+
+
 def decode_value(value):
+    """One stored domain value: an id, or an older record's ``{"t": [...]}``."""
     if isinstance(value, dict):
         return tuple(decode_value(item) for item in value.get("t", ()))
     return value
-
-
-def _value_sort_key(encoded) -> str:
-    return canonical_json(encoded)
 
 
 # ---------------------------------------------------------------------- #
 # Witnesses
 # ---------------------------------------------------------------------- #
 def serialize_witness(witness: WitnessDatabase) -> Dict[str, object]:
+    """The witness over renumbered domains (see the module docstring)."""
+    database = witness.database
+    head = witness.head_tuple
+    ids = _renumbering(database.domain.union(head) if head is not None else database.domain)
     facts = sorted(
-        (
-            [name, [encode_value(v) for v in row]]
-            for name, row in witness.database.facts()
-        ),
-        key=_value_sort_key,
-    )
-    domain = sorted(
-        (encode_value(v) for v in witness.database.domain), key=_value_sort_key
+        (name, tuple(ids[value] for value in row))
+        for name, rows in database.relations.items()
+        for row in rows
     )
     relation = None
     if witness.relation is not None:
+        rows = witness.relation.rows
+        row_ids = _renumbering({value for row in rows for value in row})
         relation = {
             "attributes": list(witness.relation.attributes),
-            "rows": sorted(
-                ([encode_value(v) for v in row] for row in witness.relation.rows),
-                key=_value_sort_key,
-            ),
+            "rows": sorted(tuple(row_ids[value] for value in row) for row in rows),
         }
     return {
         "facts": facts,
-        "domain": domain,
+        "domain": sorted(ids[value] for value in database.domain),
         "hom_q1": witness.hom_q1,
         "hom_q2": witness.hom_q2,
-        "head_tuple": None
-        if witness.head_tuple is None
-        else [encode_value(v) for v in witness.head_tuple],
+        "head_tuple": None if head is None else [ids[value] for value in head],
         "description": witness.description,
         "relation": relation,
     }
@@ -211,11 +236,14 @@ def deserialize_witness(record: Dict[str, object]) -> WitnessDatabase:
 # ---------------------------------------------------------------------- #
 # Expressions and certificates
 # ---------------------------------------------------------------------- #
+def _sorted_terms(terms) -> List:
+    """``(subset, coefficient)`` terms as ``(sorted subset, coefficient)``,
+    sorted by subset, then coefficient."""
+    return sorted((sorted(subset), coefficient) for subset, coefficient in terms)
+
+
 def serialize_expression(expression: LinearExpression) -> List:
-    return sorted(
-        ([sorted(subset), coefficient] for subset, coefficient in expression.coefficients.items()),
-        key=_value_sort_key,
-    )
+    return _sorted_terms(expression.coefficients.items())
 
 
 def deserialize_expression(encoded, ground: Tuple[str, ...]) -> LinearExpression:
@@ -240,10 +268,7 @@ def serialize_certificate(
             "multipliers": [
                 {
                     "kind": elemental.kind,
-                    "coefficients": sorted(
-                        ([sorted(subset), coefficient] for subset, coefficient in elemental.coefficients),
-                        key=_value_sort_key,
-                    ),
+                    "coefficients": _sorted_terms(elemental.coefficients),
                     "multiplier": float(multiplier),
                 }
                 for elemental, multiplier in shannon.multipliers
@@ -404,7 +429,7 @@ def validate_record(record: Dict[str, object]) -> None:
         ContainmentStatus(record["status"])
     except ValueError:
         raise StoreError(f"unknown verdict status {record['status']!r}") from None
-    expected = structural_hash(decode_key(record["key"]))
+    expected = structural_hash(record["key"])
     if record["hash"] != expected:
         raise StoreError(
             "store record hash does not match its key "

@@ -9,19 +9,23 @@ One table::
         checksum TEXT NOT NULL,      -- sha256 of payload (torn-write guard)
         payload TEXT NOT NULL)       -- canonical JSON of the record
 
-The log is append-only: re-recording a hash appends a new row, and replay
-takes the *latest* row per hash, so a crash between append and flush can
-never corrupt an older verdict.  :meth:`VerdictStore.compact` rewrites the
-log down to one row per hash.
+The log is append-only: :meth:`VerdictStore.record` keeps the first record
+per hash, appending a record whose hash is present adds a new row, and
+replay takes the *latest* row per hash, so a crash between append and flush
+can never corrupt an older verdict.  :meth:`VerdictStore.compact` rewrites
+the log down to one row per hash.
 
 Durability & recovery
 ---------------------
 The database runs with ``journal_mode=WAL`` and ``synchronous=NORMAL`` —
 writes survive process kills, and a torn final record (power loss mid-write,
 a partially imported row) is detected via the per-row checksum: replay stops
-incorporating rows at the first invalid one and the store continues from the
-longest valid prefix, reporting the dropped tail in
-:attr:`VerdictStore.dropped` / :meth:`VerdictStore.info`.
+incorporating rows at the first row whose checksum fails or whose payload is
+not JSON, and the store continues from the longest valid prefix, reporting
+the dropped tail in :attr:`VerdictStore.dropped` / :meth:`VerdictStore.info`.
+A row that is intact but that this build cannot read (a record of another
+version, say) is not torn: opening the store raises :class:`StoreError` and
+leaves every row on disk.
 
 Writes are batched: :meth:`record` buffers rows and :meth:`flush` commits
 them in one transaction (the service flushes once per batch, not per pair).
@@ -70,8 +74,10 @@ class VerdictStore:
     Opening a store replays the log deterministically: rows are read in
     ``seq`` order, each is checksum- and structure-validated, and the latest
     valid record per structural hash becomes the in-memory index.  Rows from
-    the first invalid one onward are dropped (longest-valid-prefix
-    recovery); the count is exposed as :attr:`dropped`.
+    the first torn one (checksum mismatch, payload not JSON) onward are
+    dropped (longest-valid-prefix recovery); the count is exposed as
+    :attr:`dropped`.  An intact row that fails validation makes the open
+    raise :class:`StoreError` and drops nothing.
     """
 
     def __init__(self, path: str):
@@ -121,7 +127,7 @@ class VerdictStore:
         valid: List[Tuple[str, str, Dict[str, object]]] = []
         first_bad: Optional[int] = None
         for seq, hash_, checksum, payload in rows:
-            record = self._validate_row(hash_, checksum, payload)
+            record = self._validate_row(seq, hash_, checksum, payload)
             if record is None:
                 first_bad = seq
                 break
@@ -134,17 +140,31 @@ class VerdictStore:
             self._index[hash_] = (payload, record)
         self.recovered = len(valid)
 
-    @staticmethod
-    def _validate_row(hash_: str, checksum: str, payload: str) -> Optional[Dict[str, object]]:
+    def _validate_row(
+        self, seq: int, hash_: str, checksum: str, payload: str
+    ) -> Optional[Dict[str, object]]:
+        """The row's record; ``None`` when the row is torn.
+
+        A torn row fails its checksum or does not parse.  An intact row that
+        fails validation raises :class:`StoreError` instead: it was written
+        whole, by a build that this one cannot follow, and dropping it would
+        delete good records.
+        """
         if not isinstance(payload, str) or payload_checksum(payload) != checksum:
             return None
         try:
             record = json.loads(payload)
+        except ValueError:
+            return None
+        try:
             validate_record(record)
-        except (ValueError, StoreError):
-            return None
-        if record["hash"] != hash_:
-            return None
+            if record["hash"] != hash_:
+                raise StoreError(f"row hash {hash_!r} does not match its record")
+        except StoreError as error:
+            raise StoreError(
+                f"verdict store at {self.path!r}: log row {seq} is intact but "
+                f"unreadable: {error}"
+            ) from None
         return record
 
     # ------------------------------------------------------------------ #
@@ -189,9 +209,9 @@ class VerdictStore:
     ) -> Dict[str, object]:
         """Serialize and buffer one canonical result (see :meth:`flush`).
 
-        Re-recording a hash already present is a no-op unless the stored
-        record lacks evidence the new one has — the first certificate wins
-        and stays immutable.
+        Re-recording a hash already present is a no-op that returns the
+        stored record: the first record wins and is never replaced, even by
+        one that carries evidence it lacks.
         """
         hash_ = structural_hash(key)
         with self._lock:

@@ -144,6 +144,34 @@ class TestVerdictStore:
         with VerdictStore(path) as store:
             assert store.recovered == 1 and store.dropped == 2
 
+    def test_intact_row_of_an_unknown_version_refuses_to_open(self, tmp_path):
+        path = str(tmp_path / "s.sqlite")
+        pairs = [(TRIANGLE, VEE), (PATH2, EDGE), (parse_query("R(u,u)"), EDGE)]
+        with VerdictStore(path) as store:
+            for q1, q2 in pairs:
+                key, canonical = canonical_result(q1, q2)
+                store.record(key, canonical)
+        # A newer build's record: well formed, checksummed, version 2.
+        connection = sqlite3.connect(path)
+        seq, payload = connection.execute(
+            "SELECT seq, payload FROM log ORDER BY seq LIMIT 1 OFFSET 1"
+        ).fetchone()
+        record = json.loads(payload)
+        record["version"] = 2
+        payload = canonical_json(record)
+        connection.execute(
+            "UPDATE log SET payload = ?, checksum = ? WHERE seq = ?",
+            (payload, serialize.payload_checksum(payload), seq),
+        )
+        connection.commit()
+        connection.close()
+        with pytest.raises(StoreError, match="version 2"):
+            VerdictStore(path)
+        connection = sqlite3.connect(path)
+        (rows,) = connection.execute("SELECT COUNT(*) FROM log").fetchone()
+        connection.close()
+        assert rows == 3
+
     def test_compact_removes_superseded_rows(self, tmp_path):
         key, canonical = canonical_result(TRIANGLE, VEE)
         record = build_record(key, canonical)
