@@ -35,7 +35,13 @@ from repro.infotheory.polymatroid import is_modular, is_polymatroid
 from repro.infotheory.setfunction import SetFunction
 from repro.infotheory.shannon import ShannonCertificate, shannon_prover
 from repro.lp.backends import resolve_backend
-from repro.lp.rowgen import RowGenOptions, resolve_method, shannon_row_oracle
+from repro.lp.rowgen import (
+    AUTO_BLOCK_ROW_THRESHOLD,
+    AUTO_ROW_THRESHOLD,
+    RowGenOptions,
+    resolve_method,
+    shannon_row_oracle,
+)
 from repro.lp.solver import (
     FeasibilityBlock,
     check_feasibility,
@@ -103,9 +109,11 @@ class Cone:
         """Batched :meth:`find_point_below`: one answer per expression list.
 
         The base implementation falls back to sequential solves; the
-        concrete cones override it to stack all systems into a single
-        block-diagonal LP (:func:`repro.lp.solver.solve_feasibility_blocks`)
-        so a whole batch pays one HiGHS invocation.
+        concrete cones override it to decide all systems in one block LP
+        call (:func:`repro.lp.solver.solve_feasibility_blocks`): one stacked
+        HiGHS invocation for the generated cones and for ``Γn`` on the
+        dense path, one warm-started model per system for ``Γn`` on the
+        row-generation path, which ``"auto"`` picks from ``n = 8``.
         """
         return [
             self.find_point_below(exprs, margin, method=method, backend=backend, seed=seed)
@@ -141,8 +149,11 @@ class GammaCone(Cone):
     :class:`~repro.lp.rowgen.ShannonRowOracle`; the ``method`` knob of the
     decision methods picks between materializing it in full (``"dense"``)
     and lazy row generation (``"rowgen"``), with ``"auto"`` switching on the
-    row count — so large-arity cones never pay for the full matrix unless a
-    caller insists.
+    row count — from ``n = 9`` for :meth:`find_point_below`
+    (:data:`~repro.lp.rowgen.AUTO_ROW_THRESHOLD`) and from ``n = 8`` for the
+    block LP of :meth:`points_or_proofs_below_many`
+    (:data:`~repro.lp.rowgen.AUTO_BLOCK_ROW_THRESHOLD`) — so large-arity
+    cones never pay for the full matrix unless a caller insists.
     """
 
     name = "gamma"
@@ -158,8 +169,8 @@ class GammaCone(Cone):
         self._oracle = shannon_row_oracle(self.ground)
         self._num_elementals = self._oracle.row_count
 
-    def _resolve_method(self, method: str) -> str:
-        resolved = resolve_method(method, self._num_elementals)
+    def _resolve_method(self, method: str, threshold: int = AUTO_ROW_THRESHOLD) -> str:
+        resolved = resolve_method(method, self._num_elementals, threshold)
         record_solver_path(resolved)
         return resolved
 
@@ -252,12 +263,13 @@ class GammaCone(Cone):
         # The optimal slack of a cone-shaped block is exactly 0 or margin
         # (see solve_feasibility_blocks); threshold at the midpoint.  The
         # elemental rows enter each block through the lazy family: dense
-        # prepends the full matrix, rowgen grows per-block active sets.
+        # prepends the full matrix to every block of one stacked solve,
+        # rowgen grows each block's active set on its own model.
         results = solve_feasibility_blocks(
             blocks,
             slack_threshold=margin / 2,
             lazy_rows=self._oracle,
-            method=self._resolve_method(method),
+            method=self._resolve_method(method, AUTO_BLOCK_ROW_THRESHOLD),
             rowgen_options=RowGenOptions(seed=seed),
             backend=self._resolve_backend(backend),
         )

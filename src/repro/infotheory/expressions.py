@@ -177,11 +177,16 @@ class ConditionalTerm:
         return len(self.given) == 0
 
     def substitute(self, mapping: Mapping[str, str]) -> "ConditionalTerm":
-        return ConditionalTerm(
-            targets=frozenset(mapping.get(v, v) for v in self.targets),
-            given=frozenset(mapping.get(v, v) for v in self.given),
-            coefficient=self.coefficient,
-        )
+        """This term with ``mapping`` applied, skipping the constructor's checks.
+
+        The coefficient was checked when this term was built, and the image
+        sets are built as frozensets, so there is nothing left to check.
+        """
+        term = object.__new__(ConditionalTerm)
+        object.__setattr__(term, "targets", frozenset(mapping.get(v, v) for v in self.targets))
+        object.__setattr__(term, "given", frozenset(mapping.get(v, v) for v in self.given))
+        object.__setattr__(term, "coefficient", self.coefficient)
+        return term
 
     def __str__(self) -> str:
         given = ",".join(sorted(self.given))
@@ -249,11 +254,23 @@ class ConditionalExpression:
     def substitute(
         self, mapping: Mapping[str, str], ground: Sequence[str]
     ) -> "ConditionalExpression":
-        """Apply a variable map to every term (``E ∘ φ``), keeping the structure."""
-        return ConditionalExpression(
-            ground=tuple(ground),
-            terms=tuple(term.substitute(mapping) for term in self.terms),
-        )
+        """Apply a variable map to every term (``E ∘ φ``), keeping the structure.
+
+        Each renamed term is checked against ``ground`` once, here; an image
+        outside it raises :class:`ExpressionError`.
+        """
+        ground = tuple(ground)
+        ground_set = frozenset(ground)
+        terms = []
+        for term in self.terms:
+            renamed = term.substitute(mapping)
+            if not (renamed.targets | renamed.given) <= ground_set:
+                raise ExpressionError(f"term {renamed} uses variables outside the ground set")
+            terms.append(renamed)
+        expression = object.__new__(ConditionalExpression)
+        object.__setattr__(expression, "ground", ground)
+        object.__setattr__(expression, "terms", tuple(terms))
+        return expression
 
     def __str__(self) -> str:
         return " + ".join(str(term) for term in self.terms) if self.terms else "0"
@@ -313,15 +330,25 @@ class MaxInformationInequality:
         """The inequality ``q · h(V) ≤ max_ℓ E_ℓ(h)`` re-written as a Max-II.
 
         Each branch becomes ``E_ℓ(h) - q · h(V)``; the Max-II is valid iff the
-        original containment-form inequality is.
+        original containment-form inequality is.  Each branch's coefficients
+        are built in one pass and checked against ``ground`` once: ``h(V)``
+        keeps its place when the branch has it (and drops out when it
+        cancels), and is appended otherwise.
         """
-        ground = tuple(ground)
-        total_term = LinearExpression.entropy_term(ground, ground, total_coefficient)
-        return cls(
-            branches=tuple(
-                branch.with_ground(ground) - total_term for branch in branches
-            )
-        )
+        ground = stable_unique(tuple(ground))
+        full = frozenset(ground)
+        total = float(total_coefficient)
+        shifted = []
+        for branch in branches:
+            coefficients = dict(branch.coefficients)
+            if total and full:
+                value = coefficients.get(full, 0.0) - total
+                if value:
+                    coefficients[full] = value
+                else:
+                    del coefficients[full]
+            shifted.append(LinearExpression(ground=ground, coefficients=coefficients))
+        return cls(branches=tuple(shifted))
 
     def holds_for(self, function: SetFunction, tolerance: float = 1e-9) -> bool:
         return self.max_value(function) >= -tolerance

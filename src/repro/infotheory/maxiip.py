@@ -123,21 +123,22 @@ def decide_max_ii_many(
     lp_backend: str = "auto",
     seed: str = "generic",
 ) -> List[MaxIIVerdict]:
-    """Decide many Max-IIs over one cone in a single (block) LP solve.
+    """Decide many Max-IIs over one cone in one block-LP call.
 
     All inequalities are decided over the *same* ground set — pass ``ground``
     explicitly, or leave it ``None`` when every inequality already has the
     same ground tuple.  This is the batched cone-decision path used by the
-    :mod:`repro.service` batch engine: the per-inequality feasibility systems
-    share the cone description and are stacked into one block-diagonal LP
-    (:meth:`Cone.points_or_proofs_below_many`), so a batch of ``k``
-    decisions pays one HiGHS invocation instead of ``k``.  Over ``Γn`` a
-    valid verdict carries the Theorem 6.1 certificate read off that solve's
-    duals whenever they pass the proof check (see :class:`MaxIIVerdict`).
-    With ``lp_method="rowgen"`` (or ``"auto"`` past the row-count
-    threshold) the blocks carry lazily generated elemental rows instead of
-    one full matrix copy each — the memory multiplier that previously
-    capped chunk sizes at large arity.
+    :mod:`repro.service` batch engine: each inequality's feasibility system
+    is one block of :meth:`Cone.points_or_proofs_below_many`.  On the dense
+    path (and for ``Nn``/``Mn``) the blocks are stacked into one
+    block-diagonal LP, so ``k`` decisions pay one HiGHS invocation instead
+    of ``k``.  With ``lp_method="rowgen"`` (or ``"auto"`` from ``n = 8``)
+    every block instead carries its own lazily generated elemental rows on
+    its own warm-started model, so no block is re-solved for another's
+    cuts, and its verdict, ``λ`` and proof do not depend on which
+    inequalities share the call.  Over ``Γn`` a valid verdict carries the
+    Theorem 6.1 certificate read off the duals of the solve that decided it
+    whenever they pass the proof check (see :class:`MaxIIVerdict`).
     """
     if not inequalities:
         return []

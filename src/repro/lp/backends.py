@@ -24,7 +24,7 @@ reads its multipliers off the last probe.
 Row identity
 ------------
 :class:`IncrementalModel` addresses the rows the loops add by stable,
-hashable *keys* (oracle row ids, or ``(block, row id)`` in the block loop);
+hashable *keys* (the oracle row ids of the elemental rows);
 :meth:`IncrementalModel.keys` lists them in model order, which is the order
 of the keyed part of ``row_duals``.
 """

@@ -4,7 +4,7 @@ The explicit elemental description of ``Γn`` has ``n + C(n,2)·2^(n-2)``
 rows, which the dense LP path materializes as a CSR matrix and hands to
 HiGHS in full.  That is comfortable up to ``n ≈ 8–10`` but becomes the
 bottleneck of every cone decision beyond it (``n = 12`` is already ~67.6k
-rows, and the batch engine stacks one copy *per pair* in a block chunk).
+rows, and a dense block chunk stacks one copy *per pair*).
 
 This module makes the elemental rows *implicit*:
 
@@ -20,13 +20,16 @@ This module makes the elemental rows *implicit*:
   empty-context submodularity rows ``I(i;j) ≥ 0``), solves the relaxation,
   asks the oracle for the most-violated rows at the relaxed optimum, and
   iterates until no elemental inequality is violated beyond tolerance.
-  Each loop drives one :class:`~repro.lp.backends.IncrementalModel` of its
-  backend, and cuts enter it as keyed rows.  On the ``highs`` backend (the
-  default) the block loop re-solves warm from the previous basis, while
-  the minimization loops re-solve cold: warm dual simplex stalled on
-  ``n = 12`` minimizations (see :func:`minimize_lazy`).  The certificate
-  loop of :meth:`repro.infotheory.shannon.ShannonProver._certificate_rowgen`
-  drives the same kind of model over the same oracle, warm.
+  Each loop drives incremental models of its backend
+  (:class:`~repro.lp.backends.IncrementalModel`): the minimization loops
+  one, the block loop one per block.  Cuts enter them as rows keyed by
+  oracle row id.  On the ``highs`` backend (the default) each block
+  re-solves warm from its own previous basis, so a block costs nothing
+  once it is decided, while the minimization loops re-solve cold: warm
+  dual simplex stalled on ``n = 12`` minimizations (see
+  :func:`minimize_lazy`).  The certificate loop of
+  :meth:`repro.infotheory.shannon.ShannonProver._certificate_rowgen` drives
+  the same kind of model over the same oracle, warm.
 
 Soundness of the loop shapes used by the library:
 
@@ -79,13 +82,26 @@ from repro.lp.solver import (
 )
 from repro.utils.lattice import SubsetLattice, lattice_context
 
-#: ``method="auto"`` switches from the dense elemental matrix to row
-#: generation when the full row count exceeds this threshold.  The default
-#: keeps ``n ≤ 8`` (1 800 rows) on the dense path and routes ``n ≥ 9``
-#: (4 617+ rows) through row generation — the measured crossover of
-#: ``benchmarks/bench_rowgen.py`` (see BENCH_3.json and the README
-#: decision-procedure map).
+#: ``method="auto"`` switches the sequential loops (:func:`minimize_lazy`,
+#: so ``ShannonProver.is_valid`` and ``GammaCone.find_point_below``) from
+#: the dense elemental matrix to row generation when the full row count
+#: exceeds this threshold: ``n ≤ 8`` (1 800 rows) stays dense and ``n ≥ 9``
+#: (4 617+ rows) runs row generation.  These loops re-solve cold, and at
+#: ``n = 8`` row generation lost on most inputs measured on a 2-core x86 VM
+#: (HiGHS 1.12 from scipy 1.17, medians of 5): the Han inequality
+#: (``is_valid`` 23 ms dense, 60 ms rowgen; ``find_point_below`` 28 and
+#: 55 ms) and invalid inequalities (``find_point_below`` 17–24 and
+#: 54–74 ms).  It won on the benchmark's CONTAINED single branch
+#: (``is_valid`` 68 and 36 ms).
 AUTO_ROW_THRESHOLD = 4096
+
+#: The same switch for the block LP (:func:`solve_feasibility_blocks_lazy`),
+#: whose blocks re-solve warm, each on its own model: ``n ≤ 7`` (679 rows)
+#: stays dense and ``n ≥ 8`` (1 800 rows) runs row generation.  On the same
+#: VM the benchmark's ``n = 8`` block took 57 ms dense and 43 ms rowgen,
+#: while at ``n = 7`` a chunk of four CONTAINED pairs took 55 ms dense and
+#: 76 ms rowgen.
+AUTO_BLOCK_ROW_THRESHOLD = 1024
 
 #: Names accepted by the :attr:`RowGenOptions.seed` knob (and the
 #: ``seed`` parameter of the decision layers above the LP).
@@ -111,30 +127,16 @@ _ROWGEN_CUTS = global_registry().counter(
 )
 
 
-def _separate_timed(
-    oracle: "ShannonRowOracle",
-    solution,
-    options: "RowGenOptions",
-    backend,
+def _record_round(
     loop: str,
     round_number: int,
     round_started: float,
-):
-    """Run one separation step with round telemetry; returns the cut ids.
-
-    ``round_started`` is the clock stamp taken before the round's backend
-    solve — the filed span covers solve plus separation, with the split in
-    its attributes.
-    """
-    oracle_started = time.perf_counter()
-    dense = oracle.dense_from_canonical(solution)
-    cut_ids, scores = oracle.separate(
-        dense, options.tolerance, options.max_cuts_per_round
-    )
+    oracle_started: float,
+    cuts: int,
+    **attributes,
+) -> None:
+    """File one ``rowgen-round`` span: the round's solve, then its separation."""
     now = time.perf_counter()
-    cuts = int(cut_ids.size)
-    if cuts:
-        _ROWGEN_CUTS.inc(cuts, backend=backend.name)
     record_span(
         "rowgen-round",
         round_started,
@@ -144,7 +146,35 @@ def _separate_timed(
         solve_seconds=oracle_started - round_started,
         oracle_seconds=now - oracle_started,
         cuts=cuts,
+        **attributes,
     )
+
+
+def _separate_timed(
+    oracle: "ShannonRowOracle",
+    solution,
+    options: "RowGenOptions",
+    backend,
+    loop: str,
+    round_number: int,
+    round_started: float,
+    **attributes,
+):
+    """Run one separation step with round telemetry; returns the cut ids.
+
+    ``round_started`` is the clock stamp taken before the round's backend
+    solve — the filed span covers solve plus separation, with the split in
+    its attributes (plus any extra ``attributes``).
+    """
+    oracle_started = time.perf_counter()
+    dense = oracle.dense_from_canonical(solution)
+    cut_ids, scores = oracle.separate(
+        dense, options.tolerance, options.max_cuts_per_round
+    )
+    cuts = int(cut_ids.size)
+    if cuts:
+        _ROWGEN_CUTS.inc(cuts, backend=backend.name)
+    _record_round(loop, round_number, round_started, oracle_started, cuts, **attributes)
     return cut_ids, scores
 
 
@@ -242,7 +272,7 @@ class ShannonRowOracle:
     LP layer's canonical non-empty-subset coordinates.
     """
 
-    __slots__ = ("lattice", "n", "row_count", "_context_block", "_pairs")
+    __slots__ = ("lattice", "n", "row_count", "_context_block", "_pair_bits", "_pair_contexts")
 
     def __init__(self, lattice: SubsetLattice):
         self.lattice = lattice
@@ -251,17 +281,26 @@ class ShannonRowOracle:
         # Contexts per pair block (1 when n == 2; no pairs at all when n < 2).
         self._context_block = 1 << max(n - 2, 0)
         sub_masks = _canon_masks_for_bits(max(n - 2, 0))
-        pairs: List[Tuple[int, int, np.ndarray]] = []
+        # Per ground-ordered pair (a, b): its bits, and its contexts (the
+        # subsets of the other variables, canonical order) in one row.
+        bits: List[Tuple[int, int]] = []
+        contexts = np.zeros((n * (n - 1) // 2, self._context_block), dtype=np.int64)
         for a in range(n):
             for b in range(a + 1, n):
                 others = [p for p in range(n) if p not in (a, b)]
-                contexts = np.zeros(sub_masks.shape[0], dtype=np.int64)
                 for i, p in enumerate(others):
-                    contexts |= ((sub_masks >> i) & 1) << p
-                contexts.setflags(write=False)
-                pairs.append((1 << a, 1 << b, contexts))
-        self._pairs = pairs
-        self.row_count = n + len(pairs) * self._context_block
+                    contexts[len(bits)] |= ((sub_masks >> i) & 1) << p
+                bits.append((1 << a, 1 << b))
+        contexts.setflags(write=False)
+        self._pair_bits = np.array(bits, dtype=np.int64).reshape(len(bits), 2)
+        self._pair_contexts = contexts
+        self.row_count = n + len(bits) * self._context_block
+
+    def _pairs(self):
+        """``(bit_a, bit_b, contexts)`` per pair, in row-id order."""
+        return zip(
+            self._pair_bits[:, 0].tolist(), self._pair_bits[:, 1].tolist(), self._pair_contexts
+        )
 
     # ------------------------------------------------------------------ #
     # Coordinate conversion and seeds
@@ -279,7 +318,7 @@ class ShannonRowOracle:
         the start of each pair's block.
         """
         ids = list(range(self.n))
-        for pair_index in range(len(self._pairs)):
+        for pair_index in range(self._pair_bits.shape[0]):
             ids.append(self.n + pair_index * self._context_block)
         return np.array(ids, dtype=np.int64)
 
@@ -295,7 +334,7 @@ class ShannonRowOracle:
         """
         ids = list(range(self.n))
         small_contexts = min(self.n - 1, self._context_block) if self.n >= 2 else 0
-        for pair_index in range(len(self._pairs)):
+        for pair_index in range(self._pair_bits.shape[0]):
             base = self.n + pair_index * self._context_block
             ids.extend(range(base, base + small_contexts))
         return np.array(ids, dtype=np.int64)
@@ -341,7 +380,7 @@ class ShannonRowOracle:
             ids.append(violated)
             values.append(mono[violated])
         offset = self.n
-        for bit_a, bit_b, contexts in self._pairs:
+        for bit_a, bit_b, contexts in self._pairs():
             row_values = (
                 dense[contexts | bit_a]
                 + dense[contexts | bit_b]
@@ -371,7 +410,7 @@ class ShannonRowOracle:
         diagnostics at small ``n``, not for the solving hot path.
         """
         parts = [self._monotonicity_values(dense)]
-        for bit_a, bit_b, contexts in self._pairs:
+        for bit_a, bit_b, contexts in self._pairs():
             parts.append(
                 dense[contexts | bit_a]
                 + dense[contexts | bit_b]
@@ -392,7 +431,7 @@ class ShannonRowOracle:
         if mono[row] < best_value:
             best_id, best_value = row, float(mono[row])
         offset = self.n
-        for bit_a, bit_b, contexts in self._pairs:
+        for bit_a, bit_b, contexts in self._pairs():
             row_values = (
                 dense[contexts | bit_a]
                 + dense[contexts | bit_b]
@@ -408,6 +447,39 @@ class ShannonRowOracle:
     # ------------------------------------------------------------------ #
     # Materializing rows of the active set
     # ------------------------------------------------------------------ #
+    def _row_arrays(self, row_ids: Sequence[int]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(masks, coeffs, monotonicity)`` for the given rows, in one vectorized pass.
+
+        ``monotonicity`` flags the rows that are monotonicity rows; every
+        other row is a submodularity row.
+        """
+        row_ids = np.asarray(row_ids, dtype=np.int64).reshape(-1)
+        outside = (row_ids < 0) | (row_ids >= self.row_count)
+        if outside.any():
+            raise LPError(f"elemental row id {int(row_ids[outside][0])} out of range")
+        masks = np.zeros((row_ids.shape[0], 4), dtype=np.int64)
+        coeffs = np.zeros((row_ids.shape[0], 4))
+        monotonicity = row_ids < self.n
+        # h(V) - h(V - x): the second term vanishes when V - x is empty (n = 1).
+        full = self.lattice.full_mask
+        rest = full ^ np.left_shift(1, row_ids[monotonicity])
+        masks[monotonicity, 0] = full
+        masks[monotonicity, 1] = rest
+        coeffs[monotonicity, 0] = 1.0
+        coeffs[monotonicity, 1] = np.where(rest != 0, -1.0, 0.0)
+        # I(a ; b | K) = h(Ka) + h(Kb) - h(Kab) - h(K); h(∅) drops out.
+        submodularity = ~monotonicity
+        pair_index, position = np.divmod(row_ids[submodularity] - self.n, self._context_block)
+        bit_a = self._pair_bits[pair_index, 0]
+        bit_b = self._pair_bits[pair_index, 1]
+        context = self._pair_contexts[pair_index, position]
+        masks[submodularity] = np.stack(
+            [context | bit_a, context | bit_b, context | bit_a | bit_b, context], axis=1
+        )
+        coeffs[submodularity, :3] = (1.0, 1.0, -1.0)
+        coeffs[submodularity, 3] = np.where(context != 0, -1.0, 0.0)
+        return masks, coeffs, monotonicity
+
     def row_data(
         self, row_ids: Sequence[int]
     ) -> Tuple[np.ndarray, np.ndarray, Tuple[str, ...]]:
@@ -415,35 +487,14 @@ class ShannonRowOracle:
 
         Same layout as :meth:`SubsetLattice.elemental_structure`: ``(m, 4)``
         arrays of participating subset masks and coefficients (unused slots
-        carry coefficient 0) plus a kind name per row.
+        carry coefficient 0) plus a kind name per row.  Raises
+        :class:`LPError` on a row id outside ``0 .. row_count - 1``.
         """
-        row_ids = np.asarray(row_ids, dtype=np.int64)
-        masks = np.zeros((row_ids.shape[0], 4), dtype=np.int64)
-        coeffs = np.zeros((row_ids.shape[0], 4))
-        kinds: List[str] = []
-        full = self.lattice.full_mask
-        for r, row_id in enumerate(row_ids):
-            row_id = int(row_id)
-            if not 0 <= row_id < self.row_count:
-                raise LPError(f"elemental row id {row_id} out of range")
-            if row_id < self.n:
-                rest = full ^ (1 << row_id)
-                masks[r, :2] = (full, rest)
-                coeffs[r, :2] = (1.0, -1.0 if rest else 0.0)
-                kinds.append("monotonicity")
-            else:
-                pair_index, context_pos = divmod(row_id - self.n, self._context_block)
-                bit_a, bit_b, contexts = self._pairs[pair_index]
-                context = int(contexts[context_pos])
-                masks[r] = (
-                    context | bit_a,
-                    context | bit_b,
-                    context | bit_a | bit_b,
-                    context,
-                )
-                coeffs[r] = (1.0, 1.0, -1.0, -1.0 if context else 0.0)
-                kinds.append("submodularity")
-        return masks, coeffs, tuple(kinds)
+        masks, coeffs, monotonicity = self._row_arrays(row_ids)
+        kinds = tuple(
+            "monotonicity" if flag else "submodularity" for flag in monotonicity.tolist()
+        )
+        return masks, coeffs, kinds
 
     def nonnegativity_row_ids(self, mask: int) -> List[int]:
         """Elemental rows that sum to ``h(X)``, ``X`` the subset bitmask ``mask``.
@@ -467,7 +518,7 @@ class ShannonRowOracle:
                     continue
                 a, b = min(x, z), max(x, z)
                 pair_index = a * (2 * n - a - 1) // 2 + (b - a - 1)
-                contexts = self._pairs[pair_index][2]
+                contexts = self._pair_contexts[pair_index]
                 position = int(np.flatnonzero(contexts == context)[0])
                 ids.append(n + pair_index * self._context_block + position)
                 context |= 1 << z
@@ -480,7 +531,7 @@ class ShannonRowOracle:
         Row ``k`` of the result is elemental row ``row_ids[k]``; the column
         order matches :meth:`SetFunction.to_vector` and the LP layer.
         """
-        masks, coeffs, _ = self.row_data(row_ids)
+        masks, coeffs, _ = self._row_arrays(row_ids)
         nonzero = coeffs != 0.0
         rows = np.repeat(np.arange(masks.shape[0]), 4)[nonzero.ravel()]
         columns = self.lattice.canon_pos[masks[nonzero]] - 1
@@ -717,11 +768,11 @@ def minimize_many_lazy(
     return results
 
 
-def _shift_columns(matrix: sp.csr_matrix, offset: int, total: int) -> sp.csr_matrix:
-    """Embed a block-local matrix into the stacked LP's full column space."""
-    coo = matrix.tocoo()
+def _with_slack_column(matrix: sp.csr_matrix) -> sp.csr_matrix:
+    """``matrix`` with one all-zero column appended (a block model's slack)."""
     return sp.csr_matrix(
-        (coo.data, (coo.row, coo.col + offset)), shape=(matrix.shape[0], total)
+        (matrix.data, matrix.indices, matrix.indptr),
+        shape=(matrix.shape[0], matrix.shape[1] + 1),
     )
 
 
@@ -732,162 +783,126 @@ def solve_feasibility_blocks_lazy(
     options: Optional[RowGenOptions] = None,
     backend=None,
 ) -> List[BlockFeasibilityResult]:
-    """Block-diagonal feasibility with per-block implicit elemental rows.
+    """Feasibility blocks with implicit elemental rows, one model per block.
 
-    The block-diagonal slack LP of
-    :func:`repro.lp.solver.solve_feasibility_blocks` is assembled once, as
-    one model; each block's hard rows are its own ``A_hard`` (if any) plus
-    its active elemental rows, which start at the seed and grow *in place*,
-    keyed by ``(block index, row id)``, by separation on that block's
-    relaxed solution.  A block leaves the separation loop the round its relaxation
-    becomes infeasible (slack at margin) or its relaxed point enters
-    ``Γn``; its verdict and solution are frozen at that round — later cuts
-    only touch other blocks' rows, which share no columns, so the frozen
-    point stays feasible for its block.  A batch converges in a handful of
-    shared re-solves, each warm-started on the ``highs`` backend.  An
-    infeasible block's result carries the duals of the solve that decided
-    it: its soft rows' multipliers and its keyed rows' ``(row id,
-    multiplier)`` pairs (see :class:`~repro.lp.solver.BlockFeasibilityResult`).
+    Each block is the slack LP of
+    :func:`repro.lp.solver.solve_feasibility_blocks` on its own: one model
+    of ``backend`` holding the block's columns plus its slack column, its
+    ``A_hard`` (if any) and its slack-relaxed soft rows as fixed rows, and
+    its active elemental rows as rows keyed by oracle row id.  The active
+    rows start at the seed (materialized once per call) and grow by
+    separation on the block's relaxed solution; on the ``highs`` backend
+    every re-solve is warm from the block's previous basis.  A block is
+    done the round its relaxation becomes infeasible (slack at margin) or
+    its relaxed point enters ``Γn``, and it costs nothing after that.  The
+    blocks share no model, so a block's verdict, solution and duals do not
+    depend on which other blocks share the call.  An infeasible block's
+    result carries the duals of the solve that decided it: its soft rows'
+    multipliers and its keyed rows' ``(row id, multiplier)`` pairs (see
+    :class:`~repro.lp.solver.BlockFeasibilityResult`).
     """
-    if not blocks:
-        return []
     options = options if options is not None else RowGenOptions()
     backend = resolve_backend(backend)
-    column_offsets: List[int] = []
-    offset = 0
-    for block in blocks:
-        column_offsets.append(offset)
-        offset += block.num_variables
-    total_columns = offset + len(blocks)
-    objective = np.zeros(total_columns)
-    objective[offset:] = 1.0
-
-    fixed_parts: List[sp.csr_matrix] = []
-    rhs_parts: List[np.ndarray] = []
-    # Model row positions of each block's soft rows, for its duals.
-    soft_positions: List[np.ndarray] = []
-    fixed_rows = 0
-    for i, block in enumerate(blocks):
-        A_soft = sp.csr_matrix(block.A_soft)
-        b_soft = np.asarray(block.b_soft, dtype=float)
-        if block.A_hard is not None:
-            A_hard = sp.csr_matrix(block.A_hard)
-            fixed_parts.append(_shift_columns(A_hard, column_offsets[i], total_columns))
-            rhs_parts.append(np.asarray(block.b_hard, dtype=float))
-            fixed_rows += A_hard.shape[0]
-        soft_positions.append(np.arange(fixed_rows, fixed_rows + A_soft.shape[0]))
-        fixed_rows += A_soft.shape[0]
-        soft = _shift_columns(A_soft, column_offsets[i], total_columns)
-        # The slack column: one -1 entry per soft row of this block.
-        slack = sp.csr_matrix(
-            (
-                -np.ones(A_soft.shape[0]),
-                (np.arange(A_soft.shape[0]), np.full(A_soft.shape[0], offset + i)),
-            ),
-            shape=(A_soft.shape[0], total_columns),
+    seed = [int(row_id) for row_id in oracle.seed_ids_for(options.seed)]
+    seed_rows = _with_slack_column(-oracle.rows_matrix(seed))
+    return [
+        _solve_block_lazy(
+            index, block, oracle, seed, seed_rows, slack_threshold, options, backend
         )
-        fixed_parts.append(soft + slack)
-        rhs_parts.append(b_soft)
+        for index, block in enumerate(blocks)
+    ]
+
+
+def _solve_block_lazy(
+    index: int,
+    block: FeasibilityBlock,
+    oracle: ShannonRowOracle,
+    seed: List[int],
+    seed_rows: sp.csr_matrix,
+    slack_threshold: float,
+    options: RowGenOptions,
+    backend,
+) -> BlockFeasibilityResult:
+    """One block of :func:`solve_feasibility_blocks_lazy`, on its own model."""
+    width = block.num_variables
+    objective = np.zeros(width + 1)
+    objective[width] = 1.0
+    A_soft = sp.csr_matrix(block.A_soft)
+    # The soft rows, each relaxed by the slack column (one -1 entry per row).
+    fixed_parts = [
+        sp.hstack([A_soft, sp.csr_matrix(-np.ones((A_soft.shape[0], 1)))], format="csr")
+    ]
+    rhs_parts = [np.asarray(block.b_soft, dtype=float)]
+    soft_start = 0
+    if block.A_hard is not None:
+        A_hard = sp.csr_matrix(block.A_hard)
+        fixed_parts.insert(0, _with_slack_column(A_hard))
+        rhs_parts.insert(0, np.asarray(block.b_hard, dtype=float))
+        soft_start = A_hard.shape[0]
+    fixed_rows = soft_start + A_soft.shape[0]
     model = backend.incremental_model(
-        total_columns,
+        width + 1,
         objective,
         bounds=(0, None),
         A_fixed=sp.vstack(fixed_parts, format="csr"),
         b_fixed=np.concatenate(rhs_parts),
     )
-
-    seed = oracle.seed_ids_for(options.seed)
-    seed_matrix = -oracle.rows_matrix(seed)
-    known = [{int(row_id) for row_id in seed} for _ in blocks]
-    for i in range(len(blocks)):
-        model.add_rows(
-            [(i, int(row_id)) for row_id in seed],
-            _shift_columns(seed_matrix, column_offsets[i], total_columns),
-        )
-
-    def infeasible(i: int, slack: float, row_duals) -> BlockFeasibilityResult:
-        soft_duals = lazy_duals = None
-        if row_duals is not None:
-            soft_duals = -row_duals[soft_positions[i]]
-            # The keyed part of the duals follows the fixed rows, in key order.
-            lazy_duals = tuple(
-                (row_id, -float(dual))
-                for (block, row_id), dual in zip(model.keys(), row_duals[fixed_rows:])
-                if block == i and dual < 0.0
-            )
-        return BlockFeasibilityResult(
-            feasible=False,
-            solution=None,
-            slack=slack,
-            rows_used=len(known[i]),
-            soft_duals=soft_duals,
-            lazy_duals=lazy_duals,
-        )
-
-    final: List[Optional[BlockFeasibilityResult]] = [None] * len(blocks)
-    unresolved = list(range(len(blocks)))
+    model.add_rows(seed, seed_rows)
+    known = set(seed)
     for round_number in range(1, options.max_rounds + 1):
-        if not unresolved:
-            break
         round_started = time.perf_counter()
-        round_blocks = len(unresolved)
         result = model.solve()
         _ROWGEN_ROUNDS.inc(backend=backend.name)
-        solve_done = time.perf_counter()
-        round_cuts = 0
         if result.status != LPStatus.OPTIMAL:
-            # The stacked LP is always feasible and bounded below by 0.
+            # The slack LP is always feasible and bounded below by 0.
             raise LPError(f"block feasibility program failed: {result.status}")
-        still_unresolved: List[int] = []
-        for i in unresolved:
-            slack = float(result.solution[offset + i])
-            start = column_offsets[i]
-            solution = np.asarray(
-                result.solution[start : start + blocks[i].num_variables]
+        slack = float(result.solution[width])
+        if slack >= slack_threshold:
+            _record_round(
+                "blocks", round_number, round_started, time.perf_counter(), 0, block=index
             )
-            if slack >= slack_threshold:
-                final[i] = infeasible(i, slack, result.row_duals)
-                continue
-            dense = oracle.dense_from_canonical(solution)
-            cut_ids, _ = oracle.separate(
-                dense, options.tolerance, options.max_cuts_per_round
-            )
-            entered = _admit(known[i], cut_ids)
-            if not entered:
-                final[i] = BlockFeasibilityResult(
-                    feasible=True, solution=solution, slack=slack, rows_used=len(known[i])
+            soft_duals = lazy_duals = None
+            if result.row_duals is not None:
+                soft_duals = -result.row_duals[soft_start:fixed_rows]
+                keyed = result.row_duals[fixed_rows:]
+                binding = np.flatnonzero(keyed < 0.0)
+                lazy_duals = tuple(
+                    zip(
+                        np.asarray(model.keys())[binding].tolist(),
+                        (-keyed[binding]).tolist(),
+                    )
                 )
-                continue
-            model.add_rows(
-                [(i, row_id) for row_id in entered],
-                _shift_columns(
-                    -oracle.rows_matrix(entered), column_offsets[i], total_columns
-                ),
+            return BlockFeasibilityResult(
+                feasible=False,
+                solution=None,
+                slack=slack,
+                rows_used=len(known),
+                soft_duals=soft_duals,
+                lazy_duals=lazy_duals,
             )
-            round_cuts += len(entered)
-            still_unresolved.append(i)
-        unresolved = still_unresolved
-        if round_cuts:
-            _ROWGEN_CUTS.inc(round_cuts, backend=backend.name)
-        now = time.perf_counter()
-        record_span(
-            "rowgen-round",
+        solution = np.asarray(result.solution[:width])
+        cut_ids, _ = _separate_timed(
+            oracle,
+            solution,
+            options,
+            backend,
+            "blocks",
+            round_number,
             round_started,
-            now - round_started,
-            loop="blocks",
-            round=round_number,
-            solve_seconds=solve_done - round_started,
-            oracle_seconds=now - solve_done,
-            blocks=round_blocks,
-            cuts=round_cuts,
+            block=index,
         )
-    if unresolved:
-        raise LPError("block row generation did not converge within max_rounds")
-    return [result for result in final if result is not None]
+        entered = _admit(known, cut_ids)
+        if not entered:
+            return BlockFeasibilityResult(
+                feasible=True, solution=solution, slack=slack, rows_used=len(known)
+            )
+        model.add_rows(entered, _with_slack_column(-oracle.rows_matrix(entered)))
+    raise LPError("block row generation did not converge within max_rounds")
 
 
 __all__ = [
     "AUTO_ROW_THRESHOLD",
+    "AUTO_BLOCK_ROW_THRESHOLD",
     "RowGenOptions",
     "RowGenReport",
     "ShannonRowOracle",

@@ -18,13 +18,15 @@ High-volume callers issue many structurally related LPs at once.  Two
 batched primitives serve them:
 
 * :func:`solve_feasibility_blocks` — many *independent* feasibility systems
-  solved in a single HiGHS invocation.  The systems are stacked
-  block-diagonally and each block receives one slack variable that relaxes
-  only its "soft" rows; minimizing the sum of slacks decides every block at
-  once (slack 0 ⇔ the block is feasible) inside one shared
-  presolve/factorization, which is how the library shares one basis
-  across independent systems.  This is the primitive under the
-  :mod:`repro.service` batch engine's grouped cone decisions.
+  in one call.  Each block receives one slack variable that relaxes only
+  its "soft" rows, and minimizing the slack decides the block (slack 0 ⇔
+  the block is feasible).  With explicit rows (the dense path) the blocks
+  are stacked block-diagonally into a single HiGHS invocation that
+  minimizes the sum of slacks inside one shared presolve/factorization;
+  with row generation every block runs on its own warm-started model (see
+  :func:`repro.lp.rowgen.solve_feasibility_blocks_lazy`).  This is the
+  primitive under the :mod:`repro.service` batch engine's grouped cone
+  decisions.
 * :func:`minimize_many` — several objectives over one shared polyhedron with
   the constraint data normalized once; a convenience API for external
   callers (nothing in the library routes through it yet).
@@ -41,8 +43,10 @@ implicit family of homogeneous rows ``A x ≥ 0`` (in practice the
 * ``"rowgen"`` runs the cutting-plane loops of :mod:`repro.lp.rowgen`,
   starting from a small seed row set and adding only the rows a separation
   oracle finds violated;
-* ``"auto"`` picks between them on the family's total row count
-  (:data:`repro.lp.rowgen.AUTO_ROW_THRESHOLD`).
+* ``"auto"`` picks between them on the family's total row count: the
+  block LP switches to row generation past
+  :data:`repro.lp.rowgen.AUTO_BLOCK_ROW_THRESHOLD` (``n ≥ 8``), every other
+  entry point past :data:`repro.lp.rowgen.AUTO_ROW_THRESHOLD` (``n ≥ 9``).
 
 Which path actually ran is tallied in a process-wide counter
 (:func:`solver_path_counts`) so test runs can prove both paths were
@@ -174,13 +178,19 @@ def _as_array(matrix, width: Optional[int] = None):
     return array
 
 
-def _resolve_lazy(lazy_rows, method: str) -> Optional[str]:
-    """Resolve the ``method`` knob against a lazy row family (or ``None``)."""
+def _resolve_lazy(lazy_rows, method: str, blocks: bool = False) -> Optional[str]:
+    """Resolve the ``method`` knob against a lazy row family (or ``None``).
+
+    ``blocks`` picks the block LP's ``"auto"`` threshold
+    (:data:`repro.lp.rowgen.AUTO_BLOCK_ROW_THRESHOLD`) instead of the
+    sequential loops' (:data:`repro.lp.rowgen.AUTO_ROW_THRESHOLD`).
+    """
     if lazy_rows is None:
         return None
-    from repro.lp.rowgen import resolve_method
+    from repro.lp.rowgen import AUTO_BLOCK_ROW_THRESHOLD, AUTO_ROW_THRESHOLD, resolve_method
 
-    return resolve_method(method, lazy_rows.row_count)
+    threshold = AUTO_BLOCK_ROW_THRESHOLD if blocks else AUTO_ROW_THRESHOLD
+    return resolve_method(method, lazy_rows.row_count, threshold)
 
 
 def _resolve_backend(backend):
@@ -302,8 +312,8 @@ def minimize_many(
     ``highs`` backend keeps one incremental model alive and only swaps the
     objective, so each solve warm-starts from the previous basis.  Callers
     that only need feasibility verdicts for *independent* systems should
-    prefer :func:`solve_feasibility_blocks`, which shares a single
-    invocation (and is what the batch containment engine uses).
+    prefer :func:`solve_feasibility_blocks` (what the batch containment
+    engine uses).
 
     With ``lazy_rows`` and a resolved ``"rowgen"`` method the objectives
     share one growing active row set — cuts found for an early objective
@@ -418,20 +428,23 @@ def solve_feasibility_blocks(
     rowgen_options=None,
     backend="auto",
 ) -> List[BlockFeasibilityResult]:
-    """Decide many independent feasibility systems in one HiGHS invocation.
+    """Decide many independent feasibility systems in one call.
+
+    Block ``i`` receives a slack variable ``s_i ≥ 0`` relaxing its soft rows
+    to ``A_soft x ≤ b_soft + s_i`` while the hard rows stay exact, and
+    ``s_i`` is minimized: ``s_i = 0`` iff block ``i`` is feasible.  Without
+    ``lazy_rows``, or on the ``"dense"`` path, the blocks are stacked
+    block-diagonally into one HiGHS invocation that minimizes ``Σ_i s_i``;
+    they share no variables, so each ``s_i`` is minimized independently
+    within the one solve.
 
     When ``lazy_rows`` is given, every block additionally carries the
     family's implicit homogeneous rows as hard constraints: the ``"dense"``
     path materializes the full family once and prepends it to each block's
     ``A_hard``, while ``"rowgen"`` grows a per-block active row set through
-    :func:`repro.lp.rowgen.solve_feasibility_blocks_lazy` (still a handful
-    of shared HiGHS invocations for the whole batch).
-
-    The blocks are stacked block-diagonally; block ``i`` receives a slack
-    variable ``s_i ≥ 0`` relaxing its soft rows to ``A_soft x ≤ b_soft + s_i``
-    while the hard rows stay exact, and the single LP minimizes ``Σ_i s_i``.
-    The blocks share no variables, so each ``s_i`` is minimized independently
-    within the one solve: ``s_i = 0`` iff block ``i`` is feasible.
+    :func:`repro.lp.rowgen.solve_feasibility_blocks_lazy`, one warm-started
+    model per block.  ``"auto"`` switches to ``"rowgen"`` past
+    :data:`repro.lp.rowgen.AUTO_BLOCK_ROW_THRESHOLD` rows.
 
     For the cone-decision shape (hard rows ``-M h ≤ 0`` describing a cone,
     soft rows ``E_ℓ(h) ≤ -margin``) the optimal slack is exactly 0 or
@@ -446,7 +459,7 @@ def solve_feasibility_blocks(
     if not blocks:
         return []
     backend = _resolve_backend(backend)
-    resolved = _resolve_lazy(lazy_rows, method)
+    resolved = _resolve_lazy(lazy_rows, method, blocks=True)
     if resolved == "rowgen":
         from repro.lp.rowgen import solve_feasibility_blocks_lazy
 

@@ -9,8 +9,9 @@ turns the library into a serving system that absorbs *workloads* of pairs:
   previously computed :class:`~repro.core.containment.ContainmentResult`\\ s;
 * :mod:`repro.service.engine` — the batch engine: drives many per-pair
   containment pipelines side by side, groups their Shannon-cone LP requests
-  by ground arity, and answers each group from chunked block-LP solves
-  (one HiGHS invocation per chunk instead of one per pair);
+  by ground arity, and answers each group from chunked block-LP calls (one
+  stacked HiGHS invocation per chunk on the dense path, one warm-started
+  model per pair on the row-generation path);
 * :mod:`repro.service.service` — the user-facing :class:`ContainmentService`
   and the :func:`decide_containment_many` convenience entry point;
 * :mod:`repro.service.stats` — service-level statistics (cache hits, LP

@@ -426,7 +426,7 @@ class ContainmentDaemon:
         for outcome in report.outcomes:
             witness_rows = None
             if outcome.result.witness is not None:
-                witness_rows = sum(1 for _ in outcome.result.witness.database.facts())
+                witness_rows = outcome.result.witness.database.total_tuples()
             verdicts.append(
                 PairVerdict(
                     index=outcome.index,

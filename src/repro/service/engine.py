@@ -11,14 +11,15 @@ of them at once:
   arity (and seed hint).  Each group's inequalities are renamed onto a shared canonical
   ground tuple — an order-preserving positional rename, so the LP matrices
   are bit-for-bit the ones the sequential path would build — and decided in
-  chunks through :func:`repro.infotheory.maxiip.decide_max_ii_many`, which
-  stacks a chunk into one block-diagonal HiGHS solve.  The ``lp_method``
-  knob (``"dense" | "rowgen" | "auto"``) picks how each block carries the
-  ``Γn`` description: dense stacks one full elemental-matrix copy per pair,
-  row generation (the default past the auto threshold) gives every block a
-  small lazily-grown active row set instead — so chunks of large-arity
-  pairs no longer multiply the ~``C(n,2)·2^(n-2)``-row matrix by the chunk
-  size.
+  chunks through :func:`repro.infotheory.maxiip.decide_max_ii_many`, one
+  call per chunk.  The ``lp_method`` knob (``"dense" | "rowgen" | "auto"``)
+  picks how each block carries the ``Γn`` description: dense stacks one
+  full elemental-matrix copy per pair into one block-diagonal HiGHS solve,
+  while row generation (what ``"auto"`` picks from ``n = 8``) gives every
+  block a small lazily-grown active row set on its own warm-started model
+  — so chunks of large-arity pairs never multiply the
+  ~``C(n,2)·2^(n-2)``-row matrix by the chunk size, and a rowgen block's
+  verdict and certificate do not depend on its chunk-mates.
 * **Refutation requests** (``over`` in ``{"normal", "modular"}`` — the rare
   tail after a failed Γn check) are answered by individual
   :func:`decide_max_ii` calls, exactly as the sequential driver would: the
@@ -567,7 +568,7 @@ class BatchEngine:
     def _solve_gamma_chunk(
         self, chunk: List[_PairRun]
     ) -> List[Tuple[_PairRun, MaxIIVerdict]]:
-        """Decide one chunk of same-arity Γn requests in a single block LP."""
+        """Decide one chunk of same-arity Γn requests in one block-LP call."""
         size = len(chunk[0].request.ground)
         canonical = _canonical_ground(size)
         renamed: List[MaxInformationInequality] = []
@@ -632,8 +633,8 @@ class BatchEngine:
     ) -> List[Tuple[_PairRun, MaxIIVerdict]]:
         self.stats.lp_requests += len(pending)
         # Group by (arity, seed): all of a chunk's requests share one block
-        # LP, so they must agree on the ``Γn`` seed row set too (in practice
-        # every pipeline's gamma request carries seed="containment").
+        # LP call, so they must agree on the ``Γn`` seed row set too (in
+        # practice every pipeline's gamma request carries seed="containment").
         grouped: Dict[Tuple[int, str], List[_PairRun]] = {}
         scalar: List[_PairRun] = []
         for run in pending:

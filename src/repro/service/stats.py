@@ -31,7 +31,7 @@ class GroupTiming:
     ground_size:
         Number of ground variables ``n`` shared by the chunk's requests.
     requests:
-        How many per-pair LP decisions the chunk folded into one solve.
+        How many per-pair LP decisions the chunk folded into one block-LP call.
     rows:
         Stacked per-pair objective (branch) rows of the block program — the
         shared cone-description rows each block also carries are not counted.
@@ -77,11 +77,16 @@ class _CounterField:
 class ServiceStats:
     """Counters accumulated by a :class:`~repro.service.service.ContainmentService`.
 
-    ``lp_solves_avoided`` counts HiGHS invocations saved by grouping: a chunk
-    that folds ``k`` cone decisions into one block solve avoids ``k - 1``
-    solves relative to the sequential path.  Cache hits and batch duplicates
-    additionally avoid their pairs' *entire* pipelines (homomorphism
-    enumeration, inequality construction and all LP work).
+    ``block_solves`` counts chunk calls of the block LP
+    (:func:`~repro.infotheory.maxiip.decide_max_ii_many`), and
+    ``lp_solves_avoided`` the engine LP requests folded into them: a chunk
+    that folds ``k`` cone decisions into one call saves ``k - 1`` calls
+    relative to the sequential path.  On the dense path one call is one
+    stacked HiGHS invocation; on the row-generation path every block of the
+    call still runs its own model, so there the count is of calls, not of
+    HiGHS solves.  Cache hits and batch duplicates additionally avoid their
+    pairs' *entire* pipelines (homomorphism enumeration, inequality
+    construction and all LP work).
 
     The shedding counters cover the service-protection knobs:
     ``pairs_deadline_exceeded`` counts pairs closed out by a batch deadline,
@@ -137,7 +142,7 @@ class ServiceStats:
     )
     block_solves = _CounterField(
         "repro_lp_block_solves_total",
-        "Grouped block-diagonal LP solves (one per chunk).",
+        "Grouped block-LP calls, one per chunk of same-arity cone decisions.",
     )
     scalar_solves = _CounterField(
         "repro_lp_scalar_solves_total",
@@ -145,7 +150,7 @@ class ServiceStats:
     )
     lp_solves_avoided = _CounterField(
         "repro_lp_solves_avoided_total",
-        "LP solver invocations saved by folding requests into block solves.",
+        "Cone-decision LP requests folded into another request's block-LP call.",
     )
     wall_seconds = _CounterField(
         "repro_batch_wall_seconds_total",

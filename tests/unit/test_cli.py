@@ -6,6 +6,8 @@ import json
 import pytest
 
 from repro.cli import _parse_structure, main
+from repro.core.containment import decide_containment
+from repro.cq.parser import parse_query
 from repro.exceptions import ReproError
 
 
@@ -98,6 +100,24 @@ def test_batch_command_jsonl_verdicts(tmp_path):
     # The JSON pair is isomorphic to the first and must fold into it.
     assert records[1]["source"] == "batch-dedup"
     assert records[2]["witness_rows"] >= 1
+
+
+def test_batch_witness_rows_count_the_witness_facts(tmp_path):
+    # A product witness (8 facts) and a normal witness (73 facts).
+    texts = [
+        ("R(x,y), R(y,z)", "R(x,y)"),
+        ("R(x1,x1), R(x1,x2), R(x0,x1)", "R(y0,y1), R(y0,y2)"),
+    ]
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("".join(f"{q1} | {q2}\n" for q1, q2 in texts))
+    code, output = run_cli("batch", str(pairs))
+    assert code == 0
+    records = [json.loads(line) for line in output.splitlines()]
+    for record, (q1, q2), description in zip(records, texts, ("product", "normal")):
+        witness = decide_containment(parse_query(q1), parse_query(q2)).witness
+        assert witness.description.startswith(f"{description} witness")
+        assert record["witness_rows"] == witness.database.total_tuples()
+        assert record["witness_rows"] == len(list(witness.database.facts()))
 
 
 def test_batch_command_with_knobs(tmp_path):

@@ -14,7 +14,12 @@ import numpy as np
 import pytest
 
 from repro.exceptions import LPError
+from repro.infotheory.cones import cone_by_name
+from repro.infotheory.expressions import LinearExpression, MaxInformationInequality
+from repro.infotheory.maxiip import decide_max_ii_many
+from repro.infotheory.shannon import shannon_prover
 from repro.lp.rowgen import (
+    AUTO_BLOCK_ROW_THRESHOLD,
     AUTO_ROW_THRESHOLD,
     RowGenOptions,
     resolve_method,
@@ -127,10 +132,22 @@ def test_solve_feasibility_blocks_rowgen_matches_dense():
         )
         for coefficients in (INVALID, VALID, INVALID)
     ]
+    # A hard row h(V) <= 0 leaves only h = 0 in the cone: no point below.
+    full_row = np.zeros((1, width))
+    full_row[0, _canonical_index(GROUND, GROUND)] = 1.0
+    blocks.append(
+        FeasibilityBlock(
+            num_variables=width,
+            A_soft=_objective(GROUND, INVALID).reshape(1, width),
+            b_soft=[-1.0],
+            A_hard=full_row,
+            b_hard=[0.0],
+        )
+    )
     dense_results = solve_feasibility_blocks(blocks, lazy_rows=oracle, method="dense")
     lazy_results = solve_feasibility_blocks(blocks, lazy_rows=oracle, method="rowgen")
     assert [r.feasible for r in dense_results] == [r.feasible for r in lazy_results]
-    assert [r.feasible for r in lazy_results] == [True, False, True]
+    assert [r.feasible for r in lazy_results] == [True, False, True, False]
     for result in lazy_results:
         assert result.rows_used is not None
         assert result.rows_used <= oracle.row_count
@@ -170,6 +187,46 @@ def test_auto_threshold_dispatch():
     assert resolve_method("auto", AUTO_ROW_THRESHOLD + 1) == "rowgen"
     with pytest.raises(LPError):
         resolve_method("typo", 1)
+
+
+def _paths_taken(decide):
+    before = solver_path_counts()
+    decide()
+    after = solver_path_counts()
+    return {path for path in after if after[path] != before.get(path, 0)}
+
+
+def _mutual_information(ground):
+    """``I(X1 ; X2) = h(X1) + h(X2) - h(X1X2)``, valid over every ``Γn``."""
+    return LinearExpression(
+        ground,
+        {
+            frozenset({ground[0]}): 1.0,
+            frozenset({ground[1]}): 1.0,
+            frozenset(ground[:2]): -1.0,
+        },
+    )
+
+
+@pytest.mark.parametrize("n, expected", [(7, "dense"), (8, "rowgen"), (9, "rowgen")])
+def test_block_lp_auto_switches_to_rowgen_from_n8(n, expected):
+    ground = tuple(f"X{i}" for i in range(1, n + 1))
+    oracle = shannon_row_oracle(ground)
+    assert resolve_method("auto", oracle.row_count, AUTO_BLOCK_ROW_THRESHOLD) == expected
+    inequality = MaxInformationInequality.single(_mutual_information(ground))
+    taken = _paths_taken(
+        lambda: decide_max_ii_many([inequality, inequality], over="gamma", ground=ground)
+    )
+    assert taken == {expected}
+
+
+def test_sequential_loops_stay_dense_at_n8():
+    ground = tuple(f"X{i}" for i in range(1, 9))
+    expression = _mutual_information(ground)
+    assert resolve_method("auto", shannon_row_oracle(ground).row_count) == "dense"
+    cone = cone_by_name("gamma", ground)
+    assert _paths_taken(lambda: cone.find_point_below([expression])) == {"dense"}
+    assert _paths_taken(lambda: shannon_prover(ground).is_valid(expression)) == {"dense"}
 
 
 def test_rowgen_rejects_equality_constraints():

@@ -9,6 +9,8 @@ enumerate (``n ≤ 5``).
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from repro.infotheory.functions import (
     step_function,
     uniform_function,
 )
+from repro.exceptions import LPError
 from repro.lp.rowgen import shannon_row_oracle
 from repro.utils.lattice import lattice_context
 
@@ -186,3 +189,70 @@ def test_seed_ids_are_monotonicity_plus_rank1_submodularity(n):
     for row_masks, row_coeffs, kind in zip(masks, coeffs, row_kinds):
         if kind == "submodularity":
             assert row_coeffs[3] == 0.0 and row_masks[3] == 0
+
+
+def reference_row(oracle, row_id):
+    """``(masks, coeffs, kind)`` of one elemental row, built row by row.
+
+    Monotonicity row ``x`` is ``h(V) - h(V - x)``; a submodularity row is
+    ``I(a ; b | K) = h(Ka) + h(Kb) - h(Kab) - h(K)``, the pairs in ground
+    order with contexts in canonical (size-then-lex) order.  ``h(∅)`` keeps
+    its mask slot with coefficient 0.
+    """
+    n = oracle.n
+    full = (1 << n) - 1
+    if row_id < n:
+        rest = full ^ (1 << row_id)
+        return (full, rest, 0, 0), (1.0, -1.0 if rest else 0.0, 0.0, 0.0), "monotonicity"
+    block = 1 << max(n - 2, 0)
+    pair_index, position = divmod(row_id - n, block)
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    a, b = pairs[pair_index]
+    others = [p for p in range(n) if p not in (a, b)]
+    contexts = [
+        sum(1 << p for p in combo)
+        for size in range(len(others) + 1)
+        for combo in combinations(others, size)
+    ]
+    context = contexts[position]
+    bit_a, bit_b = 1 << a, 1 << b
+    masks = (context | bit_a, context | bit_b, context | bit_a | bit_b, context)
+    return masks, (1.0, 1.0, -1.0, -1.0 if context else 0.0), "submodularity"
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_row_data_and_rows_matrix_match_a_per_row_reference(n):
+    ground = tuple(f"X{i}" for i in range(1, n + 1))
+    oracle = shannon_row_oracle(ground)
+    lattice = lattice_context(ground)
+    rng = np.random.default_rng(n)
+    # Every row id, in id order and shuffled with repeats.
+    for ids in (
+        np.arange(oracle.row_count),
+        rng.choice(oracle.row_count, size=2 * oracle.row_count),
+    ):
+        masks, coeffs, kinds = oracle.row_data(ids.tolist())
+        expected = [reference_row(oracle, int(row_id)) for row_id in ids]
+        np.testing.assert_array_equal(masks, np.array([row[0] for row in expected]))
+        np.testing.assert_array_equal(coeffs, np.array([row[1] for row in expected]))
+        assert kinds == tuple(row[2] for row in expected)
+        dense = np.zeros((ids.shape[0], lattice.size - 1))
+        for k, (row_masks, row_coeffs, _) in enumerate(expected):
+            for mask, coefficient in zip(row_masks, row_coeffs):
+                if coefficient:
+                    dense[k, lattice.canon_pos[mask] - 1] += coefficient
+        np.testing.assert_array_equal(oracle.rows_matrix(ids).toarray(), dense)
+    empty_masks, empty_coeffs, empty_kinds = oracle.row_data([])
+    assert empty_masks.shape == (0, 4) and empty_coeffs.shape == (0, 4)
+    assert empty_kinds == ()
+    assert oracle.rows_matrix([]).shape == (0, lattice.size - 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_row_materialization_rejects_out_of_range_ids(n):
+    oracle = shannon_row_oracle(tuple(f"X{i}" for i in range(1, n + 1)))
+    for bad in ([oracle.row_count], [0, -1], [oracle.row_count + 7, 0]):
+        with pytest.raises(LPError):
+            oracle.row_data(bad)
+        with pytest.raises(LPError):
+            oracle.rows_matrix(bad)

@@ -14,6 +14,8 @@ import time
 
 import pytest
 
+from repro.core.containment import decide_containment
+from repro.cq.parser import parse_query
 from repro.service import BatchOptions
 from repro.service.daemon import (
     ContainmentDaemon,
@@ -35,6 +37,10 @@ from repro.service.protocol import (
 
 TRIANGLE_TEXT = "R(x,y), R(y,z), R(z,x)"
 VEE_TEXT = "R(a,b), R(a,c)"
+#: NOT_CONTAINED pairs refuted by a product witness (8 facts) and by a
+#: normal witness (73 facts).
+PRODUCT_WITNESS_PAIR = ("R(x,y), R(y,z)", "R(x,y)")
+NORMAL_WITNESS_PAIR = ("R(x1,x1), R(x1,x2), R(x0,x1)", "R(y0,y1), R(y0,y2)")
 
 
 def batch_request(*pairs, **kwargs):
@@ -88,6 +94,19 @@ class TestDaemonBatches:
         assert second.stats["cache_hits"] == 1
         assert second.stats["pipelines_run"] == first.stats["pipelines_run"]
         assert daemon.requests_served == 2
+
+    def test_witness_rows_count_the_witness_facts(self):
+        daemon = ContainmentDaemon()
+        response = daemon.handle_batch(batch_request(PRODUCT_WITNESS_PAIR, NORMAL_WITNESS_PAIR))
+        assert response.ok
+        for verdict, (q1, q2), description in zip(
+            response.verdicts, (PRODUCT_WITNESS_PAIR, NORMAL_WITNESS_PAIR), ("product", "normal")
+        ):
+            witness = decide_containment(parse_query(q1), parse_query(q2)).witness
+            assert witness.description.startswith(f"{description} witness")
+            assert verdict.status == "not_contained"
+            assert verdict.witness_rows == witness.database.total_tuples()
+            assert verdict.witness_rows == len(list(witness.database.facts()))
 
     def test_warmup_pre_solves_so_the_first_request_hits_warm_paths(self):
         daemon = ContainmentDaemon()
