@@ -11,6 +11,10 @@ Two classes of rot this catches:
   ``repro <group> <subcommand>``) named in the docs must exist in the real
   parser built by ``repro.cli.build_parser()``.  Docs that mention a
   renamed or removed command fail the job.
+* **Phantom CLI flags** — every ``--flag`` after such a reference, on the
+  same line and before the next one, must be an option of that command's
+  parser (for a group named without a subcommand, of any of its
+  subcommands).  Docs that advertise a removed option fail the job.
 
 Run from the repo root::
 
@@ -31,6 +35,7 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 # ``|``-joined alternation lists as in usage lines (``daemon run|start``).
 # Spaces only (no newlines), and not ``from repro import ...``.
 CLI_RE = re.compile(r"(?<!from )\brepro +([a-z][a-z|-]*)(?: +([a-z][a-z|-]*))?")
+FLAG_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 
 
 def doc_files():
@@ -73,7 +78,7 @@ def check_links(path, errors):
 
 
 def parser_commands():
-    """Top-level subcommands and their nested subcommands, from the parser."""
+    """Top-level subcommand parsers and their nested subcommand parsers."""
     from repro.cli import build_parser
 
     def sub_actions(parser):
@@ -83,29 +88,63 @@ def parser_commands():
         return {}
 
     top = sub_actions(build_parser())
-    nested = {name: set(sub_actions(sub)) for name, sub in top.items()}
-    return set(top), nested
+    nested = {name: sub_actions(sub) for name, sub in top.items()}
+    return top, nested
+
+
+def allowed_flags(first, second, top, nested):
+    """The option strings ``repro <first> [<second>]`` accepts (None if unknown)."""
+    parsers = []
+    for cmd in first.split("|"):
+        if cmd not in top:
+            return None
+        parsers.append(top[cmd])
+        subs = nested[cmd]
+        named = [subs[sub] for sub in (second or "").split("|") if sub in subs]
+        parsers += named or list(subs.values())
+    return {flag for parser in parsers for flag in parser._option_string_actions}
+
+
+def cli_errors(text, top, nested):
+    """``line: message`` for every phantom command or flag in ``text``."""
+    errors = []
+    for number, line in enumerate(text.splitlines(), start=1):
+        matches = list(CLI_RE.finditer(line))
+        for match, following in zip(matches, matches[1:] + [None]):
+            first, second = match.group(1), match.group(2)
+            for cmd in first.split("|"):
+                if cmd not in top:
+                    errors.append(
+                        f"{number}: docs name 'repro {cmd}' but the CLI has no "
+                        "such subcommand"
+                    )
+            # Only check the second word against groups that actually have
+            # nested subcommands ("repro batch pairs.txt" has no group).
+            grouped = bool(second) and "|" not in first and bool(nested.get(first))
+            if grouped:
+                for cmd in second.split("|"):
+                    if cmd not in nested[first]:
+                        errors.append(
+                            f"{number}: docs name 'repro {first} {cmd}' but "
+                            f"'repro {first}' has no '{cmd}' subcommand"
+                        )
+            allowed = allowed_flags(first, second, top, nested)
+            if allowed is None:
+                continue
+            command = f"repro {first} {second}" if grouped else f"repro {first}"
+            end = following.start() if following is not None else len(line)
+            for flag in FLAG_RE.findall(line, match.end(), end):
+                if flag not in allowed:
+                    errors.append(
+                        f"{number}: docs give '{command}' the flag '{flag}', "
+                        "which it does not accept"
+                    )
+    return errors
 
 
 def check_cli_references(path, top, nested, errors):
-    for match in CLI_RE.finditer(path.read_text()):
-        first, second = match.group(1), match.group(2)
-        for cmd in first.split("|"):
-            if cmd not in top:
-                errors.append(
-                    f"{path.relative_to(REPO_ROOT)}: docs name "
-                    f"'repro {cmd}' but the CLI has no such subcommand"
-                )
-        # Only check the second word against groups that actually have
-        # nested subcommands ("repro batch pairs.txt" has no group).
-        if second and "|" not in first and nested.get(first):
-            for cmd in second.split("|"):
-                if cmd not in nested[first]:
-                    errors.append(
-                        f"{path.relative_to(REPO_ROOT)}: docs name "
-                        f"'repro {first} {cmd}' but 'repro {first}' has no "
-                        f"'{cmd}' subcommand"
-                    )
+    for error in cli_errors(path.read_text(), top, nested):
+        errors.append(f"{path.relative_to(REPO_ROOT)}:{error}")
 
 
 def main():

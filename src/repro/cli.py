@@ -75,7 +75,6 @@ from repro.service.daemon import (
     spawn_daemon,
     stop_daemon,
 )
-from repro.service.engine import WORKER_MODES
 from repro.service.fleet import (
     fleet_metrics,
     fleet_status,
@@ -258,7 +257,6 @@ _DAEMON_SIDE_FLAGS = (
     ("lp_backend", "auto", "--lp-backend"),
     ("chunk_size", 32, "--chunk-size"),
     ("jobs", 1, "--jobs"),
-    ("worker_mode", "auto", "--worker-mode"),
     ("budget", None, "--budget"),
     ("store", None, "--store"),
 )
@@ -343,7 +341,6 @@ def _cmd_batch(args, out) -> int:
             on_error="capture",
             lp_method=args.lp_method,
             lp_backend=args.lp_backend,
-            worker_mode=args.worker_mode,
             deadline=args.deadline,
             store_path=args.store,
         )
@@ -389,7 +386,6 @@ def _daemon_options(args) -> BatchOptions:
         on_error="capture",
         lp_method=args.lp_method,
         lp_backend=args.lp_backend,
-        worker_mode=args.worker_mode,
         store_path=args.store,
     )
 
@@ -409,7 +405,6 @@ def _daemon_run_args(args) -> List[str]:
         "--method", args.method,
         "--lp-method", args.lp_method,
         "--lp-backend", args.lp_backend,
-        "--worker-mode", args.worker_mode,
         "--chunk-size", str(args.chunk_size),
         "--jobs", str(args.jobs),
         "--shed-policy", args.shed_policy,
@@ -1097,17 +1092,7 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         "--jobs",
         type=int,
         default=1,
-        help="workers for pipeline advancement (threads or processes; default 1)",
-    )
-    parser.add_argument(
-        "--worker-mode",
-        default="auto",
-        choices=list(WORKER_MODES),
-        help=(
-            "how --jobs workers run the query-side pipeline stages: threads "
-            "in-process, or worker processes for the GIL-bound stages "
-            "(default auto = thread)"
-        ),
+        help="engine threads for pipeline advancement and LP solving (default 1)",
     )
     parser.add_argument(
         "--budget",

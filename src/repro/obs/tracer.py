@@ -13,22 +13,18 @@ instrumentation sites call the module-level helpers (:func:`span`,
 through when no tracer is active.  ``repro batch --trace FILE`` activates a
 tracer around one batch and exports the spans as JSONL.
 
-Threads and processes
----------------------
+Threads and grafted spans
+-------------------------
 Each thread keeps its own span stack (``threading.local``), so concurrent
 chunk solves and pipeline advancements nest correctly without sharing
 state; a span started on a pool thread may also name an explicit ``parent``
 span id to attach under work that began elsewhere (the engine parents each
 advancement under its pair's span this way).
 
-Worker *processes* cannot see the parent's tracer.  The engine instead sets
-:attr:`~repro.service.engine.PipelineTask.trace` on the tasks it ships; the
-worker runs a private tracer around the replay and returns its finished
-spans — with times relative to the task start — inside the
-:class:`~repro.service.engine.PipelineStep`.  Back in the parent,
-:meth:`Tracer.adopt` grafts them under the pair's span: fresh span ids,
-parent links remapped, and the worker's relative clock shifted onto the
-parent's timeline using the moment the task was submitted.
+Spans recorded by another tracer — in another process, say — can join this
+one's tree: :meth:`Tracer.adopt` grafts them under a chosen parent span,
+with fresh span ids, parent links remapped, and their relative clock
+shifted onto this tracer's timeline by a given start offset.
 """
 
 from __future__ import annotations
@@ -142,7 +138,7 @@ NULL_SPAN = _NullSpan()
 
 
 class Tracer:
-    """Collects spans; thread-safe; one per traced batch (or worker task)."""
+    """Collects spans; thread-safe; one per traced batch."""
 
     def __init__(self):
         self.epoch = time.perf_counter()
@@ -233,7 +229,7 @@ class Tracer:
         return span_id
 
     # ------------------------------------------------------------------ #
-    # Cross-process adoption
+    # Adoption
     # ------------------------------------------------------------------ #
     def adopt(
         self,
@@ -241,12 +237,12 @@ class Tracer:
         parent: Optional[int],
         start_offset: float,
     ) -> None:
-        """Graft spans recorded by a worker-side tracer into this one.
+        """Graft spans recorded by another tracer into this one.
 
-        ``records`` carry worker-relative times (their tracer's epoch is the
-        task start); ``start_offset`` is that task start on *this* tracer's
-        timeline.  Ids are re-allocated, internal parent links remapped, and
-        worker roots attached under ``parent``.
+        ``records`` carry times relative to their tracer's epoch;
+        ``start_offset`` is that epoch on *this* tracer's timeline.  Ids are
+        re-allocated, internal parent links remapped, and the grafted roots
+        attached under ``parent``.
         """
         if not records:
             return

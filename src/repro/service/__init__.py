@@ -56,7 +56,7 @@ from repro.service.daemon import (
     spawn_daemon,
     stop_daemon,
 )
-from repro.service.engine import BatchEngine, PipelineSpec, PipelineStep, PipelineTask
+from repro.service.engine import BatchEngine, PipelineSpec
 from repro.service.fleet import (
     FleetError,
     FleetGateway,
@@ -90,8 +90,6 @@ __all__ = [
     "GroupTiming",
     "PairOutcome",
     "PipelineSpec",
-    "PipelineStep",
-    "PipelineTask",
     "PlanCache",
     "ReplicaSpec",
     "ServiceStats",

@@ -39,6 +39,7 @@ codes, the metric catalog — lives in ``docs/operations.md``.
 
 from __future__ import annotations
 
+import copy
 import errno
 import heapq
 import os
@@ -237,7 +238,7 @@ class ContainmentDaemon:
         )
         workers = self.registry.gauge(
             "repro_daemon_workers",
-            "Size of the service's pipeline worker pool.",
+            "Width of the engine's thread pool (--jobs).",
         )
         workers.set(self.service.options.max_workers)
         self._queue_wait = self.registry.histogram(
@@ -331,7 +332,6 @@ class ContainmentDaemon:
             "queue_waiting": self.gate.waiting(),
             "requests_served": self.requests_served,
             "workers": self.service.options.max_workers,
-            "worker_mode": self.service.options.worker_mode,
             "shed": {
                 "max_queue_depth": self.shed.max_queue_depth,
                 "policy": self.shed.policy,
@@ -443,19 +443,13 @@ class ContainmentDaemon:
     def _degraded_service(self, pair_budget: float) -> ContainmentService:
         """A view of the persistent service with the degrade budget applied.
 
-        Shares the cache and stats objects, so degraded requests still warm
-        (and profit from) the same plan cache.
+        A shallow copy: it shares the stats, plan cache and durable store
+        (or None), so degraded requests still warm (and profit from) the
+        same plan cache and persist their verdicts.  It is never closed.
         """
-        degraded = ContainmentService.__new__(ContainmentService)
-        degraded.options = replace(self.service.options, pair_budget=pair_budget)
-        degraded.stats = self.service.stats
-        degraded.cache = self.service.cache
-        # Same durable store tier (or None): degraded verdicts persist too.
-        degraded.store = self.service.store
-        # Borrow the warm worker pool too (process mode): the view must never
-        # spawn a pool of its own, and it never closes the shared one.
-        degraded._process_pool = self.service._shared_process_pool()
-        return degraded
+        view = copy.copy(self.service)
+        view.options = replace(self.service.options, pair_budget=pair_budget)
+        return view
 
 
 # ---------------------------------------------------------------------- #

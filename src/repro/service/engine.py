@@ -27,34 +27,13 @@ of them at once:
   constructions, and answering them from a joint solve could select a
   different vertex of the same polyhedron than the sequential path.
 
-Worker modes
-------------
-``worker_mode`` selects how the *query-side* pipeline stages (Boolean
-reduction, inequality construction, homomorphism counting, witness
-building — all GIL-bound pure Python) are spread over workers:
-
-* ``"thread"`` — a :class:`~concurrent.futures.ThreadPoolExecutor` advances
-  pipelines and solves LP chunks concurrently.  The query-side stages still
-  serialize on the GIL, but the HiGHS solves release it, so chunks of
-  different arity groups overlap.  This is what ``"auto"`` currently
-  resolves to: it has no pickling overhead and is never slower than the
-  sequential path.
-* ``"process"`` — pipelines are advanced in a
-  :class:`~concurrent.futures.ProcessPoolExecutor` so the query-side stages
-  run on real parallel cores.  Generators cannot cross a process boundary,
-  so the engine ships a picklable :class:`PipelineTask` — the pair plus the
-  verdicts answered so far — and the worker *replays* the deterministic
-  pipeline against the recorded verdicts to reach its next request (or its
-  final result), returned as a picklable :class:`PipelineStep`.  LP solving
-  stays in the parent process, where the warm solver backends and the
-  grouped block-LP machinery live.  Replay re-executes earlier query-side
-  stages (pipelines issue at most three LP requests, so at most two
-  replays), which the per-pair budget accounting therefore counts; the
-  trade is worthwhile exactly when those stages dominate, which is the
-  workload this mode is for.
-
-Both modes drive the *same* pipeline generator with the same grouped LP
-answers, so their verdicts are pair-for-pair identical by construction.
+With ``max_workers > 1`` the engine advances pipelines and solves LP
+chunks on a :class:`~concurrent.futures.ThreadPoolExecutor`.  The
+query-side stages (Boolean reduction, inequality construction,
+homomorphism counting, witness building) still serialize on the GIL, but
+the HiGHS solves release it, so chunks of different arity groups overlap.
+Every pipeline meets the same grouped LP answers whatever the pool width,
+so verdicts do not depend on it.
 
 Where the engine sits between the decision core and the serving layers is
 diagrammed in ``docs/architecture.md``.
@@ -63,9 +42,9 @@ diagrammed in ``docs/architecture.md``.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.containment import (
     ConeDecisionRequest,
@@ -81,17 +60,8 @@ from repro.infotheory.maxiip import MaxIIVerdict, decide_max_ii, decide_max_ii_m
 from repro.infotheory.setfunction import SetFunction
 from repro.lp.backends import BACKEND_NAMES
 from repro.obs import tracer as obs_tracer
-from repro.obs.tracer import SpanRecord
 from repro.service.evidence import rename_certificate
 from repro.service.stats import GroupTiming, ServiceStats
-
-#: Valid ``worker_mode`` values; ``"auto"`` currently resolves to threads
-#: (zero pickling overhead; process mode is an explicit opt-in for
-#: query-side-dominated workloads until the crossover is measured).
-WORKER_MODES = ("thread", "process", "auto")
-
-_ItemT = TypeVar("_ItemT")
-_ResultT = TypeVar("_ResultT")
 
 
 def _canonical_ground(size: int) -> Tuple[str, ...]:
@@ -134,17 +104,12 @@ def _verdict_to_original(
     )
 
 
-# ---------------------------------------------------------------------- #
-# The picklable process-mode boundary
-# ---------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class PipelineSpec:
-    """A picklable description of one containment pipeline.
+    """One pair's containment pipeline parameters.
 
-    This is the request-side boundary of ``worker_mode="process"``: instead
-    of a live generator, the engine is handed the pair and the pipeline
-    parameters, from which either side of the process boundary can
-    (re)build the generator with :meth:`build`.
+    The service hands the engine these instead of live generators;
+    :meth:`build` makes the pipeline generator the engine drives.
     """
 
     q1: ConjunctiveQuery
@@ -163,94 +128,8 @@ class PipelineSpec:
         )
 
 
-@dataclass(frozen=True)
-class PipelineTask:
-    """One advancement order shipped to a worker process.
-
-    ``verdicts`` are the LP answers received so far, in request order; the
-    worker replays the (deterministic) pipeline against them and returns the
-    following :class:`PipelineStep`.  ``trace`` asks the worker to record
-    spans for the advancement — the parent process's tracer cannot cross the
-    process boundary, so tracing propagates as this one flag and the spans
-    come back inside the step (see :meth:`repro.obs.tracer.Tracer.adopt`).
-    """
-
-    index: int
-    spec: PipelineSpec
-    verdicts: Tuple[MaxIIVerdict, ...] = ()
-    trace: bool = False
-
-
-@dataclass(frozen=True)
-class PipelineStep:
-    """A worker's answer: the pipeline's next request, result or error.
-
-    Exactly one of ``request``, ``result`` and ``error`` is set.
-    ``elapsed`` is the worker-side wall clock of the whole advancement,
-    replayed stages included (replay is real CPU spent, so the per-pair
-    budget counts it).  ``spans`` carries the worker-side trace when the
-    task asked for one — span times are relative to the worker's task start,
-    shifted onto the parent's timeline at adoption.
-    """
-
-    index: int
-    request: Optional[ConeDecisionRequest] = None
-    result: Optional[ContainmentResult] = None
-    error: Optional[ReproError] = None
-    elapsed: float = 0.0
-    spans: Tuple[SpanRecord, ...] = ()
-
-
-def advance_pipeline_task(task: PipelineTask) -> PipelineStep:
-    """Replay a pipeline against its recorded verdicts; return the next step.
-
-    Module-level so :class:`~concurrent.futures.ProcessPoolExecutor` can
-    pickle it by reference.  Also the ground truth for what the replay
-    contract *means*, and unit-testable without any pool.
-    """
-    started = time.perf_counter()
-    pipeline = task.spec.build()
-    request = None
-    result = None
-    error: Optional[ReproError] = None
-    try:
-        request = next(pipeline)
-        for verdict in task.verdicts:
-            request = pipeline.send(verdict)
-    except StopIteration as stop:
-        request = None
-        result = stop.value
-    except ReproError as caught:
-        request = None
-        error = caught
-    elapsed = time.perf_counter() - started
-    spans: Tuple[SpanRecord, ...] = ()
-    if task.trace:
-        # One span covering the whole worker-side advancement, on the
-        # worker's own clock (start 0 = task start); the parent grafts it
-        # under the pair's span and shifts it onto its timeline.
-        spans = (
-            SpanRecord(
-                span_id=1,
-                parent_id=None,
-                name="advance",
-                start=0.0,
-                duration=elapsed,
-                attrs={"index": task.index, "replayed": len(task.verdicts)},
-            ),
-        )
-    return PipelineStep(
-        index=task.index,
-        request=request,
-        result=result,
-        error=error,
-        elapsed=elapsed,
-        spans=spans,
-    )
-
-
 class _PairRun:
-    """Bookkeeping for one pipeline driven in-process (thread mode)."""
+    """Bookkeeping for one pipeline the engine drives."""
 
     __slots__ = (
         "pipeline",
@@ -264,7 +143,7 @@ class _PairRun:
         "finalized",
     )
 
-    def __init__(self, pipeline: ContainmentPipeline, index: int = 0):
+    def __init__(self, pipeline: ContainmentPipeline, index: int):
         self.pipeline = pipeline
         self.request: Optional[ConeDecisionRequest] = None
         self.result: Optional[ContainmentResult] = None
@@ -279,53 +158,6 @@ class _PairRun:
     def active(self) -> bool:
         return self.result is None and self.error is None
 
-    def close_pipeline(self) -> None:
-        self.pipeline.close()
-
-
-class _ProcessRun:
-    """Bookkeeping for one pipeline advanced by replay in worker processes."""
-
-    __slots__ = (
-        "index",
-        "spec",
-        "verdicts",
-        "request",
-        "result",
-        "error",
-        "elapsed",
-        "span",
-        "started_at",
-        "finalized",
-    )
-
-    def __init__(self, index: int, spec: PipelineSpec):
-        self.index = index
-        self.spec = spec
-        self.verdicts: Tuple[MaxIIVerdict, ...] = ()
-        self.request: Optional[ConeDecisionRequest] = None
-        self.result: Optional[ContainmentResult] = None
-        self.error: Optional[Exception] = None
-        self.elapsed = 0.0
-        self.span = obs_tracer.NULL_SPAN
-        self.started_at = time.perf_counter()
-        self.finalized = False
-
-    @property
-    def active(self) -> bool:
-        return self.result is None and self.error is None
-
-    def close_pipeline(self) -> None:
-        pass  # nothing lives in this process
-
-    def task(self) -> PipelineTask:
-        return PipelineTask(
-            index=self.index,
-            spec=self.spec,
-            verdicts=self.verdicts,
-            trace=obs_tracer.active_tracer() is not None,
-        )
-
 
 class BatchEngine:
     """Round-based driver for a batch of containment pipelines.
@@ -336,8 +168,8 @@ class BatchEngine:
         Maximum number of same-arity Shannon-cone requests folded into one
         block-LP solve.
     max_workers:
-        Worker-pool width for pipeline advancement and (in thread mode) LP
-        solving (1 = fully inline).
+        Thread-pool width for pipeline advancement and LP solving (1 = fully
+        inline).
     pair_budget:
         Optional per-pair wall-clock budget in seconds, measured over the
         pair's pipeline stages.  A pair that exceeds it is closed out with an
@@ -352,22 +184,12 @@ class BatchEngine:
         ``"raise"`` propagates a pair's exception (mirroring the sequential
         loop); ``"capture"`` converts it into an UNKNOWN ``"error"`` result
         so one malformed pair cannot fail a whole batch.
-    worker_mode:
-        ``"thread" | "process" | "auto"`` — how the query-side pipeline
-        stages are parallelized (see the module docstring).  ``"auto"``
-        currently resolves to ``"thread"``.
     lp_method:
         ``Γn`` LP path for every cone decision (``"dense" | "rowgen" |
         "auto"``; see :mod:`repro.lp.rowgen`).
     lp_backend:
         Solver backend for every LP solve (``"auto" | "scipy" | "highs"``;
         see :mod:`repro.lp.backends`).  ``"auto"`` is ``"highs"``.
-    process_pool:
-        An externally owned :class:`~concurrent.futures.ProcessPoolExecutor`
-        to borrow for process-mode work instead of creating one per engine —
-        long-lived callers (the service, hence the daemon) amortize the
-        worker fork cost across runs this way.  Borrowed pools are never
-        shut down by :meth:`close`.
     """
 
     def __init__(
@@ -379,9 +201,7 @@ class BatchEngine:
         stats: Optional[ServiceStats] = None,
         lp_method: str = "auto",
         lp_backend: str = "auto",
-        worker_mode: str = "auto",
         deadline: Optional[float] = None,
-        process_pool: Optional[ProcessPoolExecutor] = None,
     ):
         if chunk_size < 1:
             raise ValueError("chunk_size must be at least 1")
@@ -393,8 +213,6 @@ class BatchEngine:
             raise ValueError("lp_method must be 'dense', 'rowgen' or 'auto'")
         if lp_backend not in BACKEND_NAMES:
             raise ValueError(f"lp_backend must be one of {BACKEND_NAMES}")
-        if worker_mode not in WORKER_MODES:
-            raise ValueError(f"worker_mode must be one of {WORKER_MODES}")
         if deadline is not None and deadline < 0:
             raise ValueError("deadline must be non-negative (or None)")
         self.chunk_size = chunk_size
@@ -405,11 +223,6 @@ class BatchEngine:
         self.stats = stats if stats is not None else ServiceStats()
         self.lp_method = lp_method
         self.lp_backend = lp_backend
-        self.worker_mode = worker_mode
-        # A caller-provided pool (e.g. a long-lived service amortizing the
-        # worker fork cost across runs) is borrowed, never shut down here.
-        self._process_pool = process_pool
-        self._owns_process_pool = process_pool is None
         # The current run's batch span id: chunk solves run on pool threads
         # whose span stacks are empty, so they parent here explicitly.
         self._batch_span_id: Optional[int] = None
@@ -417,55 +230,7 @@ class BatchEngine:
         self.last_pair_seconds: List[float] = []
 
     # ------------------------------------------------------------------ #
-    # Worker-pool plumbing
-    # ------------------------------------------------------------------ #
-    @property
-    def resolved_worker_mode(self) -> str:
-        """The concrete mode ``"auto"`` resolves to (currently threads)."""
-        if self.worker_mode == "auto":
-            return "thread"
-        return self.worker_mode
-
-    def process_pool(self) -> ProcessPoolExecutor:
-        """The engine's lazily created worker-process pool."""
-        if self._process_pool is None:
-            self._process_pool = ProcessPoolExecutor(max_workers=self.max_workers)
-        return self._process_pool
-
-    def close(self) -> None:
-        """Release the worker-process pool if this engine owns it (idempotent)."""
-        if self._process_pool is not None and self._owns_process_pool:
-            self._process_pool.shutdown(wait=True)
-            self._process_pool = None
-
-    def __enter__(self) -> "BatchEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def map_query_side(
-        self, function: Callable[[_ItemT], _ResultT], items: Sequence[_ItemT]
-    ) -> List[_ResultT]:
-        """Map a pure, picklable query-side function over ``items``.
-
-        In process mode with workers this fans out over the worker-process
-        pool (the service uses it for canonical-labeling keys, the other
-        GIL-bound stage); otherwise it runs inline — thread pools cannot help
-        pure Python work.
-        """
-        items = list(items)
-        if (
-            self.resolved_worker_mode == "process"
-            and self.max_workers > 1
-            and len(items) > 1
-        ):
-            chunksize = max(1, len(items) // (self.max_workers * 4))
-            return list(self.process_pool().map(function, items, chunksize=chunksize))
-        return [function(item) for item in items]
-
-    # ------------------------------------------------------------------ #
-    # Pipeline advancement (thread mode)
+    # Pipeline advancement
     # ------------------------------------------------------------------ #
     def _budget_result(self, elapsed: float) -> ContainmentResult:
         return ContainmentResult(
@@ -488,7 +253,7 @@ class BatchEngine:
             },
         )
 
-    def _finalize_run(self, run) -> None:
+    def _finalize_run(self, run: _PairRun) -> None:
         """Close out a finished run's telemetry (idempotent).
 
         Observes the pair's end-to-end latency — creation to completion,
@@ -505,13 +270,15 @@ class BatchEngine:
                 outcome=run.result.status.value, method=run.result.method
             )
 
-    def _shed_expired(self, runs, deadline_at: Optional[float]) -> bool:
+    def _shed_expired(
+        self, runs: Sequence[_PairRun], deadline_at: Optional[float]
+    ) -> bool:
         """Close every still-active run once the batch deadline has passed."""
         if deadline_at is None or time.perf_counter() < deadline_at:
             return False
         for run in runs:
             if run.active:
-                run.close_pipeline()
+                run.pipeline.close()
                 run.request = None
                 run.result = self._deadline_result()
                 self.stats.count_deadline_exceeded()
@@ -540,13 +307,13 @@ class BatchEngine:
         self._enforce_budget(run)
         self._finalize_run(run)
 
-    def _enforce_budget(self, run) -> None:
+    def _enforce_budget(self, run: _PairRun) -> None:
         if (
             run.active
             and self.pair_budget is not None
             and run.elapsed > self.pair_budget
         ):
-            run.close_pipeline()
+            run.pipeline.close()
             run.request = None
             run.result = self._budget_result(run.elapsed)
             self.stats.count_over_budget()
@@ -661,18 +428,13 @@ class BatchEngine:
         return answers
 
     # ------------------------------------------------------------------ #
-    # Entry points
+    # Entry point
     # ------------------------------------------------------------------ #
-    def run(self, pipelines: Sequence[ContainmentPipeline]) -> List[ContainmentResult]:
-        """Drive every pipeline to completion; results in submission order.
-
-        This is the in-process (thread-mode) driver; it accepts live
-        generators.  Process mode needs picklable inputs — use
-        :meth:`run_specs`.
-        """
-        runs = [_PairRun(pipeline, index) for index, pipeline in enumerate(pipelines)]
+    def run_specs(self, specs: Sequence[PipelineSpec]) -> List[ContainmentResult]:
+        """Drive every pair's pipeline to completion; results in submission order."""
+        runs = [_PairRun(spec.build(), index) for index, spec in enumerate(specs)]
         self.stats.pipelines_run += len(runs)
-        batch_span = obs_tracer.start_span("batch", mode="thread", pairs=len(runs))
+        batch_span = obs_tracer.start_span("batch", pairs=len(runs))
         self._batch_span_id = batch_span.id
         for run in runs:
             run.span = obs_tracer.start_span(
@@ -701,95 +463,7 @@ class BatchEngine:
             batch_span.finish()
         return self._collect(runs)
 
-    def run_specs(self, specs: Sequence[PipelineSpec]) -> List[ContainmentResult]:
-        """Drive a batch described by picklable :class:`PipelineSpec` objects.
-
-        Dispatches on the resolved worker mode: thread mode builds the
-        generators here and delegates to :meth:`run`; process mode replays
-        them in the worker-process pool (see the module docstring).
-        """
-        specs = list(specs)
-        if (
-            self.resolved_worker_mode == "process"
-            and self.max_workers > 1
-            and len(specs) > 1
-        ):
-            return self._run_process(specs)
-        return self.run([spec.build() for spec in specs])
-
-    def _run_process(self, specs: Sequence[PipelineSpec]) -> List[ContainmentResult]:
-        runs = [_ProcessRun(index, spec) for index, spec in enumerate(specs)]
-        self.stats.pipelines_run += len(runs)
-        tracer = obs_tracer.active_tracer()
-        batch_span = obs_tracer.start_span("batch", mode="process", pairs=len(runs))
-        self._batch_span_id = batch_span.id
-        for run in runs:
-            run.span = obs_tracer.start_span(
-                "pair", parent=batch_span.id, index=run.index
-            )
-        deadline_at = (
-            None if self.deadline is None else time.perf_counter() + self.deadline
-        )
-        pool = self.process_pool()
-        # LP solving stays in this process: the grouped block solves and any
-        # warm backend state live here — but independent chunks still overlap
-        # on a thread pool exactly as in thread mode (HiGHS releases the GIL),
-        # so opting into process workers never serializes the LP rounds.
-        lp_pool: Optional[ThreadPoolExecutor] = None
-        to_advance: List[_ProcessRun] = list(runs)
-        try:
-            if self.max_workers > 1:
-                lp_pool = ThreadPoolExecutor(max_workers=self.max_workers)
-            while True:
-                if self._shed_expired(runs, deadline_at):
-                    break
-                submitted_at = time.perf_counter()
-                futures = [
-                    pool.submit(advance_pipeline_task, run.task()) for run in to_advance
-                ]
-                for run, future in zip(to_advance, futures):
-                    step = future.result()
-                    if tracer is not None and step.spans:
-                        tracer.adopt(
-                            step.spans,
-                            parent=run.span.id,
-                            start_offset=submitted_at - tracer.epoch,
-                        )
-                    self._apply_step(run, step)
-                self._shed_expired(runs, deadline_at)
-                pending = [run for run in runs if run.active and run.request is not None]
-                if not pending:
-                    break
-                answers = self._answer_round(pending, lp_pool)
-                to_advance = []
-                for run, verdict in answers:
-                    if run.active:
-                        run.verdicts = run.verdicts + (verdict,)
-                        run.request = None
-                        to_advance.append(run)
-                if not to_advance:
-                    break
-        finally:
-            if lp_pool is not None:
-                lp_pool.shutdown(wait=True)
-            self._batch_span_id = None
-            batch_span.finish()
-        return self._collect(runs)
-
-    def _apply_step(self, run: _ProcessRun, step: PipelineStep) -> None:
-        run.elapsed += step.elapsed
-        if step.error is not None:
-            run.request = None
-            run.error = step.error
-        elif step.result is not None:
-            run.request = None
-            run.result = step.result
-        else:
-            run.request = step.request
-        self._enforce_budget(run)
-        self._finalize_run(run)
-
-    def _collect(self, runs) -> List[ContainmentResult]:
+    def _collect(self, runs: Sequence[_PairRun]) -> List[ContainmentResult]:
         # Per-pair pipeline wall clock, index-aligned with the returned
         # results; the service records it as store provenance.
         self.last_pair_seconds = [run.elapsed for run in runs]

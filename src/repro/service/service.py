@@ -48,11 +48,6 @@ _UNCACHEABLE_METHODS = frozenset({"budget-exhausted", "deadline-exceeded", "erro
 _USE_OPTIONS_DEADLINE = object()
 
 
-def _pair_key_task(pair: QueryPair):
-    """Module-level (hence picklable) canonicalization step for pool fan-out."""
-    return pair_key_with_labelings(pair[0], pair[1])
-
-
 @dataclass(frozen=True)
 class BatchOptions:
     """Execution knobs of a :class:`ContainmentService`.
@@ -69,10 +64,7 @@ class BatchOptions:
     unbounded) and ``canonicalize`` switches the isomorphism-aware dedup on
     or off (off, only the LP grouping remains).
 
-    ``worker_mode`` (``"thread" | "process" | "auto"``) selects how the
-    GIL-bound query-side pipeline stages are parallelized across
-    ``max_workers`` — threads in-process, or worker processes advancing
-    replayed pipelines while LP solving stays in-process (see
+    ``max_workers`` is the engine's thread-pool width (see
     :mod:`repro.service.engine`).  ``deadline`` is an optional wall-clock
     bound in seconds for each :meth:`ContainmentService.run` call: pairs
     still undecided when it expires are reported as UNKNOWN
@@ -95,7 +87,6 @@ class BatchOptions:
     canonicalize: bool = True
     lp_method: str = "auto"
     lp_backend: str = "auto"
-    worker_mode: str = "auto"
     deadline: Optional[float] = None
     store_path: Optional[str] = None
 
@@ -172,28 +163,9 @@ class ContainmentService:
                 "Distinct verdicts held by the durable store.",
                 callback=lambda: float(len(store)),
             )
-        # In process mode the worker pool is as much long-lived warm state as
-        # the plan cache: it lives on the service and is lent to each run's
-        # engine, so a persistent service (e.g. the daemon) pays the worker
-        # fork cost once, not per request.
-        self._process_pool = None
-
-    def _shared_process_pool(self):
-        if self.options.worker_mode != "process" or self.options.max_workers <= 1:
-            return None
-        if self._process_pool is None:
-            from concurrent.futures import ProcessPoolExecutor
-
-            self._process_pool = ProcessPoolExecutor(
-                max_workers=self.options.max_workers
-            )
-        return self._process_pool
 
     def close(self) -> None:
-        """Release the worker-process pool and the verdict store (idempotent)."""
-        if self._process_pool is not None:
-            self._process_pool.shutdown(wait=True)
-            self._process_pool = None
+        """Release the verdict store (idempotent)."""
         if self.store is not None:
             self.store.close()
             self.store = None
@@ -239,19 +211,14 @@ class ContainmentService:
             stats=self.stats,
             lp_method=options.lp_method,
             lp_backend=options.lp_backend,
-            worker_mode=options.worker_mode,
             deadline=deadline,
-            process_pool=self._shared_process_pool(),
         )
         self.stats.pairs_submitted += len(pairs)
         # One root span per service call: canonicalization, the plan-cache
         # pass and the engine's batch span all nest under it, so a traced run
         # is a single tree.
         with obs_tracer.span("request", pairs=len(pairs)):
-            try:
-                return self._run_with_engine(engine, pairs, started)
-            finally:
-                engine.close()  # a no-op for the borrowed shared pool
+            return self._run_with_engine(engine, pairs, started)
 
     def _run_with_engine(
         self, engine: BatchEngine, pairs: Sequence[QueryPair], started: float
@@ -260,12 +227,11 @@ class ContainmentService:
             if not isinstance(q1, ConjunctiveQuery) or not isinstance(q2, ConjunctiveQuery):
                 raise QueryError("pairs must be (ConjunctiveQuery, ConjunctiveQuery) tuples")
 
-        # Canonical-labeling keys (with per-side labelings): pure GIL-bound
-        # query-side work, fanned out over the engine's worker processes in
-        # process mode.
+        # Canonical-labeling keys, with the per-side labelings that rename
+        # cached evidence onto each requester's variables.
         with obs_tracer.span("canonicalize", pairs=len(pairs)):
-            if self.options.canonicalize and pairs:
-                keyed = engine.map_query_side(_pair_key_task, pairs)
+            if self.options.canonicalize:
+                keyed = [pair_key_with_labelings(q1, q2) for q1, q2 in pairs]
             else:
                 keyed = [(None, None)] * len(pairs)
 

@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -153,3 +157,19 @@ def test_batch_command_non_string_json_values(tmp_path):
     assert code == 1
     assert "error:" in output
     assert "query strings" in output
+
+
+def test_importing_the_cli_skips_the_process_executor_module():
+    code = (
+        "import sys, repro.cli; "
+        "print('concurrent.futures.process' in sys.modules)"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[2] / "src")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "False"

@@ -83,12 +83,16 @@ class TestArgumentParsing:
         args = parser.parse_args(["batch", "p.txt"])
         assert args.daemon is None
 
-    def test_worker_mode_flag(self):
-        parser = build_parser()
-        args = parser.parse_args(["batch", "p.txt", "--worker-mode", "process"])
-        assert args.worker_mode == "process"
-        with pytest.raises(SystemExit):
-            parser.parse_args(["batch", "p.txt", "--worker-mode", "greenlet"])
+    @pytest.mark.parametrize(
+        "command",
+        [["batch", "p.txt"], ["daemon", "run"], ["daemon", "start"], ["fleet", "start"]],
+        ids=["batch", "daemon-run", "daemon-start", "fleet-start"],
+    )
+    def test_worker_mode_flag_is_rejected(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, "--worker-mode", "thread"])
+        assert exit_info.value.code == 2
+        assert "--worker-mode" in capsys.readouterr().err
 
 
 class TestBatchViaDaemon:

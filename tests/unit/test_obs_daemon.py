@@ -7,6 +7,7 @@ import pytest
 from repro.obs.metrics import MetricsError, MetricsRegistry, parse_exposition
 from repro.obs.soak import SoakOptions, format_report, query_to_text, run_soak
 from repro.cq.parser import parse_query
+from repro.service import BatchOptions
 from repro.service.daemon import ContainmentDaemon
 from repro.service.protocol import (
     BatchRequest,
@@ -149,19 +150,29 @@ class TestDaemonMetricsVerb:
             "queue_waiting",
             "requests_served",
             "workers",
-            "worker_mode",
         ):
             assert key in status, f"status is missing {key}"
+        assert "worker_mode" not in status
         assert status["workers"] == daemon.service.options.max_workers
-        assert status["worker_mode"] == daemon.service.options.worker_mode
         assert status["queue_depth"] == 0
 
-    def test_degraded_view_shares_the_worker_pool_slot(self):
-        daemon = ContainmentDaemon()
-        view = daemon._degraded_service(0.5)
-        assert view.stats is daemon.service.stats
-        assert view.cache is daemon.service.cache
-        assert hasattr(view, "_process_pool")  # __new__ path must stay runnable
+    def test_degraded_view_shares_the_service_state(self, tmp_path):
+        daemon = ContainmentDaemon(
+            options=BatchOptions(store_path=str(tmp_path / "verdicts.sqlite"))
+        )
+        try:
+            view = daemon._degraded_service(0.5)
+            assert view.stats is daemon.service.stats
+            assert view.cache is daemon.service.cache
+            assert view.store is daemon.service.store
+            assert view.options.pair_budget == 0.5
+            assert daemon.service.options.pair_budget is None
+            report = view.run([(parse_query(TRIANGLE), parse_query(VEE))])
+            assert report.results[0].status.value == "contained"
+            assert len(daemon.service.cache) == 1
+            assert len(daemon.service.store) == 1
+        finally:
+            daemon.service.close()
 
 
 class TestSoakHarness:

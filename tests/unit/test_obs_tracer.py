@@ -1,11 +1,9 @@
 """Tests for span tracing: tracer mechanics, tree well-formedness, summaries.
 
-The well-formedness class is the one the telemetry PR hangs its hat on: a
-traced batch — in *both* worker modes — must produce a single span tree with
-no orphans, no duplicate ids, and every child's interval inside its
-parent's.  Process mode additionally exercises the cross-process adoption
-path (worker-side spans shipped back inside ``PipelineStep`` and grafted
-under the pair span).
+The well-formedness class carries the most weight: a traced batch, with
+pipelines advanced inline or on the engine's thread pool, must produce a
+single span tree with no orphans, no duplicate ids, and every child's
+interval inside its parent's.
 """
 
 import io
@@ -30,8 +28,8 @@ from repro.obs.tracer import (
 from repro.service import BatchOptions, ContainmentService
 
 #: Slack for interval containment checks: span clocks are read at slightly
-#: different moments than their parents' (and adoption offsets are measured
-#: around a pool submit), so exact nesting only holds up to scheduling noise.
+#: different moments than their parents', so exact nesting only holds up to
+#: scheduling noise.
 CLOCK_SLACK = 0.050
 
 
@@ -140,9 +138,9 @@ class TestTracerMechanics:
         assert names == ["floating", "outer", "retro"]
 
 
-@pytest.mark.parametrize("worker_mode", ["thread", "process"])
+@pytest.mark.parametrize("max_workers", [1, 2], ids=["inline", "thread-pool"])
 class TestBatchSpanTree:
-    def run_traced_batch(self, worker_mode):
+    def run_traced_batch(self, max_workers):
         pairs = [
             (
                 parse_query("R(x,y), R(y,z), R(z,x)", name="tri"),
@@ -158,7 +156,7 @@ class TestBatchSpanTree:
             ),
         ]
         service = ContainmentService(
-            BatchOptions(worker_mode=worker_mode, max_workers=2, on_error="capture")
+            BatchOptions(max_workers=max_workers, on_error="capture")
         )
         with tracing() as tracer:
             report = service.run(pairs)
@@ -166,17 +164,16 @@ class TestBatchSpanTree:
         assert all(result.status.value != "unknown" for result in report.results)
         return tracer.records()
 
-    def test_tree_is_well_formed(self, worker_mode):
-        records = self.run_traced_batch(worker_mode)
+    def test_tree_is_well_formed(self, max_workers):
+        records = self.run_traced_batch(max_workers)
         well_formed(records)
 
-    def test_single_request_root_and_expected_phases(self, worker_mode):
-        records = self.run_traced_batch(worker_mode)
+    def test_single_request_root_and_expected_phases(self, max_workers):
+        records = self.run_traced_batch(max_workers)
         roots = [record for record in records if record.parent_id is None]
         assert [root.name for root in roots] == ["request"]
         by_name = {record.name: record for record in records}
         assert by_name["batch"].parent_id == roots[0].span_id
-        assert by_name["batch"].attrs["mode"] == worker_mode
         names = {record.name for record in records}
         assert {"request", "batch", "pair", "canonicalize", "plan-cache", "advance"} <= names
         assert by_name["canonicalize"].parent_id == roots[0].span_id
@@ -188,14 +185,21 @@ class TestBatchSpanTree:
         outcomes = {record.attrs.get("outcome") for record in pair_spans}
         assert outcomes == {"contained", "not_contained"}
 
-    def test_advances_attach_under_their_pair(self, worker_mode):
-        records = self.run_traced_batch(worker_mode)
+    def test_advances_attach_under_their_pair(self, max_workers):
+        records = self.run_traced_batch(max_workers)
         pair_ids = {
             record.span_id for record in records if record.name == "pair"
         }
         advances = [record for record in records if record.name == "advance"]
         assert advances
         assert all(record.parent_id in pair_ids for record in advances)
+
+    def test_lp_chunks_attach_under_the_batch(self, max_workers):
+        records = self.run_traced_batch(max_workers)
+        [batch] = [record for record in records if record.name == "batch"]
+        chunks = [record for record in records if record.name == "lp-chunk"]
+        assert chunks
+        assert all(record.parent_id == batch.span_id for record in chunks)
 
 
 class TestTraceTools:

@@ -183,6 +183,11 @@ class TestContainmentService:
         assert service.options.chunk_size == 8
         assert service.options.max_workers == 2
 
+    def test_worker_mode_is_not_an_option(self):
+        # Pipelines always run in-process; max_workers is the thread-pool width.
+        with pytest.raises(TypeError):
+            BatchOptions(worker_mode="thread")
+
 
 class TestPlanCache:
     def test_lru_eviction(self):
