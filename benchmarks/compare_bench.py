@@ -1,11 +1,10 @@
 #!/usr/bin/env python
 """Diff a quick-mode E15 benchmark run against a committed baseline.
 
-The CI ``bench-smoke`` job runs ``bench_backend.py`` on the small end of the
-grid (``--sizes 6 --seed-sizes 6``) and feeds its output here together with
-the committed ``BENCH_4.json``.  Every *shared* metric — a grid cell with
-the same ``(n, problem, backend)``, or a seed cell with the same
-``(n, seed)``, with status ``ok`` on both sides — is compared on its
+The CI ``bench-smoke`` job runs ``bench_backend.py`` on the small end of its
+seed comparison (``--seed-sizes 6``) and feeds its output here together with
+the committed ``BENCH_4.json``.  Every *shared* metric — a seed cell with the
+same ``(n, seed)`` and status ``ok`` on both sides — is compared on its
 ``seconds`` field; a regression beyond ``--factor`` (default 2x) emits a
 GitHub Actions ``::warning::`` annotation.
 
@@ -26,23 +25,12 @@ import sys
 from pathlib import Path
 
 
-def _grid_key(cell: dict):
-    return ("grid", cell["n"], cell["problem"], cell["backend"])
-
-
-def _seed_key(cell: dict):
-    return ("seed", cell["n"], cell["seed"])
-
-
 def _indexed(report: dict) -> dict:
-    cells = {}
-    for cell in report.get("results", []):
-        if cell.get("status") == "ok":
-            cells[_grid_key(cell)] = cell
-    for cell in report.get("seed_results", []):
-        if cell.get("status") == "ok":
-            cells[_seed_key(cell)] = cell
-    return cells
+    return {
+        ("seed", cell["n"], cell["seed"]): cell
+        for cell in report.get("seed_results", [])
+        if cell.get("status") == "ok"
+    }
 
 
 def main(argv=None) -> int:

@@ -5,9 +5,9 @@ Eight sub-commands expose the main workflows::
     python -m repro contain "R(x,y), R(y,z), R(z,x)" "R(a,b), R(a,c)"
     python -m repro inspect "A(y1,y2), B(y1,y3), C(y4,y2)"
     python -m repro dominate --base "R:0,1;1,2;2,0" --dominating "R:a,b;a,c"
-    python -m repro batch pairs.txt --jobs 4 --stats --trace spans.jsonl
+    python -m repro batch pairs.txt --stats --trace spans.jsonl
     python -m repro trace summarize spans.jsonl
-    python -m repro daemon start --jobs 4 --store verdicts.sqlite
+    python -m repro daemon start --store verdicts.sqlite
     python -m repro batch pairs.txt --daemon
     python -m repro daemon status --prom
     python -m repro soak --clients 4 --qps 8 --duration 60 --report soak.json
@@ -125,7 +125,6 @@ def _cmd_contain(args, out) -> int:
         q2,
         method=args.method,
         lp_method=args.lp_method,
-        lp_backend=args.lp_backend,
     )
     _print_result(result, out)
     return 0 if result.status.value != "unknown" else 2
@@ -254,7 +253,6 @@ def _emit_batch_stats(stats, args) -> None:
 _DAEMON_SIDE_FLAGS = (
     ("method", "auto", "--method"),
     ("lp_method", "auto", "--lp-method"),
-    ("lp_backend", "auto", "--lp-backend"),
     ("chunk_size", 32, "--chunk-size"),
     ("jobs", 1, "--jobs"),
     ("budget", None, "--budget"),
@@ -340,7 +338,6 @@ def _cmd_batch(args, out) -> int:
             pair_budget=args.budget,
             on_error="capture",
             lp_method=args.lp_method,
-            lp_backend=args.lp_backend,
             deadline=args.deadline,
             store_path=args.store,
         )
@@ -385,7 +382,6 @@ def _daemon_options(args) -> BatchOptions:
         pair_budget=args.budget,
         on_error="capture",
         lp_method=args.lp_method,
-        lp_backend=args.lp_backend,
         store_path=args.store,
     )
 
@@ -404,7 +400,6 @@ def _daemon_run_args(args) -> List[str]:
     forwarded = [
         "--method", args.method,
         "--lp-method", args.lp_method,
-        "--lp-backend", args.lp_backend,
         "--chunk-size", str(args.chunk_size),
         "--jobs", str(args.jobs),
         "--shed-policy", args.shed_policy,
@@ -555,7 +550,7 @@ def _cmd_cache_verify(args, out) -> int:
     from repro.store import VerdictStore, verify_store
 
     with VerdictStore(args.store) as store:
-        report = verify_store(store, farkas_backend=args.lp_backend)
+        report = verify_store(store)
         dropped = store.dropped
     print(
         f"checked {report.checked} records: {report.certificates} certificates, "
@@ -664,15 +659,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         choices=["auto", "dense", "rowgen"],
         help="Γn LP path: full elemental matrix vs lazy row generation (default auto)",
-    )
-    contain.add_argument(
-        "--lp-backend",
-        default="auto",
-        choices=["auto", "scipy", "highs"],
-        help=(
-            "LP solver backend: HiGHS driven incrementally vs scipy's one-shot "
-            "linprog (default auto = highs)"
-        ),
     )
     contain.set_defaults(handler=_cmd_contain)
 
@@ -1020,12 +1006,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     add_store(cache_verify)
-    cache_verify.add_argument(
-        "--lp-backend",
-        default="auto",
-        choices=["auto", "scipy", "highs"],
-        help="backend for the Farkas feasibility recheck (default auto)",
-    )
     cache_verify.set_defaults(handler=_cmd_cache_verify)
 
     cache_export = cache_commands.add_parser(
@@ -1072,15 +1052,6 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         default="auto",
         choices=["auto", "dense", "rowgen"],
         help="Γn LP path: full elemental matrix vs lazy row generation (default auto)",
-    )
-    parser.add_argument(
-        "--lp-backend",
-        default="auto",
-        choices=["auto", "scipy", "highs"],
-        help=(
-            "LP solver backend: HiGHS driven incrementally vs scipy's one-shot "
-            "linprog (default auto = highs)"
-        ),
     )
     parser.add_argument(
         "--chunk-size",

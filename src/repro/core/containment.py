@@ -481,7 +481,6 @@ def decide_containment(
     max_witness_rows: int = 1024,
     refutation_effort: int = 1,
     lp_method: str = "auto",
-    lp_backend: str = "auto",
 ) -> ContainmentResult:
     """Decide (or semi-decide) ``Q1 ⊑ Q2`` under bag-set semantics.
 
@@ -498,9 +497,7 @@ def decide_containment(
     ``refutation_effort`` scales the witness-search budgets in the general
     (possibly undecidable) case.  ``lp_method`` selects the ``Γn`` LP path
     for every cone decision the pipeline issues
-    (``"dense" | "rowgen" | "auto"``, see :mod:`repro.lp.rowgen`) and
-    ``lp_backend`` the solver backend (``"auto" | "scipy" | "highs"``, see
-    :mod:`repro.lp.backends`; ``"auto"`` is ``"highs"``).
+    (``"dense" | "rowgen" | "auto"``, see :mod:`repro.lp.rowgen`).
 
     This is the sequential driver over :func:`containment_pipeline`; the
     batch engine (:func:`repro.service.decide_containment_many`) runs the
@@ -513,7 +510,6 @@ def decide_containment(
             over=over,
             ground=ground,
             lp_method=lp_method,
-            lp_backend=lp_backend,
             seed=seed,
         )
 

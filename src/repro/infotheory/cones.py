@@ -34,7 +34,6 @@ from repro.infotheory.imeasure import is_normal_function
 from repro.infotheory.polymatroid import is_modular, is_polymatroid
 from repro.infotheory.setfunction import SetFunction
 from repro.infotheory.shannon import ShannonCertificate, shannon_prover
-from repro.lp.backends import resolve_backend
 from repro.lp.rowgen import (
     AUTO_BLOCK_ROW_THRESHOLD,
     AUTO_ROW_THRESHOLD,
@@ -45,7 +44,6 @@ from repro.lp.rowgen import (
 from repro.lp.solver import (
     FeasibilityBlock,
     check_feasibility,
-    record_backend_path,
     record_solver_path,
     solve_feasibility_blocks,
 )
@@ -84,7 +82,6 @@ class Cone:
         expressions: Sequence[LinearExpression],
         margin: float = 1.0,
         method: str = "auto",
-        backend: str = "auto",
         seed: str = "generic",
     ) -> Optional[ConePoint]:
         """A cone point with ``E_ℓ(h) ≤ -margin`` for every expression, if any.
@@ -93,8 +90,7 @@ class Cone:
         (``"dense" | "rowgen" | "auto"``) and ``seed`` the row-generation
         seed set (``"containment"`` front-loads the ``|K| ≤ 1`` rows the
         Eq. (8) inequalities are made of); only ``Γn`` has an implicit row
-        family, so the generated cones accept and ignore both.  ``backend``
-        picks the solver backend for the underlying LP on every cone.
+        family, so the generated cones accept and ignore both.
         """
         raise NotImplementedError
 
@@ -103,7 +99,6 @@ class Cone:
         expression_lists: Sequence[Sequence[LinearExpression]],
         margin: float = 1.0,
         method: str = "auto",
-        backend: str = "auto",
         seed: str = "generic",
     ) -> List[Optional[ConePoint]]:
         """Batched :meth:`find_point_below`: one answer per expression list.
@@ -116,7 +111,7 @@ class Cone:
         row-generation path, which ``"auto"`` picks from ``n = 8``.
         """
         return [
-            self.find_point_below(exprs, margin, method=method, backend=backend, seed=seed)
+            self.find_point_below(exprs, margin, method=method, seed=seed)
             for exprs in expression_lists
         ]
 
@@ -125,7 +120,6 @@ class Cone:
         expression_lists: Sequence[Sequence[LinearExpression]],
         margin: float = 1.0,
         method: str = "auto",
-        backend: str = "auto",
         seed: str = "generic",
     ) -> List[Tuple[Optional[ConePoint], Optional[ConeProof]]]:
         """:meth:`find_points_below_many`, with a proof where there is no point.
@@ -137,7 +131,7 @@ class Cone:
         return [
             (point, None)
             for point in self.find_points_below_many(
-                expression_lists, margin, method=method, backend=backend, seed=seed
+                expression_lists, margin, method=method, seed=seed
             )
         ]
 
@@ -174,12 +168,6 @@ class GammaCone(Cone):
         record_solver_path(resolved)
         return resolved
 
-    @staticmethod
-    def _resolve_backend(backend):
-        resolved = resolve_backend(backend)
-        record_backend_path(resolved.name)
-        return resolved
-
     def _expression_row(self, expression: LinearExpression) -> np.ndarray:
         row = np.zeros(len(self._subsets))
         for subset, coefficient in expression.coefficients.items():
@@ -194,7 +182,6 @@ class GammaCone(Cone):
         expressions: Sequence[LinearExpression],
         margin: float = 1.0,
         method: str = "auto",
-        backend: str = "auto",
         seed: str = "generic",
     ) -> Optional[ConePoint]:
         branch_rows = sp.csr_matrix(
@@ -207,7 +194,6 @@ class GammaCone(Cone):
             lazy_rows=self._oracle,
             method=self._resolve_method(method),
             rowgen_options=RowGenOptions(seed=seed),
-            backend=self._resolve_backend(backend),
         )
         if not feasible or solution is None:
             return None
@@ -219,13 +205,12 @@ class GammaCone(Cone):
         expression_lists: Sequence[Sequence[LinearExpression]],
         margin: float = 1.0,
         method: str = "auto",
-        backend: str = "auto",
         seed: str = "generic",
     ) -> List[Optional[ConePoint]]:
         return [
             point
             for point, _ in self.points_or_proofs_below_many(
-                expression_lists, margin, method=method, backend=backend, seed=seed
+                expression_lists, margin, method=method, seed=seed
             )
         ]
 
@@ -234,7 +219,6 @@ class GammaCone(Cone):
         expression_lists: Sequence[Sequence[LinearExpression]],
         margin: float = 1.0,
         method: str = "auto",
-        backend: str = "auto",
         seed: str = "generic",
     ) -> List[Tuple[Optional[ConePoint], Optional[ConeProof]]]:
         """One block LP for every list; proofs are read off its duals.
@@ -271,7 +255,6 @@ class GammaCone(Cone):
             lazy_rows=self._oracle,
             method=self._resolve_method(method, AUTO_BLOCK_ROW_THRESHOLD),
             rowgen_options=RowGenOptions(seed=seed),
-            backend=self._resolve_backend(backend),
         )
         prover = shannon_prover(self.ground)
         outcomes: List[Tuple[Optional[ConePoint], Optional[ConeProof]]] = []
@@ -356,20 +339,17 @@ class _GeneratedCone(Cone):
         expressions: Sequence[LinearExpression],
         margin: float = 1.0,
         method: str = "auto",
-        backend: str = "auto",
         seed: str = "generic",
     ) -> Optional[ConePoint]:
         # ``method``/``seed`` are accepted for interface parity and ignored:
         # the generated cones are described by explicit generators, not an
         # implicit row family, so there is nothing to generate lazily.
-        # ``backend`` still applies — the generator LP is a plain LP.
         generators, _ = self._generator_data()
         matrix = self._lp_matrix(expressions)
         feasible, solution = check_feasibility(
             num_variables=len(generators),
             A_ub=matrix,
             b_ub=-margin * np.ones(len(expressions)),
-            backend=backend,
         )
         if not feasible or solution is None:
             return None
@@ -380,7 +360,6 @@ class _GeneratedCone(Cone):
         expression_lists: Sequence[Sequence[LinearExpression]],
         margin: float = 1.0,
         method: str = "auto",
-        backend: str = "auto",
         seed: str = "generic",
     ) -> List[Optional[ConePoint]]:
         if not expression_lists:
@@ -394,9 +373,7 @@ class _GeneratedCone(Cone):
             )
             for expressions in expression_lists
         ]
-        results = solve_feasibility_blocks(
-            blocks, slack_threshold=margin / 2, backend=backend
-        )
+        results = solve_feasibility_blocks(blocks, slack_threshold=margin / 2)
         return [
             self._point_from_solution(result.solution)
             if result.feasible and result.solution is not None

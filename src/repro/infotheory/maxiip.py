@@ -76,7 +76,6 @@ def decide_max_ii(
     ground: Tuple[str, ...] = None,
     with_certificate: bool = False,
     lp_method: str = "auto",
-    lp_backend: str = "auto",
     seed: str = "generic",
 ) -> MaxIIVerdict:
     """Decide validity of a Max-II over the cone named by ``over``.
@@ -86,15 +85,12 @@ def decide_max_ii(
     functions are returned over the larger ground set).  ``lp_method``
     selects the ``Γn`` LP path (``"dense" | "rowgen" | "auto"``) and
     ``seed`` the row-generation seed set (both ignored by the generated
-    cones); ``lp_backend`` picks the solver backend
-    (``"auto" | "scipy" | "highs"``).
+    cones).
     """
     ground = tuple(ground) if ground is not None else inequality.ground
     cone = cone_by_name(over, ground)
     branches = [branch.with_ground(ground) for branch in inequality.branches]
-    point = cone.find_point_below(
-        branches, method=lp_method, backend=lp_backend, seed=seed
-    )
+    point = cone.find_point_below(branches, method=lp_method, seed=seed)
     if point is not None:
         return MaxIIVerdict(
             valid=False,
@@ -104,9 +100,7 @@ def decide_max_ii(
         )
     certificate = None
     if with_certificate and over == "gamma" and len(branches) == 1:
-        certificate = shannon_prover(ground).certificate(
-            branches[0], method=lp_method, backend=lp_backend
-        )
+        certificate = shannon_prover(ground).certificate(branches[0], method=lp_method)
     return MaxIIVerdict(
         valid=True,
         cone=over,
@@ -120,7 +114,6 @@ def decide_max_ii_many(
     over: str = "gamma",
     ground: Tuple[str, ...] = None,
     lp_method: str = "auto",
-    lp_backend: str = "auto",
     seed: str = "generic",
 ) -> List[MaxIIVerdict]:
     """Decide many Max-IIs over one cone in one block-LP call.
@@ -156,9 +149,7 @@ def decide_max_ii_many(
         [branch.with_ground(ground) for branch in inequality.branches]
         for inequality in inequalities
     ]
-    outcomes = cone.points_or_proofs_below_many(
-        branch_lists, method=lp_method, backend=lp_backend, seed=seed
-    )
+    outcomes = cone.points_or_proofs_below_many(branch_lists, method=lp_method, seed=seed)
     verdicts: List[MaxIIVerdict] = []
     for point, proof in outcomes:
         if point is not None:
@@ -191,7 +182,6 @@ def decide_ii(
     ground: Tuple[str, ...] = None,
     with_certificate: bool = False,
     lp_method: str = "auto",
-    lp_backend: str = "auto",
 ) -> MaxIIVerdict:
     """Decide an ordinary II (the ``k = 1`` special case of Max-IIP)."""
     return decide_max_ii(
@@ -200,7 +190,6 @@ def decide_ii(
         ground=ground,
         with_certificate=with_certificate,
         lp_method=lp_method,
-        lp_backend=lp_backend,
     )
 
 

@@ -67,18 +67,13 @@ from repro.infotheory.polymatroid import (
 )
 from repro.infotheory.setfunction import SetFunction
 from repro.lp.certificates import nonnegative_combination
-from repro.lp.backends import resolve_backend, validate_backend_name
+from repro.lp.backends import resolve_backend
 from repro.lp.rowgen import (
     RowGenOptions,
     resolve_method,
     shannon_row_oracle,
 )
-from repro.lp.solver import (
-    LPStatus,
-    minimize,
-    record_backend_path,
-    record_solver_path,
-)
+from repro.lp.solver import LPStatus, minimize, record_solver_path
 from repro.utils.lattice import lattice_context
 
 
@@ -115,20 +110,17 @@ class ShannonProver:
     """Decide Shannon validity of linear information expressions over a ground set.
 
     ``method`` sets the default LP path for every decision this prover makes
-    (``"auto"`` picks per problem size) and ``backend`` the default solver
-    backend (``"auto"`` = HiGHS driven directly); each decision method also
-    accepts per-call overrides.
+    (``"auto"`` picks per problem size); each decision method also accepts a
+    per-call override.
     """
 
-    def __init__(self, ground: Sequence[str], method: str = "auto", backend: str = "auto"):
+    def __init__(self, ground: Sequence[str], method: str = "auto"):
         self.ground: Tuple[str, ...] = tuple(ground)
         if not self.ground:
             raise ValueError("the ground set must be non-empty")
         if method not in ("dense", "rowgen", "auto"):
             raise ValueError(f"unknown LP method {method!r}")
-        validate_backend_name(backend)
         self.method = method
-        self.backend = backend
         lattice = lattice_context(self.ground)
         self._lattice = lattice
         self._subsets = lattice.nonempty_subsets
@@ -163,12 +155,6 @@ class ShannonProver:
         record_solver_path(resolved)
         return resolved
 
-    def _resolve_backend(self, backend):
-        """Resolve a per-call backend override and tally the decision."""
-        resolved = resolve_backend(backend if backend is not None else self.backend)
-        record_backend_path(resolved.name)
-        return resolved
-
     # ------------------------------------------------------------------ #
     # Vector encoding
     # ------------------------------------------------------------------ #
@@ -199,7 +185,6 @@ class ShannonProver:
         self,
         expression: LinearExpression,
         method: Optional[str] = None,
-        backend: Optional[str] = None,
     ) -> Tuple[float, SetFunction]:
         """Minimize ``E(h)`` over the slice ``{h ∈ Γn : h(V) ≤ 1}``.
 
@@ -213,7 +198,6 @@ class ShannonProver:
             shape=(1, len(self._subsets)),
         )
         resolved = self._resolve_method(method)
-        backend = self._resolve_backend(backend)
         if resolved == "rowgen":
             # The box 0 ≤ h(X) ≤ 1 is implied by monotonicity plus the
             # normalization over the full cone, so adding it cuts nothing
@@ -231,7 +215,6 @@ class ShannonProver:
                 lazy_rows=self._oracle,
                 method="rowgen",
                 rowgen_options=RowGenOptions(early_stop_objective=-1e-9),
-                backend=backend,
             )
             if result.status == LPStatus.OPTIMAL and result.rowgen.early_stopped:
                 return result.objective, SetFunction.zero(self.ground)
@@ -243,7 +226,6 @@ class ShannonProver:
                 b_ub=np.array([1.0]),
                 lazy_rows=self._oracle,
                 method="dense",
-                backend=backend,
             )
         if result.status != LPStatus.OPTIMAL:
             raise CertificateError(f"unexpected LP status {result.status} in Shannon prover")
@@ -254,10 +236,9 @@ class ShannonProver:
         expression: LinearExpression,
         tolerance: float = 1e-7,
         method: Optional[str] = None,
-        backend: Optional[str] = None,
     ) -> bool:
         """True when ``0 ≤ E(h)`` holds for every polymatroid ``h ∈ Γn``."""
-        value, _ = self.minimum_over_gamma(expression, method=method, backend=backend)
+        value, _ = self.minimum_over_gamma(expression, method=method)
         return value >= -tolerance
 
     def is_valid_inequality(
@@ -265,20 +246,18 @@ class ShannonProver:
         inequality: InformationInequality,
         tolerance: float = 1e-7,
         method: Optional[str] = None,
-        backend: Optional[str] = None,
     ) -> bool:
         """Convenience wrapper taking an :class:`InformationInequality`."""
-        return self.is_valid(inequality.expression, tolerance, method=method, backend=backend)
+        return self.is_valid(inequality.expression, tolerance, method=method)
 
     def find_violating_polymatroid(
         self,
         expression: LinearExpression,
         tolerance: float = 1e-7,
         method: Optional[str] = None,
-        backend: Optional[str] = None,
     ) -> Optional[SetFunction]:
         """A polymatroid with ``E(h) < 0``, or ``None`` when the inequality is valid."""
-        value, function = self.minimum_over_gamma(expression, method=method, backend=backend)
+        value, function = self.minimum_over_gamma(expression, method=method)
         if value >= -tolerance:
             return None
         return function
@@ -291,7 +270,6 @@ class ShannonProver:
         expression: LinearExpression,
         tolerance: float = 1e-6,
         method: Optional[str] = None,
-        backend: Optional[str] = None,
     ) -> Optional[ShannonCertificate]:
         """A Shannon proof of ``0 ≤ E(h)``, or ``None`` when no proof exists.
 
@@ -302,13 +280,10 @@ class ShannonProver:
         """
         target = self.expression_vector(expression)
         resolved = self._resolve_method(method)
-        backend = self._resolve_backend(backend)
         if resolved == "rowgen":
-            found = self._certificate_rowgen(target[np.newaxis, :], tolerance, backend)
+            found = self._certificate_rowgen(target[np.newaxis, :], tolerance)
             return None if found is None else found[1]
-        multipliers = nonnegative_combination(
-            self._elemental_matrix, target, tolerance, backend=backend
-        )
+        multipliers = nonnegative_combination(self._elemental_matrix, target, tolerance)
         if multipliers is None:
             return None
         pairs = tuple(
@@ -319,7 +294,7 @@ class ShannonProver:
         return ShannonCertificate(ground=self.ground, multipliers=pairs)
 
     def _certificate_rowgen(
-        self, targets: np.ndarray, tolerance: float, backend=None
+        self, targets: np.ndarray, tolerance: float
     ) -> Optional[Tuple[np.ndarray, ShannonCertificate]]:
         """Convex weights and their Shannon proof by Farkas-driven row generation.
 
@@ -332,7 +307,7 @@ class ShannonProver:
         :func:`~repro.core.convex_certificate.find_convex_certificate` passes
         every branch.
 
-        One incremental model of ``backend`` holds the *probe*
+        One incremental HiGHS model holds the *probe*
         ``min t`` over ``{c_ℓ·x ≤ t for every ℓ, A x ≥ 0, -1 ≤ x ≤ 1}``,
         written as ``min c_1·x + s`` with the fixed branch rows
         ``(c_ℓ - c_1)·x - s ≤ 0`` (``ℓ ≥ 2``), ``s ≥ 0``, and the active
@@ -359,14 +334,13 @@ class ShannonProver:
         caller gets a checked proof.
         """
         oracle = self._oracle
-        backend = resolve_backend(backend)
         options = RowGenOptions()
         count, width = targets.shape
         farkas_tolerance = 1e-9 * max(1.0, float(np.abs(targets).sum(axis=1).max()))
         branch_rows = None
         if count > 1:
             branch_rows = np.hstack([targets[1:] - targets[0], -np.ones((count - 1, 1))])
-        model = backend.incremental_model(
+        model = resolve_backend().incremental_model(
             width + 1,
             np.append(targets[0], 1.0),
             bounds=[(-1.0, 1.0)] * width + [(0.0, None)],

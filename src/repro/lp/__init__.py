@@ -1,27 +1,22 @@
 """Linear-programming layer.
 
-Thin, typed wrappers around the LP solvers used by the Shannon prover and
-the cone decision procedures, plus Farkas-style certificate extraction
-helpers and the batched entry points: :func:`solve_feasibility_blocks` (the
-block-diagonal primitive under the :mod:`repro.service` batch engine) and
-:func:`minimize_many` (shared constraint normalization across objectives).
+Thin, typed wrappers around the LP solver (HiGHS) used by the Shannon
+prover and the cone decision procedures, plus Farkas-style certificate extraction
+helpers and the batched entry point :func:`solve_feasibility_blocks` (the
+block-diagonal primitive under the :mod:`repro.service` batch engine).
 
 The :mod:`repro.lp.rowgen` submodule provides lazy row generation for the
 Shannon cone: a vectorized separation oracle over the implicit elemental
 rows plus cutting-plane loops, selected through the ``method`` knob
 (``"dense" | "rowgen" | "auto"``) every solver entry point grew for it.
 
-The :mod:`repro.lp.backends` submodule provides the solver backends behind
-the ``backend`` knob: HiGHS driven incrementally (the default; native
-``highspy`` when installed, scipy's bundled bindings otherwise), which
-keeps one model per cutting-plane loop, and scipy's one-shot ``linprog``.
+The :mod:`repro.lp.backends` submodule drives the one solver, HiGHS,
+incrementally (native ``highspy`` when installed, scipy's bundled bindings
+otherwise), keeping one model per cutting-plane loop.
 """
 
 from repro.lp.backends import (
-    BACKEND_NAMES,
     HighsBackend,
-    LPBackend,
-    ScipyBackend,
     highs_available,
     resolve_backend,
 )
@@ -30,10 +25,8 @@ from repro.lp.solver import (
     FeasibilityBlock,
     LPResult,
     LPStatus,
-    backend_path_counts,
     check_feasibility,
     minimize,
-    minimize_many,
     record_solver_path,
     reset_solver_path_counts,
     solve_feasibility_blocks,
@@ -56,7 +49,6 @@ __all__ = [
     "LPStatus",
     "LPResult",
     "minimize",
-    "minimize_many",
     "check_feasibility",
     "FeasibilityBlock",
     "BlockFeasibilityResult",
@@ -71,11 +63,7 @@ __all__ = [
     "resolve_method",
     "record_solver_path",
     "solver_path_counts",
-    "backend_path_counts",
     "reset_solver_path_counts",
-    "BACKEND_NAMES",
-    "LPBackend",
-    "ScipyBackend",
     "HighsBackend",
     "highs_available",
     "resolve_backend",

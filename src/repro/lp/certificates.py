@@ -28,15 +28,14 @@ from repro.lp.solver import check_feasibility
 
 
 def nonnegative_combination(
-    generators, target: np.ndarray, tolerance: float = 1e-7, backend="auto"
+    generators, target: np.ndarray, tolerance: float = 1e-7
 ) -> Optional[np.ndarray]:
     """Express ``target`` as a non-negative combination of the rows of ``generators``.
 
     ``generators`` may be a dense array or a scipy sparse matrix.  Returns the
     multiplier vector ``λ ≥ 0`` with ``λ @ generators = target``, or ``None``
     when no such combination exists (up to ``tolerance`` checked after
-    solving, to protect against numerically marginal solutions).  ``backend``
-    picks the LP solver backend, as in :func:`repro.lp.solver.minimize`.
+    solving, to protect against numerically marginal solutions).
     """
     if not sp.issparse(generators):
         generators = np.asarray(generators, dtype=float)
@@ -50,7 +49,6 @@ def nonnegative_combination(
         A_eq=generators.T,
         b_eq=target,
         bounds=[(0, None)] * generators.shape[0],
-        backend=backend,
     )
     if not feasible or solution is None:
         return None
@@ -64,7 +62,7 @@ def nonnegative_combination(
 
 
 def nonnegative_combination_over_support(
-    generators, target: np.ndarray, tolerance: float = 1e-7, backend="auto"
+    generators, target: np.ndarray, tolerance: float = 1e-7
 ) -> Optional[np.ndarray]:
     """Like :func:`nonnegative_combination`, restricted to the support columns.
 
@@ -104,6 +102,4 @@ def nonnegative_combination_over_support(
     restricted = generators[:, column_support]
     if sp.issparse(restricted):
         restricted = restricted.tocsr()
-    return nonnegative_combination(
-        restricted, target[column_support], tolerance, backend=backend
-    )
+    return nonnegative_combination(restricted, target[column_support], tolerance)

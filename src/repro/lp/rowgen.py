@@ -13,21 +13,18 @@ This module makes the elemental rows *implicit*:
   bitmask fancy-indexing on the dense ``2^n`` value vector, so finding the
   most-violated elemental inequalities of a candidate point costs one numpy
   sweep per variable pair and never materializes the ``2^n``-wide CSR.
-* The cutting-plane loops :func:`minimize_lazy`,
-  :func:`check_feasibility_lazy`, :func:`minimize_many_lazy` and
+* The cutting-plane loops :func:`minimize_lazy` and
   :func:`solve_feasibility_blocks_lazy` — each starts from a small *seed*
   row set (the ``n`` monotonicity rows plus the ``C(n,2)`` rank-1,
   empty-context submodularity rows ``I(i;j) ≥ 0``), solves the relaxation,
   asks the oracle for the most-violated rows at the relaxed optimum, and
   iterates until no elemental inequality is violated beyond tolerance.
-  Each loop drives incremental models of its backend
-  (:class:`~repro.lp.backends.IncrementalModel`): the minimization loops
-  one, the block loop one per block.  Cuts enter them as rows keyed by
-  oracle row id.  On the ``highs`` backend (the default) each block
-  re-solves warm from its own previous basis, so a block costs nothing
-  once it is decided, while the minimization loops re-solve cold: warm
-  dual simplex stalled on ``n = 12`` minimizations (see
-  :func:`minimize_lazy`).  The certificate loop of
+  Each loop drives HiGHS models (:class:`~repro.lp.backends.IncrementalModel`):
+  the minimization loop one, the block loop one per block.  Cuts enter
+  them as rows keyed by oracle row id.  Each block re-solves warm from its
+  own previous basis, so a block costs nothing once it is decided, while
+  the minimization loop re-solves cold: warm dual simplex stalled on
+  ``n = 12`` minimizations (see :func:`minimize_lazy`).  The certificate loop of
   :meth:`repro.infotheory.shannon.ShannonProver._certificate_rowgen` drives
   the same kind of model over the same oracle, warm.
 
@@ -110,20 +107,18 @@ SEED_NAMES = ("generic", "containment")
 
 # --------------------------------------------------------------------- #
 # Round telemetry.  Every separation round tallies into the process-wide
-# metrics registry (rounds and cuts by backend); when a tracer is active the
-# loops additionally file retrospective ``rowgen-round`` spans carrying the
-# backend-solve / separation-oracle time split.  The untraced cost per round
-# is two clock reads and one counter increment.
+# metrics registry (rounds and cuts); when a tracer is active the loops
+# additionally file retrospective ``rowgen-round`` spans carrying the
+# solve / separation-oracle time split.  The untraced cost per round is two
+# clock reads and one counter increment.
 # --------------------------------------------------------------------- #
 _ROWGEN_ROUNDS = global_registry().counter(
     "repro_rowgen_rounds_total",
-    "Cutting-plane separation rounds by solver backend.",
-    labelnames=("backend",),
+    "Cutting-plane separation rounds.",
 )
 _ROWGEN_CUTS = global_registry().counter(
     "repro_rowgen_cuts_total",
-    "Violated elemental rows admitted by the separation oracle, by backend.",
-    labelnames=("backend",),
+    "Violated elemental rows admitted by the separation oracle.",
 )
 
 
@@ -154,7 +149,6 @@ def _separate_timed(
     oracle: "ShannonRowOracle",
     solution,
     options: "RowGenOptions",
-    backend,
     loop: str,
     round_number: int,
     round_started: float,
@@ -162,7 +156,7 @@ def _separate_timed(
 ):
     """Run one separation step with round telemetry; returns the cut ids.
 
-    ``round_started`` is the clock stamp taken before the round's backend
+    ``round_started`` is the clock stamp taken before the round's
     solve — the filed span covers solve plus separation, with the split in
     its attributes (plus any extra ``attributes``).
     """
@@ -173,7 +167,7 @@ def _separate_timed(
     )
     cuts = int(cut_ids.size)
     if cuts:
-        _ROWGEN_CUTS.inc(cuts, backend=backend.name)
+        _ROWGEN_CUTS.inc(cuts)
     _record_round(loop, round_number, round_started, oracle_started, cuts, **attributes)
     return cut_ids, scores
 
@@ -251,7 +245,6 @@ class RowGenReport:
     lower-bound early exit (see
     :attr:`RowGenOptions.early_stop_objective`): the objective value is a
     proven bound but the solution is a relaxation point, not a cone point.
-    ``backend`` names the solver backend that ran the loop.
     """
 
     rounds: int
@@ -259,7 +252,6 @@ class RowGenReport:
     total_rows: int
     cuts_added: int
     early_stopped: bool = False
-    backend: str = "scipy"
 
 
 class ShannonRowOracle:
@@ -571,7 +563,6 @@ def _report(
     known: set,
     seed_size: int,
     oracle: ShannonRowOracle,
-    backend,
     early_stopped: bool = False,
 ) -> RowGenReport:
     return RowGenReport(
@@ -580,21 +571,7 @@ def _report(
         total_rows=oracle.row_count,
         cuts_added=len(known) - seed_size,
         early_stopped=early_stopped,
-        backend=backend.name,
     )
-
-
-def _seeded_model(objective, oracle, A_ub, b_ub, bounds, options, backend):
-    """One incremental model holding the caller's rows plus the seed cone rows.
-
-    Returns the model and the set of oracle row ids in it.
-    """
-    model = backend.incremental_model(
-        objective.shape[0], objective, bounds=bounds, A_fixed=A_ub, b_fixed=b_ub
-    )
-    seed = oracle.seed_ids_for(options.seed)
-    model.add_rows([int(i) for i in seed], -oracle.rows_matrix(seed))
-    return model, {int(i) for i in seed}
 
 
 def minimize_lazy(
@@ -604,7 +581,6 @@ def minimize_lazy(
     b_ub=None,
     bounds=None,
     options: Optional[RowGenOptions] = None,
-    backend=None,
 ) -> LPResult:
     """Minimize over ``Γn`` (implicit) intersected with ``A_ub x ≤ b_ub``.
 
@@ -615,27 +591,32 @@ def minimize_lazy(
     problem).  The returned :class:`LPResult` carries a
     :class:`RowGenReport` in ``result.rowgen``.
 
-    One model of ``backend`` persists across rounds and cuts enter through
-    row additions, but every round re-solves it cold: warm dual simplex
-    re-solves of these relaxations can take several times the iterations
-    of a cold solve (at ``n = 12``, 76 079 and 139 324 against about
-    20 000), enough to stall the Han validity decision.
+    One model, holding the caller's rows plus the seed cone rows, persists
+    across rounds and cuts enter through row additions, but every round
+    re-solves it cold: warm dual simplex re-solves of these relaxations can
+    take several times the iterations of a cold solve (at ``n = 12``,
+    76 079 and 139 324 against about 20 000), enough to stall the Han
+    validity decision.
     """
     options = options if options is not None else RowGenOptions()
-    backend = resolve_backend(backend)
     objective = np.asarray(objective, dtype=float)
-    model, known = _seeded_model(objective, oracle, A_ub, b_ub, bounds, options, backend)
+    model = resolve_backend().incremental_model(
+        objective.shape[0], objective, bounds=bounds, A_fixed=A_ub, b_fixed=b_ub
+    )
+    seed = [int(i) for i in oracle.seed_ids_for(options.seed)]
+    model.add_rows(seed, -oracle.rows_matrix(seed))
+    known = set(seed)
     seed_size = len(known)
     for round_number in range(1, options.max_rounds + 1):
         round_started = time.perf_counter()
         result = model.solve(warm=False)
-        _ROWGEN_ROUNDS.inc(backend=backend.name)
+        _ROWGEN_ROUNDS.inc()
         if result.status == LPStatus.UNBOUNDED:
             raise LPError(
                 "row-generation relaxation is unbounded; pass bounds that are "
                 "valid over the full cone (e.g. 0 <= x <= 1 on the h(V) <= 1 slice)"
             )
-        report = _report(round_number, known, seed_size, oracle, backend)
+        report = _report(round_number, known, seed_size, oracle)
         if result.status == LPStatus.INFEASIBLE:
             # The relaxation's feasible set contains the true one.
             return LPResult(
@@ -649,18 +630,10 @@ def minimize_lazy(
                 status=result.status,
                 objective=result.objective,
                 solution=result.solution,
-                rowgen=_report(
-                    round_number, known, seed_size, oracle, backend, early_stopped=True
-                ),
+                rowgen=_report(round_number, known, seed_size, oracle, early_stopped=True),
             )
         cut_ids, _ = _separate_timed(
-            oracle,
-            result.solution,
-            options,
-            backend,
-            "minimize",
-            round_number,
-            round_started,
+            oracle, result.solution, options, "minimize", round_number, round_started
         )
         entered = _admit(known, cut_ids)
         if not entered:
@@ -672,100 +645,6 @@ def minimize_lazy(
             )
         model.add_rows(entered, -oracle.rows_matrix(entered))
     raise LPError("row generation did not converge within max_rounds")
-
-
-def check_feasibility_lazy(
-    num_variables: int,
-    oracle: ShannonRowOracle,
-    A_ub=None,
-    b_ub=None,
-    bounds=None,
-    options: Optional[RowGenOptions] = None,
-    backend=None,
-) -> Tuple[bool, Optional[np.ndarray], RowGenReport]:
-    """Decide non-emptiness of ``Γn ∩ {A_ub x ≤ b_ub}`` by row generation."""
-    options = options if options is not None else RowGenOptions()
-    result = minimize_lazy(
-        np.zeros(num_variables),
-        oracle,
-        A_ub=A_ub,
-        b_ub=b_ub,
-        bounds=bounds,
-        options=options,
-        backend=backend,
-    )
-    if result.status == LPStatus.OPTIMAL:
-        return True, result.solution, result.rowgen
-    if result.status == LPStatus.INFEASIBLE:
-        return False, None, result.rowgen
-    raise LPError("feasibility problem reported an unbounded objective")
-
-
-def minimize_many_lazy(
-    objectives: Sequence[Sequence[float]],
-    oracle: ShannonRowOracle,
-    A_ub=None,
-    b_ub=None,
-    bounds=None,
-    options: Optional[RowGenOptions] = None,
-    backend=None,
-) -> List[LPResult]:
-    """Minimize several objectives over one shared implicit polyhedron.
-
-    One model serves every objective: only the objective changes between
-    solves, so the rows cut for one objective carry over to the next.  Every
-    solve is cold, as in :func:`minimize_lazy`.
-    """
-    options = options if options is not None else RowGenOptions()
-    backend = resolve_backend(backend)
-    if not objectives:
-        return []
-    first = np.asarray(objectives[0], dtype=float)
-    model, known = _seeded_model(first, oracle, A_ub, b_ub, bounds, options, backend)
-    seed_size = len(known)
-    results: List[LPResult] = []
-    for k, objective in enumerate(objectives):
-        if k:
-            model.set_objective(np.asarray(objective, dtype=float))
-        for round_number in range(1, options.max_rounds + 1):
-            round_started = time.perf_counter()
-            result = model.solve(warm=False)
-            _ROWGEN_ROUNDS.inc(backend=backend.name)
-            if result.status == LPStatus.UNBOUNDED:
-                raise LPError(
-                    "row-generation relaxation is unbounded; pass bounds valid "
-                    "over the full cone"
-                )
-            report = _report(round_number, known, seed_size, oracle, backend)
-            if result.status == LPStatus.INFEASIBLE:
-                results.append(
-                    LPResult(status=result.status, objective=None, solution=None, rowgen=report)
-                )
-                break
-            cut_ids, _ = _separate_timed(
-                oracle,
-                result.solution,
-                options,
-                backend,
-                "minimize-many",
-                round_number,
-                round_started,
-            )
-            entered = _admit(known, cut_ids)
-            if not entered:
-                results.append(
-                    LPResult(
-                        status=result.status,
-                        objective=result.objective,
-                        solution=result.solution,
-                        rowgen=report,
-                    )
-                )
-                break
-            model.add_rows(entered, -oracle.rows_matrix(entered))
-        else:
-            raise LPError("row generation did not converge within max_rounds")
-    return results
 
 
 def _with_slack_column(matrix: sp.csr_matrix) -> sp.csr_matrix:
@@ -781,20 +660,19 @@ def solve_feasibility_blocks_lazy(
     oracle: ShannonRowOracle,
     slack_threshold: float = 0.5,
     options: Optional[RowGenOptions] = None,
-    backend=None,
 ) -> List[BlockFeasibilityResult]:
     """Feasibility blocks with implicit elemental rows, one model per block.
 
     Each block is the slack LP of
-    :func:`repro.lp.solver.solve_feasibility_blocks` on its own: one model
-    of ``backend`` holding the block's columns plus its slack column, its
+    :func:`repro.lp.solver.solve_feasibility_blocks` on its own: one HiGHS
+    model holding the block's columns plus its slack column, its
     ``A_hard`` (if any) and its slack-relaxed soft rows as fixed rows, and
     its active elemental rows as rows keyed by oracle row id.  The active
     rows start at the seed (materialized once per call) and grow by
-    separation on the block's relaxed solution; on the ``highs`` backend
-    every re-solve is warm from the block's previous basis.  A block is
-    done the round its relaxation becomes infeasible (slack at margin) or
-    its relaxed point enters ``Γn``, and it costs nothing after that.  The
+    separation on the block's relaxed solution, and every re-solve is warm
+    from the block's previous basis.  A block is done the round its
+    relaxation becomes infeasible (slack at margin) or its relaxed point
+    enters ``Γn``, and it costs nothing after that.  The
     blocks share no model, so a block's verdict, solution and duals do not
     depend on which other blocks share the call.  An infeasible block's
     result carries the duals of the solve that decided it: its soft rows'
@@ -802,13 +680,10 @@ def solve_feasibility_blocks_lazy(
     :class:`~repro.lp.solver.BlockFeasibilityResult`).
     """
     options = options if options is not None else RowGenOptions()
-    backend = resolve_backend(backend)
     seed = [int(row_id) for row_id in oracle.seed_ids_for(options.seed)]
     seed_rows = _with_slack_column(-oracle.rows_matrix(seed))
     return [
-        _solve_block_lazy(
-            index, block, oracle, seed, seed_rows, slack_threshold, options, backend
-        )
+        _solve_block_lazy(index, block, oracle, seed, seed_rows, slack_threshold, options)
         for index, block in enumerate(blocks)
     ]
 
@@ -821,7 +696,6 @@ def _solve_block_lazy(
     seed_rows: sp.csr_matrix,
     slack_threshold: float,
     options: RowGenOptions,
-    backend,
 ) -> BlockFeasibilityResult:
     """One block of :func:`solve_feasibility_blocks_lazy`, on its own model."""
     width = block.num_variables
@@ -840,7 +714,7 @@ def _solve_block_lazy(
         rhs_parts.insert(0, np.asarray(block.b_hard, dtype=float))
         soft_start = A_hard.shape[0]
     fixed_rows = soft_start + A_soft.shape[0]
-    model = backend.incremental_model(
+    model = resolve_backend().incremental_model(
         width + 1,
         objective,
         bounds=(0, None),
@@ -852,7 +726,7 @@ def _solve_block_lazy(
     for round_number in range(1, options.max_rounds + 1):
         round_started = time.perf_counter()
         result = model.solve()
-        _ROWGEN_ROUNDS.inc(backend=backend.name)
+        _ROWGEN_ROUNDS.inc()
         if result.status != LPStatus.OPTIMAL:
             # The slack LP is always feasible and bounded below by 0.
             raise LPError(f"block feasibility program failed: {result.status}")
@@ -882,14 +756,7 @@ def _solve_block_lazy(
             )
         solution = np.asarray(result.solution[:width])
         cut_ids, _ = _separate_timed(
-            oracle,
-            solution,
-            options,
-            backend,
-            "blocks",
-            round_number,
-            round_started,
-            block=index,
+            oracle, solution, options, "blocks", round_number, round_started, block=index
         )
         entered = _admit(known, cut_ids)
         if not entered:
@@ -909,8 +776,6 @@ __all__ = [
     "shannon_row_oracle",
     "resolve_method",
     "minimize_lazy",
-    "minimize_many_lazy",
-    "check_feasibility_lazy",
     "solve_feasibility_blocks_lazy",
     "record_solver_path",
     "SEED_NAMES",

@@ -7,29 +7,23 @@ All decision procedures of the library reduce to two primitives:
   if so, return a point of it.
 
 The wrappers normalize the inputs (lists, numpy arrays, ``None``), route the
-solve through a :mod:`repro.lp.backends` backend (HiGHS driven directly by
-default, scipy's one-shot ``linprog`` on request), and convert solver
+solve to HiGHS through :mod:`repro.lp.backends`, and convert solver
 statuses into a small, explicit enum so that callers never have to inspect a
 solver's raw result object directly.
 
-Batched entry points
---------------------
-High-volume callers issue many structurally related LPs at once.  Two
-batched primitives serve them:
-
-* :func:`solve_feasibility_blocks` — many *independent* feasibility systems
-  in one call.  Each block receives one slack variable that relaxes only
-  its "soft" rows, and minimizing the slack decides the block (slack 0 ⇔
-  the block is feasible).  With explicit rows (the dense path) the blocks
-  are stacked block-diagonally into a single HiGHS invocation that
-  minimizes the sum of slacks inside one shared presolve/factorization;
-  with row generation every block runs on its own warm-started model (see
-  :func:`repro.lp.rowgen.solve_feasibility_blocks_lazy`).  This is the
-  primitive under the :mod:`repro.service` batch engine's grouped cone
-  decisions.
-* :func:`minimize_many` — several objectives over one shared polyhedron with
-  the constraint data normalized once; a convenience API for external
-  callers (nothing in the library routes through it yet).
+Batched entry point
+-------------------
+High-volume callers issue many structurally related LPs at once.
+:func:`solve_feasibility_blocks` decides many *independent* feasibility
+systems in one call.  Each block receives one slack variable that relaxes
+only its "soft" rows, and minimizing the slack decides the block (slack 0 ⇔
+the block is feasible).  With explicit rows (the dense path) the blocks are
+stacked block-diagonally into a single HiGHS invocation that minimizes the
+sum of slacks inside one shared presolve/factorization; with row generation
+every block runs on its own warm-started model (see
+:func:`repro.lp.rowgen.solve_feasibility_blocks_lazy`).  This is the
+primitive under the :mod:`repro.service` batch engine's grouped cone
+decisions.
 
 Lazy (implicit) constraint rows
 -------------------------------
@@ -76,23 +70,17 @@ class LPStatus(Enum):
 
 
 # --------------------------------------------------------------------- #
-# Solver-path accounting (dense vs rowgen, scipy vs highs coverage)
+# Solver-path accounting (dense vs rowgen coverage)
 # --------------------------------------------------------------------- #
 _PATH_LOCK = threading.Lock()
 _SOLVER_PATH_COUNTS: Dict[str, int] = {"dense": 0, "rowgen": 0}
-_BACKEND_PATH_COUNTS: Dict[str, int] = {"scipy": 0, "highs": 0}
 
-# The same tallies, exported on the process-wide metrics registry so the
-# daemon's Prometheus exposition covers LP decisions by method and backend.
+# The same tally, exported on the process-wide metrics registry so the
+# daemon's Prometheus exposition covers LP decisions by method.
 _LP_DECISIONS = global_registry().counter(
     "repro_lp_decisions_total",
     "Gamma_n LP decisions by solver path (dense vs row generation).",
     labelnames=("method",),
-)
-_LP_BACKEND_DECISIONS = global_registry().counter(
-    "repro_lp_backend_decisions_total",
-    "Gamma_n LP decisions by solver backend.",
-    labelnames=("backend",),
 )
 
 
@@ -114,25 +102,10 @@ def solver_path_counts() -> Dict[str, int]:
         return dict(_SOLVER_PATH_COUNTS)
 
 
-def record_backend_path(name: str) -> None:
-    """Tally one ``Γn`` LP decision served by the named solver backend."""
-    with _PATH_LOCK:
-        _BACKEND_PATH_COUNTS[name] = _BACKEND_PATH_COUNTS.get(name, 0) + 1
-    _LP_BACKEND_DECISIONS.inc(backend=name)
-
-
-def backend_path_counts() -> Dict[str, int]:
-    """A snapshot of how many ``Γn`` LP decisions each backend served."""
-    with _PATH_LOCK:
-        return dict(_BACKEND_PATH_COUNTS)
-
-
 def reset_solver_path_counts() -> None:
     with _PATH_LOCK:
         for key in _SOLVER_PATH_COUNTS:
             _SOLVER_PATH_COUNTS[key] = 0
-        for key in _BACKEND_PATH_COUNTS:
-            _BACKEND_PATH_COUNTS[key] = 0
 
 
 @dataclass(frozen=True)
@@ -152,7 +125,7 @@ class LPResult:
         A :class:`repro.lp.rowgen.RowGenReport` when the result came from a
         cutting-plane loop (``None`` on the dense path).
     row_duals:
-        The solver's row duals, in the backend model's row order (see
+        The solver's row duals, in the model's row order (see
         :meth:`repro.lp.backends.IncrementalModel.solve`), when the solve
         was OPTIMAL and the solver reported valid duals.
     """
@@ -193,11 +166,11 @@ def _resolve_lazy(lazy_rows, method: str, blocks: bool = False) -> Optional[str]
     return resolve_method(method, lazy_rows.row_count, threshold)
 
 
-def _resolve_backend(backend):
-    """Resolve a ``backend`` knob to an :class:`~repro.lp.backends.LPBackend`."""
+def _backend():
+    """The shared HiGHS backend (imported late: it imports this module)."""
     from repro.lp.backends import resolve_backend
 
-    return resolve_backend(backend)
+    return resolve_backend()
 
 
 def _prepend_homogeneous_rows(cone_rows, A, b, width: int):
@@ -245,7 +218,6 @@ def minimize(
     lazy_rows=None,
     method: str = "dense",
     rowgen_options=None,
-    backend="auto",
 ) -> LPResult:
     """Minimize ``objective · x`` subject to ``A_ub x ≤ b_ub`` and ``A_eq x = b_eq``.
 
@@ -255,11 +227,8 @@ def minimize(
     When ``lazy_rows`` is given, its implicit homogeneous rows ``A x ≥ 0``
     join the constraints through the path selected by ``method`` (see the
     module docstring); ``"rowgen"`` requires ``A_eq`` to be empty and relies
-    on ``bounds`` to keep every relaxation bounded.  ``backend`` picks the
-    solver backend (see :mod:`repro.lp.backends`); the default ``"auto"``
-    drives HiGHS directly.
+    on ``bounds`` to keep every relaxation bounded.
     """
-    backend = _resolve_backend(backend)
     resolved = _resolve_lazy(lazy_rows, method)
     if resolved == "rowgen":
         if A_eq is not None or b_eq is not None:
@@ -273,16 +242,15 @@ def minimize(
             b_ub=b_ub,
             bounds=bounds,
             options=rowgen_options,
-            backend=backend,
         )
     objective = np.asarray(objective, dtype=float)
     if resolved == "dense":
         A_ub, b_ub = _append_lazy_dense(lazy_rows, A_ub, b_ub, objective.shape[0])
     width = objective.shape[0]
-    # A single (min, max) pair applies to every variable — the backends
-    # broadcast it, which avoids materializing a 2^n-entry bounds list per
+    # A single (min, max) pair applies to every variable — the backend
+    # broadcasts it, which avoids materializing a 2^n-entry bounds list per
     # solve.
-    return backend.solve(
+    return _backend().solve(
         objective,
         A_ub=_as_array(A_ub, width),
         b_ub=None if b_ub is None else np.asarray(b_ub, dtype=float),
@@ -290,87 +258,6 @@ def minimize(
         b_eq=None if b_eq is None else np.asarray(b_eq, dtype=float),
         bounds=bounds if bounds is not None else (0, None),
     )
-
-
-def minimize_many(
-    objectives: Sequence[Sequence[float]],
-    A_ub=None,
-    b_ub=None,
-    A_eq=None,
-    b_eq=None,
-    bounds: Optional[Sequence[Tuple[Optional[float], Optional[float]]]] = None,
-    lazy_rows=None,
-    method: str = "dense",
-    rowgen_options=None,
-    backend="auto",
-) -> List[LPResult]:
-    """Minimize several objectives over one shared polyhedron.
-
-    The constraint data is normalized once and reused for every objective.
-    On the scipy backend the solves themselves are sequential and cold
-    (``linprog`` does not expose HiGHS basis hand-off between calls); the
-    ``highs`` backend keeps one incremental model alive and only swaps the
-    objective, so each solve warm-starts from the previous basis.  Callers
-    that only need feasibility verdicts for *independent* systems should
-    prefer :func:`solve_feasibility_blocks` (what the batch containment
-    engine uses).
-
-    With ``lazy_rows`` and a resolved ``"rowgen"`` method the objectives
-    share one growing active row set — cuts found for an early objective
-    warm-start the later ones.
-    """
-    if not objectives:
-        return []
-    backend = _resolve_backend(backend)
-    resolved = _resolve_lazy(lazy_rows, method)
-    if resolved == "rowgen":
-        if A_eq is not None or b_eq is not None:
-            raise LPError("row generation does not support equality constraints")
-        from repro.lp.rowgen import minimize_many_lazy
-
-        return minimize_many_lazy(
-            objectives,
-            lazy_rows,
-            A_ub=A_ub,
-            b_ub=b_ub,
-            bounds=bounds,
-            options=rowgen_options,
-            backend=backend,
-        )
-    first = np.asarray(objectives[0], dtype=float)
-    width = first.shape[0]
-    if resolved == "dense":
-        A_ub, b_ub = _append_lazy_dense(lazy_rows, A_ub, b_ub, width)
-    A_ub = _as_array(A_ub, width)
-    b_ub = None if b_ub is None else np.asarray(b_ub, dtype=float)
-    A_eq = _as_array(A_eq, width)
-    b_eq = None if b_eq is None else np.asarray(b_eq, dtype=float)
-    bounds = bounds if bounds is not None else (0, None)
-    normalized: List[np.ndarray] = []
-    for objective in objectives:
-        objective = np.asarray(objective, dtype=float)
-        if objective.shape[0] != width:
-            raise LPError("all objectives must have the same number of variables")
-        normalized.append(objective)
-    if A_eq is None:
-        # One persistent model; only the objective changes between solves,
-        # so on ``highs`` every solve after the first warm-starts from the
-        # previous basis.
-        model = backend.incremental_model(
-            width, normalized[0], bounds=bounds, A_fixed=A_ub, b_fixed=b_ub
-        )
-        results: List[LPResult] = []
-        for k, objective in enumerate(normalized):
-            if k:
-                model.set_objective(objective)
-            results.append(model.solve())
-        return results
-    return [
-        backend.solve(
-            objective, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds
-        )
-        for objective in normalized
-    ]
 
 
 @dataclass(frozen=True)
@@ -426,7 +313,6 @@ def solve_feasibility_blocks(
     lazy_rows=None,
     method: str = "dense",
     rowgen_options=None,
-    backend="auto",
 ) -> List[BlockFeasibilityResult]:
     """Decide many independent feasibility systems in one call.
 
@@ -458,7 +344,6 @@ def solve_feasibility_blocks(
     """
     if not blocks:
         return []
-    backend = _resolve_backend(backend)
     resolved = _resolve_lazy(lazy_rows, method, blocks=True)
     if resolved == "rowgen":
         from repro.lp.rowgen import solve_feasibility_blocks_lazy
@@ -468,7 +353,6 @@ def solve_feasibility_blocks(
             lazy_rows,
             slack_threshold,
             options=rowgen_options,
-            backend=backend,
         )
     if resolved == "dense":
         cone_rows = -lazy_rows.full_matrix()
@@ -533,7 +417,7 @@ def solve_feasibility_blocks(
     objective = np.zeros(total_columns)
     objective[offset:] = 1.0
 
-    result = backend.solve(objective, A_ub=A, b_ub=b, bounds=(0, None))
+    result = _backend().solve(objective, A_ub=A, b_ub=b, bounds=(0, None))
     if result.status != LPStatus.OPTIMAL:
         # The stacked LP is always feasible (x = 0 with large enough slacks
         # whenever every b_hard ≥ 0) and bounded below by 0.
@@ -583,12 +467,11 @@ def check_feasibility(
     lazy_rows=None,
     method: str = "dense",
     rowgen_options=None,
-    backend="auto",
 ) -> Tuple[bool, Optional[np.ndarray]]:
     """Decide non-emptiness of a polyhedron; return a feasible point if any.
 
     The objective is identically zero, so any feasible point is optimal.
-    ``lazy_rows``/``method``/``backend`` behave as in :func:`minimize`.
+    ``lazy_rows``/``method`` behave as in :func:`minimize`.
     """
     result = minimize(
         objective=np.zeros(num_variables),
@@ -600,7 +483,6 @@ def check_feasibility(
         lazy_rows=lazy_rows,
         method=method,
         rowgen_options=rowgen_options,
-        backend=backend,
     )
     if result.status == LPStatus.OPTIMAL:
         return True, result.solution

@@ -7,7 +7,7 @@ named metrics and renders them in the Prometheus text exposition format
 surface.  Three metric kinds cover everything the serving stack needs:
 
 * :class:`Counter` — a monotone float total, optionally split by labels
-  (``lp_solves_total{backend="scipy",method="rowgen"}``).
+  (``repro_lp_decisions_total{method="rowgen"}``).
 * :class:`Gauge` — a value that can go up and down (queue depth), either set
   explicitly or computed at scrape time through a ``callback``.
 * :class:`Histogram` — fixed cumulative buckets plus ``_sum``/``_count``,

@@ -58,7 +58,6 @@ from repro.exceptions import ReproError
 from repro.infotheory.expressions import MaxInformationInequality
 from repro.infotheory.maxiip import MaxIIVerdict, decide_max_ii, decide_max_ii_many
 from repro.infotheory.setfunction import SetFunction
-from repro.lp.backends import BACKEND_NAMES
 from repro.obs import tracer as obs_tracer
 from repro.service.evidence import rename_certificate
 from repro.service.stats import GroupTiming, ServiceStats
@@ -187,9 +186,6 @@ class BatchEngine:
     lp_method:
         ``Γn`` LP path for every cone decision (``"dense" | "rowgen" |
         "auto"``; see :mod:`repro.lp.rowgen`).
-    lp_backend:
-        Solver backend for every LP solve (``"auto" | "scipy" | "highs"``;
-        see :mod:`repro.lp.backends`).  ``"auto"`` is ``"highs"``.
     """
 
     def __init__(
@@ -200,7 +196,6 @@ class BatchEngine:
         on_error: str = "raise",
         stats: Optional[ServiceStats] = None,
         lp_method: str = "auto",
-        lp_backend: str = "auto",
         deadline: Optional[float] = None,
     ):
         if chunk_size < 1:
@@ -211,8 +206,6 @@ class BatchEngine:
             raise ValueError("on_error must be 'raise' or 'capture'")
         if lp_method not in ("dense", "rowgen", "auto"):
             raise ValueError("lp_method must be 'dense', 'rowgen' or 'auto'")
-        if lp_backend not in BACKEND_NAMES:
-            raise ValueError(f"lp_backend must be one of {BACKEND_NAMES}")
         if deadline is not None and deadline < 0:
             raise ValueError("deadline must be non-negative (or None)")
         self.chunk_size = chunk_size
@@ -222,7 +215,6 @@ class BatchEngine:
         self.on_error = on_error
         self.stats = stats if stats is not None else ServiceStats()
         self.lp_method = lp_method
-        self.lp_backend = lp_backend
         # The current run's batch span id: chunk solves run on pool threads
         # whose span stacks are empty, so they parent here explicitly.
         self._batch_span_id: Optional[int] = None
@@ -359,7 +351,6 @@ class BatchEngine:
                 over="gamma",
                 ground=canonical,
                 lp_method=self.lp_method,
-                lp_backend=self.lp_backend,
                 seed=chunk[0].request.seed,
             )
         self.stats.record_chunk(
@@ -390,7 +381,6 @@ class BatchEngine:
                 over=request.over,
                 ground=request.ground,
                 lp_method=self.lp_method,
-                lp_backend=self.lp_backend,
                 seed=request.seed,
             )
         return run, verdict

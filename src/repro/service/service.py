@@ -29,7 +29,6 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 from repro.core.containment import ContainmentResult
 from repro.cq.query import ConjunctiveQuery
 from repro.exceptions import QueryError
-from repro.lp.backends import resolve_backend
 from repro.obs import tracer as obs_tracer
 from repro.obs.metrics import MetricsRegistry
 from repro.service.cache import PlanCache
@@ -55,11 +54,10 @@ class BatchOptions:
     ``method``, ``max_witness_rows`` and ``refutation_effort`` are forwarded
     to every pair's pipeline (same meaning as in
     :func:`repro.core.containment.decide_containment`).  ``chunk_size``,
-    ``max_workers``, ``pair_budget``, ``on_error``, ``lp_method`` and ``lp_backend``
+    ``max_workers``, ``pair_budget``, ``on_error`` and ``lp_method``
     configure the engine (see :class:`repro.service.engine.BatchEngine`;
     ``lp_method`` picks the ``Γn`` LP path — dense elemental matrix vs.
-    lazy row generation — and ``lp_backend`` the solver backend, HiGHS
-    driven incrementally (``"auto"``) vs. scipy's one-shot ``linprog``).
+    lazy row generation).
     ``cache_size`` bounds the plan cache (``None`` =
     unbounded) and ``canonicalize`` switches the isomorphism-aware dedup on
     or off (off, only the LP grouping remains).
@@ -86,7 +84,6 @@ class BatchOptions:
     cache_size: Optional[int] = 4096
     canonicalize: bool = True
     lp_method: str = "auto"
-    lp_backend: str = "auto"
     deadline: Optional[float] = None
     store_path: Optional[str] = None
 
@@ -210,7 +207,6 @@ class ContainmentService:
             on_error=options.on_error,
             stats=self.stats,
             lp_method=options.lp_method,
-            lp_backend=options.lp_backend,
             deadline=deadline,
         )
         self.stats.pairs_submitted += len(pairs)
@@ -276,7 +272,6 @@ class ContainmentService:
             cache_span.set(hits=hits, store_hits=store_hits, duplicates=duplicates)
 
         solved = engine.run_specs([self._spec(q1, q2) for (q1, q2), _, _ in jobs])
-        backend_name = resolve_backend(self.options.lp_backend).name
         canonical_by_job: Dict[int, ContainmentResult] = {}
         for job_index, (((_, _), key, labelings), result) in enumerate(
             zip(jobs, solved)
@@ -294,7 +289,6 @@ class ContainmentService:
                     canonical,
                     provenance={
                         "origin": "containment-service",
-                        "backend": backend_name,
                         "lp_method": self.options.lp_method,
                         "created_at": time.time(),
                         "pair_seconds": pair_seconds,
@@ -352,6 +346,6 @@ def decide_containment_many(
     Returns one :class:`ContainmentResult` per pair, in order, with statuses
     identical to a per-pair :func:`~repro.core.containment.decide_containment`
     loop.  Keyword overrides are :class:`BatchOptions` fields, e.g.
-    ``decide_containment_many(pairs, chunk_size=64, max_workers=4)``.
+    ``decide_containment_many(pairs, chunk_size=64, lp_method="rowgen")``.
     """
     return ContainmentService(options, **overrides).decide_many(pairs)

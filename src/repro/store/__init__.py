@@ -2,7 +2,7 @@
 
 An append-only SQLite log of containment verdicts keyed by the structural
 hash of the canonical pair key.  Each record persists the verdict, the
-deciding method, provenance (origin, backend, timings) and self-contained
+deciding method, provenance (origin, LP method, timings) and self-contained
 evidence — a Theorem 6.1 Farkas certificate for CONTAINED verdicts, a
 counterexample witness database for NOT_CONTAINED ones — all expressed over
 the canonical ``c0, c1, ...`` variables, so one record answers every

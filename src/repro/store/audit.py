@@ -73,13 +73,13 @@ class AuditReport:
         return not self.failures
 
 
-def verify_store(store: VerdictStore, farkas_backend: str = "auto") -> AuditReport:
+def verify_store(store: VerdictStore) -> AuditReport:
     """Re-verify every record of ``store`` (see the module docstring)."""
     report = AuditReport()
     for hash_, record in store.records():
         report.checked += 1
         try:
-            kind = _verify_record(record, farkas_backend)
+            kind = _verify_record(record)
         except ReproError as error:
             report.failures.append((hash_, str(error)))
             continue
@@ -95,7 +95,7 @@ def verify_store(store: VerdictStore, farkas_backend: str = "auto") -> AuditRepo
     return report
 
 
-def _verify_record(record: Dict[str, object], farkas_backend: str) -> str:
+def _verify_record(record: Dict[str, object]) -> str:
     evidence = record.get("evidence") or {}
     status = ContainmentStatus(record["status"])
     certificate = evidence.get("certificate")
@@ -104,7 +104,7 @@ def _verify_record(record: Dict[str, object], farkas_backend: str) -> str:
             raise CertificateError(
                 f"a {status.value} verdict must not carry a containment certificate"
             )
-        _verify_certificate(certificate, farkas_backend)
+        _verify_certificate(certificate)
         return "certificate"
     witness = evidence.get("witness")
     if witness is not None:
@@ -116,7 +116,7 @@ def _verify_record(record: Dict[str, object], farkas_backend: str) -> str:
     return "unchecked"
 
 
-def _verify_certificate(certificate: Dict[str, object], farkas_backend: str) -> None:
+def _verify_certificate(certificate: Dict[str, object]) -> None:
     shannon = deserialize_shannon_certificate(certificate["shannon"])
     ground = shannon.ground
     lambdas = [float(value) for value in certificate["lambdas"]]
@@ -154,9 +154,7 @@ def _verify_certificate(certificate: Dict[str, object], farkas_backend: str) -> 
         if subset:
             target[index[subset]] += coefficient
     try:
-        multipliers = nonnegative_combination_over_support(
-            generators, target, backend=farkas_backend
-        )
+        multipliers = nonnegative_combination_over_support(generators, target)
     except CertificateError as error:
         raise CertificateError(f"Farkas recheck rejected the certificate: {error}") from error
     if multipliers is None:

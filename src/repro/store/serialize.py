@@ -1,7 +1,7 @@
 """Canonical JSON serialization of store records.
 
 A store record is one verdict for one canonical pair key: the status and
-method, provenance (who solved it, with which backend, how long it took) and
+method, provenance (who solved it, with which LP method, how long it took) and
 the *evidence* — a serialized Farkas certificate for CONTAINED verdicts
 decided over ``Γn`` (the Theorem 6.1 convex multipliers plus the Shannon
 proof of the combined inequality) and a serialized counterexample witness

@@ -1,37 +1,27 @@
 """Shared fixtures: the paper's running examples and small helper queries.
 
-The terminal-summary hook reports solver-path coverage along two axes: how
-many ``Γn`` cone decisions ran through the dense elemental matrix vs. lazy
-row generation, and how many were served by each solver backend (scipy's
-one-shot ``linprog``, the warm-started ``highs`` model).  The tier-1 CI job
-greps this line to prove that every path ran: ``dense``, ``rowgen`` and
-both backends on every leg — the ``highs`` count also proves the bindings
-scipy bundles were picked up on legs without ``highspy``.
+The terminal-summary hook reports solver-path coverage: how many ``Γn``
+cone decisions ran through the dense elemental matrix vs. lazy row
+generation.  The tier-1 CI job greps this line to prove that both paths
+ran on every leg.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.lp.solver import backend_path_counts, solver_path_counts
+from repro.lp.solver import solver_path_counts
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     counts = solver_path_counts()
-    backends = backend_path_counts()
-    if not any(counts.values()) and not any(backends.values()):
+    if not any(counts.values()):
         return
     missing = [name for name in ("dense", "rowgen") if not counts.get(name)]
-    missing += [
-        f"backend:{name}" for name in ("scipy", "highs") if not backends.get(name)
-    ]
-    shown_backends = sorted(backends, key=lambda name: (name != "scipy", name))
     terminalreporter.write_sep("-", "solver-path coverage")
     terminalreporter.write_line(
         "solver-path coverage: "
         + ", ".join(f"{name}={counts.get(name, 0)}" for name in ("dense", "rowgen"))
-        + "; backend "
-        + ", ".join(f"{name}={backends.get(name, 0)}" for name in shown_backends)
         + ("" if not missing else f"  (WARNING: {', '.join(missing)} never exercised)")
     )
 

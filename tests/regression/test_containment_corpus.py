@@ -2,10 +2,13 @@
 
 Every entry of ``containment_corpus.json`` is a pair with a known verdict
 (paper examples plus deterministic batch-workload seeds).  The replay runs
-each pair through the sequential driver and the batch service across
-``lp_method`` (dense / rowgen) *and* ``lp_backend`` (scipy's ``linprog`` /
-the warm-started HiGHS model) — any future solver change that flips a
-verdict fails loudly with the pair's name.
+each pair through the sequential driver and the batch service on both
+values of ``lp_method`` (the dense elemental matrix and row generation) —
+any future solver change that flips a verdict fails loudly with the pair's
+name.  Each pair's ``Γn`` decision is also checked against the one-shot
+``linprog`` oracle (``tests/linprog_oracle.py``), on the sequential path
+and on the block LP the batch engine drives, whose valid verdicts carry
+the Theorem 6.1 certificate read off its duals.
 
 Regenerate (only for deliberate corpus extensions) with::
 
@@ -17,17 +20,17 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import linprog_oracle
 import pytest
 
-from repro.core.containment import decide_containment
+from repro.core.containment import containment_pipeline, decide_containment
 from repro.cq.parser import parse_query
 from repro.cq.query import ConjunctiveQuery
+from repro.infotheory.maxiip import decide_max_ii, decide_max_ii_many
 from repro.service import decide_containment_many
 
 CORPUS_PATH = Path(__file__).with_name("containment_corpus.json")
 CORPUS = json.loads(CORPUS_PATH.read_text())["pairs"]
-
-BACKENDS = ["scipy", "highs"]
 
 
 def deserialize_query(record) -> ConjunctiveQuery:
@@ -43,6 +46,27 @@ def load_pair(entry):
     return deserialize_query(entry["q1"]), deserialize_query(entry["q2"])
 
 
+def gamma_request(entry):
+    """The pair's first cone-decision request when it is over ``Γn``, else ``None``."""
+    pipeline = containment_pipeline(*load_pair(entry))
+    try:
+        request = next(pipeline)
+    except StopIteration:
+        return None
+    pipeline.close()
+    return request if request.over == "gamma" else None
+
+
+GAMMA_ENTRIES = [entry for entry in CORPUS if gamma_request(entry) is not None]
+
+
+def gamma_case(entry):
+    """``(request, ground, branches)`` of a ``GAMMA_ENTRIES`` pair, branches over ``ground``."""
+    request = gamma_request(entry)
+    ground = request.ground
+    return request, ground, [branch.with_ground(ground) for branch in request.max_ii.branches]
+
+
 def test_corpus_is_intact():
     assert len(CORPUS) >= 20
     statuses = {entry["status"] for entry in CORPUS}
@@ -50,26 +74,22 @@ def test_corpus_is_intact():
     assert statuses == {"contained", "not_contained"}
 
 
-@pytest.mark.parametrize("lp_backend", BACKENDS)
 @pytest.mark.parametrize("lp_method", ["dense", "rowgen"])
 @pytest.mark.parametrize("entry", CORPUS, ids=[e["name"] for e in CORPUS])
-def test_sequential_replay_matches_frozen_verdict(entry, lp_method, lp_backend):
+def test_sequential_replay_matches_frozen_verdict(entry, lp_method):
     q1, q2 = load_pair(entry)
-    result = decide_containment(q1, q2, lp_method=lp_method, lp_backend=lp_backend)
+    result = decide_containment(q1, q2, lp_method=lp_method)
     assert result.status.value == entry["status"], (
-        f"{entry['name']}: frozen {entry['status']!r} but {lp_method}/{lp_backend} "
+        f"{entry['name']}: frozen {entry['status']!r} but {lp_method} "
         f"path returned {result.status.value!r}"
     )
 
 
-@pytest.mark.parametrize("lp_backend", BACKENDS)
 @pytest.mark.parametrize("lp_method", ["dense", "rowgen"])
 @pytest.mark.parametrize("chunk_size", [1, 32])
-def test_batch_replay_matches_frozen_verdicts(lp_method, chunk_size, lp_backend):
+def test_batch_replay_matches_frozen_verdicts(lp_method, chunk_size):
     pairs = [load_pair(entry) for entry in CORPUS]
-    results = decide_containment_many(
-        pairs, lp_method=lp_method, chunk_size=chunk_size, lp_backend=lp_backend
-    )
+    results = decide_containment_many(pairs, lp_method=lp_method, chunk_size=chunk_size)
     got = [result.status.value for result in results]
     expected = [entry["status"] for entry in CORPUS]
     mismatches = [
@@ -78,3 +98,27 @@ def test_batch_replay_matches_frozen_verdicts(lp_method, chunk_size, lp_backend)
         if want != have
     ]
     assert not mismatches, f"verdict flips: {mismatches}"
+
+
+@pytest.mark.parametrize("lp_method", ["dense", "rowgen"])
+@pytest.mark.parametrize("entry", GAMMA_ENTRIES, ids=[e["name"] for e in GAMMA_ENTRIES])
+def test_gamma_decision_matches_linprog_oracle(entry, lp_method):
+    request, ground, branches = gamma_case(entry)
+    verdict = decide_max_ii(
+        request.max_ii, over="gamma", ground=ground, lp_method=lp_method, seed=request.seed
+    )
+    assert verdict.valid == (linprog_oracle.point_below(ground, branches) is None)
+    if not verdict.valid:
+        linprog_oracle.assert_point_below(verdict.violating_function, branches)
+
+
+@pytest.mark.parametrize("lp_method", ["dense", "rowgen"])
+@pytest.mark.parametrize("entry", GAMMA_ENTRIES, ids=[e["name"] for e in GAMMA_ENTRIES])
+def test_block_decision_matches_linprog_oracle(entry, lp_method):
+    """The batched path: the block LP's verdict, ``λ`` and proof, or its point."""
+    request, ground, branches = gamma_case(entry)
+    (verdict,) = decide_max_ii_many(
+        [request.max_ii], over="gamma", ground=ground, lp_method=lp_method, seed=request.seed
+    )
+    assert verdict.valid == (linprog_oracle.point_below(ground, branches) is None)
+    linprog_oracle.assert_block_verdict(verdict, ground, branches)

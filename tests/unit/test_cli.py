@@ -159,11 +159,9 @@ def test_batch_command_non_string_json_values(tmp_path):
     assert "query strings" in output
 
 
-def test_importing_the_cli_skips_the_process_executor_module():
-    code = (
-        "import sys, repro.cli; "
-        "print('concurrent.futures.process' in sys.modules)"
-    )
+def _cli_import_loads(module: str) -> bool:
+    """Whether a fresh ``import repro.cli`` puts ``module`` in ``sys.modules``."""
+    code = f"import sys, repro.cli; print({module!r} in sys.modules)"
     completed = subprocess.run(
         [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[2] / "src")),
@@ -172,4 +170,16 @@ def test_importing_the_cli_skips_the_process_executor_module():
         timeout=120,
     )
     assert completed.returncode == 0, completed.stderr
-    assert completed.stdout.strip() == "False"
+    out = completed.stdout.strip()
+    assert out in ("True", "False"), out
+    return out == "True"
+
+
+def test_importing_the_cli_skips_scipy_optimize():
+    # The HiGHS bindings, and with them scipy.optimize, load at the first
+    # solve: daemon and fleet clients and store readers never pay for them.
+    assert not _cli_import_loads("scipy.optimize")
+
+
+def test_importing_the_cli_skips_the_process_executor_module():
+    assert not _cli_import_loads("concurrent.futures.process")

@@ -84,15 +84,37 @@ class TestArgumentParsing:
         assert args.daemon is None
 
     @pytest.mark.parametrize(
-        "command",
-        [["batch", "p.txt"], ["daemon", "run"], ["daemon", "start"], ["fleet", "start"]],
-        ids=["batch", "daemon-run", "daemon-start", "fleet-start"],
+        "command,flag",
+        [
+            (["batch", "p.txt"], ["--worker-mode", "thread"]),
+            (["daemon", "run"], ["--worker-mode", "thread"]),
+            (["daemon", "start"], ["--worker-mode", "thread"]),
+            (["fleet", "start"], ["--worker-mode", "thread"]),
+            (["contain", "R(x,y)", "R(x,y)"], ["--lp-backend", "scipy"]),
+            (["batch", "p.txt"], ["--lp-backend", "scipy"]),
+            (["daemon", "run"], ["--lp-backend", "scipy"]),
+            (["daemon", "start"], ["--lp-backend", "scipy"]),
+            (["fleet", "start"], ["--lp-backend", "scipy"]),
+            (["cache", "verify", "--store", "v.sqlite"], ["--lp-backend", "scipy"]),
+        ],
+        ids=[
+            "batch",
+            "daemon-run",
+            "daemon-start",
+            "fleet-start",
+            "lp-backend-contain",
+            "lp-backend-batch",
+            "lp-backend-daemon-run",
+            "lp-backend-daemon-start",
+            "lp-backend-fleet-start",
+            "lp-backend-cache-verify",
+        ],
     )
-    def test_worker_mode_flag_is_rejected(self, command, capsys):
+    def test_removed_flag_is_rejected(self, command, flag, capsys):
         with pytest.raises(SystemExit) as exit_info:
-            main([*command, "--worker-mode", "thread"])
+            main([*command, *flag])
         assert exit_info.value.code == 2
-        assert "--worker-mode" in capsys.readouterr().err
+        assert flag[0] in capsys.readouterr().err
 
 
 class TestBatchViaDaemon:

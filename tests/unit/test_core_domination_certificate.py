@@ -140,7 +140,7 @@ def test_certificate_loop_rejects_a_proof_that_does_not_sum(monkeypatch):
     from repro.exceptions import CertificateError
     from repro.lp import backends
 
-    solve = backends._HighsIncrementalModel.solve
+    solve = backends.IncrementalModel.solve
 
     def doubled_duals(self, warm=True):
         result = solve(self, warm)
@@ -150,7 +150,7 @@ def test_certificate_loop_rejects_a_proof_that_does_not_sum(monkeypatch):
 
     expression = LinearExpression.entropy_term(GROUND, {"X1"})
     prover = ShannonProver(GROUND)
-    assert prover.certificate(expression, method="rowgen", backend="highs") is not None
-    monkeypatch.setattr(backends._HighsIncrementalModel, "solve", doubled_duals)
+    assert prover.certificate(expression, method="rowgen") is not None
+    monkeypatch.setattr(backends.IncrementalModel, "solve", doubled_duals)
     with pytest.raises(CertificateError, match="does not sum"):
-        prover.certificate(expression, method="rowgen", backend="highs")
+        prover.certificate(expression, method="rowgen")

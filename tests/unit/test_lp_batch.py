@@ -1,4 +1,4 @@
-"""Tests for the batched LP entry points (minimize_many, feasibility blocks)."""
+"""Tests for the batched LP entry point (feasibility blocks)."""
 
 import numpy as np
 import pytest
@@ -9,32 +9,8 @@ from repro.lp.solver import (
     LPStatus,
     check_feasibility,
     minimize,
-    minimize_many,
     solve_feasibility_blocks,
 )
-
-
-class TestMinimizeMany:
-    def test_agrees_with_sequential_minimize(self):
-        A = [[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]]
-        b = [0.0, 0.0, 4.0]
-        objectives = [[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0], [1.0, 1.0]]
-        batched = minimize_many(objectives, A_ub=A, b_ub=b)
-        for objective, result in zip(objectives, batched):
-            single = minimize(objective, A_ub=A, b_ub=b)
-            assert result.status == single.status
-            assert result.objective == pytest.approx(single.objective)
-
-    def test_empty_objective_list(self):
-        assert minimize_many([], A_ub=[[1.0]], b_ub=[1.0]) == []
-
-    def test_unbounded_detected(self):
-        results = minimize_many([[-1.0]], A_ub=None, b_ub=None)
-        assert results[0].status == LPStatus.UNBOUNDED
-
-    def test_mismatched_widths_rejected(self):
-        with pytest.raises(LPError):
-            minimize_many([[1.0, 0.0], [1.0]], A_ub=[[1.0, 1.0]], b_ub=[1.0])
 
 
 def _random_block(rng, num_variables):

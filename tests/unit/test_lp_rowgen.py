@@ -30,7 +30,6 @@ from repro.lp.solver import (
     LPStatus,
     check_feasibility,
     minimize,
-    minimize_many,
     record_solver_path,
     solve_feasibility_blocks,
     solver_path_counts,
@@ -154,30 +153,6 @@ def test_solve_feasibility_blocks_rowgen_matches_dense():
     # The *feasible* blocks terminate on a point of Γn found early; only the
     # infeasible block may have needed the full description.
     assert lazy_results[0].rows_used < oracle.row_count
-
-
-def test_minimize_many_rowgen_shares_the_active_set():
-    oracle = shannon_row_oracle(GROUND)
-    objectives = [_objective(GROUND, VALID), _objective(GROUND, INVALID)]
-    dense_results = minimize_many(
-        objectives,
-        A_ub=_normalization_row(GROUND),
-        b_ub=[1.0],
-        lazy_rows=oracle,
-        method="dense",
-    )
-    lazy_results = minimize_many(
-        objectives,
-        A_ub=_normalization_row(GROUND),
-        b_ub=[1.0],
-        bounds=(0, 1),
-        lazy_rows=oracle,
-        method="rowgen",
-    )
-    for dense, lazy in zip(dense_results, lazy_results):
-        assert lazy.objective == pytest.approx(dense.objective, abs=1e-7)
-    # Warm start: the second solve's report reflects the shared active set.
-    assert lazy_results[1].rowgen.rows_used >= lazy_results[0].rowgen.rows_used
 
 
 def test_auto_threshold_dispatch():

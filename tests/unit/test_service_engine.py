@@ -77,9 +77,8 @@ class TestRunSpecs:
             {"max_workers": 0},
             {"on_error": "ignore"},
             {"lp_method": "simplex"},
-            {"lp_backend": "cplex"},
         ],
-        ids=["chunk_size", "max_workers", "on_error", "lp_method", "lp_backend"],
+        ids=["chunk_size", "max_workers", "on_error", "lp_method"],
     )
     def test_rejects_invalid_knob(self, knob):
         with pytest.raises(ValueError):

@@ -372,18 +372,19 @@ class TestCertificatesFromTheDecision:
 
 
 class TestProvenance:
-    def test_default_options_record_the_backend_that_solved(self, tmp_path):
-        # BatchOptions() leaves lp_backend at "auto"; the record must name
-        # the backend "auto" resolved to, not the setting.
+    def test_records_name_the_origin_and_the_lp_method(self, tmp_path):
+        # One LP backend solves everything, so provenance names no backend.
         path = str(tmp_path / "provenance.sqlite")
-        service = ContainmentService(BatchOptions(store_path=path))
+        service = ContainmentService(BatchOptions(store_path=path, lp_method="rowgen"))
         try:
             service.run([(TRIANGLE, VEE), (PATH2, EDGE)])
         finally:
             service.close()
         with VerdictStore(path) as store:
-            backends = [record["provenance"]["backend"] for _, record in store.records()]
-        assert backends == ["highs", "highs"]
+            provenance = [record["provenance"] for _, record in store.records()]
+        assert [entry["origin"] for entry in provenance] == ["containment-service"] * 2
+        assert [entry["lp_method"] for entry in provenance] == ["rowgen", "rowgen"]
+        assert not any("backend" in entry for entry in provenance)
 
 
 class TestLifecycle:
