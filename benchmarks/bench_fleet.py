@@ -91,7 +91,6 @@ def measure_fleet(replicas, texts, expected, client_timeout):
         directory=str(scratch / "fleet"),
         replicas=replicas,
         gateway_address=gateway_address,
-        engine_args=["--jobs", "1"],
     )
     client = DaemonClient(gateway_address, timeout=client_timeout)
     try:
@@ -141,7 +140,6 @@ def measure_kill_one(texts, expected, client_timeout, kill_after):
         directory=str(scratch / "fleet"),
         replicas=2,
         gateway_address=gateway_address,
-        engine_args=["--jobs", "1"],
         probe_interval=0.5,
     )
     victim = manifest["replicas"][0]

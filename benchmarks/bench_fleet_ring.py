@@ -93,7 +93,6 @@ def measure_fleet(replicas, texts, expected, client_timeout):
         directory=str(scratch / "fleet"),
         replicas=replicas,
         gateway_address=gateway_address,
-        engine_args=["--jobs", "1"],
     )
     client = DaemonClient(gateway_address, timeout=client_timeout)
     try:

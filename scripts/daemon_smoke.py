@@ -112,7 +112,7 @@ def main() -> int:
 
     pid = spawn_daemon(
         socket_path,
-        extra_args=["--jobs", "2", "--store", store_path],
+        extra_args=["--store", store_path],
         log_path=str(log_path),
     )
     print(f"daemon-smoke: daemon pid {pid}")
@@ -217,7 +217,7 @@ def main() -> int:
     restart_log = scratch / "daemon-restart.log"
     pid = spawn_daemon(
         socket_path,
-        extra_args=["--jobs", "2", "--store", store_path],
+        extra_args=["--store", store_path],
         log_path=str(restart_log),
     )
     print(f"daemon-smoke: restarted daemon pid {pid} on store {store_path}")

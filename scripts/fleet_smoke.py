@@ -157,8 +157,6 @@ def main() -> int:
         "2",
         "--socket",
         gateway_socket,
-        "--jobs",
-        "2",
     )
     if code != 0:
         fail(f"fleet start exited {code}:\n{output}", fleet_dir)

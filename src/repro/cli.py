@@ -254,7 +254,6 @@ _DAEMON_SIDE_FLAGS = (
     ("method", "auto", "--method"),
     ("lp_method", "auto", "--lp-method"),
     ("chunk_size", 32, "--chunk-size"),
-    ("jobs", 1, "--jobs"),
     ("budget", None, "--budget"),
     ("store", None, "--store"),
 )
@@ -334,7 +333,6 @@ def _cmd_batch(args, out) -> int:
         BatchOptions(
             method=args.method,
             chunk_size=args.chunk_size,
-            max_workers=args.jobs,
             pair_budget=args.budget,
             on_error="capture",
             lp_method=args.lp_method,
@@ -378,7 +376,6 @@ def _daemon_options(args) -> BatchOptions:
     return BatchOptions(
         method=args.method,
         chunk_size=args.chunk_size,
-        max_workers=args.jobs,
         pair_budget=args.budget,
         on_error="capture",
         lp_method=args.lp_method,
@@ -401,7 +398,6 @@ def _daemon_run_args(args) -> List[str]:
         "--method", args.method,
         "--lp-method", args.lp_method,
         "--chunk-size", str(args.chunk_size),
-        "--jobs", str(args.jobs),
         "--shed-policy", args.shed_policy,
         "--degrade-budget", str(args.degrade_budget),
     ]
@@ -1060,12 +1056,6 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         help="max Γn decisions folded into one block-LP solve (default 32)",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="engine threads for pipeline advancement and LP solving (default 1)",
-    )
-    parser.add_argument(
         "--budget",
         type=float,
         default=None,
@@ -1114,16 +1104,32 @@ def _add_shed_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+#: Exit status when stdout's reader goes away before the output is written
+#: (``repro ... | head``): 128 + SIGPIPE, what a shell reports for a process
+#: that signal ended.
+EXIT_BROKEN_PIPE = 141
+
+
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     """Entry point; returns the process exit code."""
     out = out if out is not None else sys.stdout
     parser = build_parser()
     args = parser.parse_args(list(argv) if argv is not None else None)
     try:
-        return args.handler(args, out)
-    except ReproError as error:
-        print(f"error: {error}", file=out)
-        return 1
+        try:
+            code = args.handler(args, out)
+        except ReproError as error:
+            print(f"error: {error}", file=out)
+            code = 1
+        out.flush()
+        return code
+    except BrokenPipeError:
+        # Point stdout at /dev/null, so the interpreter's exit-time flush of
+        # what is still buffered cannot fail again, and end quietly.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":  # pragma: no cover

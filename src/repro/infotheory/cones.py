@@ -298,11 +298,12 @@ class _GeneratedCone(Cone):
     def _generator_data(self) -> Tuple[List[Tuple[FrozenSet[str], SetFunction]], np.ndarray]:
         """Generators plus their stacked canonical coordinate vectors (cached).
 
-        Cone instances are shared process-wide through :func:`cone_by_name`
-        and may be hit from several batch-engine worker threads at once, so
-        the lazy cache is a *single* attribute assigned atomically: a racing
-        thread either sees the complete (generators, matrix) pair or builds
-        its own identical copy, never a half-initialized state.
+        Cone instances are shared process-wide through :func:`cone_by_name`,
+        so a program that decides pairs on several threads of its own may hit
+        one instance from all of them at once.  The lazy cache is therefore a
+        *single* attribute assigned atomically: a racing thread either sees
+        the complete (generators, matrix) pair or builds its own identical
+        copy, never a half-initialized state.
         """
         data = self._generator_data_cache
         if data is None:

@@ -15,7 +15,7 @@ surface.  Three metric kinds cover everything the serving stack needs:
   bound ``le`` is ≥ the value).
 
 All mutation goes through one registry lock; increments are therefore safe
-under the engine's worker threads, and the render is a consistent snapshot.
+under a daemon's connection threads, and the render is a consistent snapshot.
 The module-level :func:`global_registry` is the process-wide default the LP
 layer feeds (there is exactly one LP layer per process, unlike services,
 which each own their registry); :func:`render_registries` merges several

@@ -15,11 +15,11 @@ tracer around one batch and exports the spans as JSONL.
 
 Threads and grafted spans
 -------------------------
-Each thread keeps its own span stack (``threading.local``), so concurrent
-chunk solves and pipeline advancements nest correctly without sharing
-state; a span started on a pool thread may also name an explicit ``parent``
-span id to attach under work that began elsewhere (the engine parents each
-advancement under its pair's span this way).
+Each thread keeps its own span stack (``threading.local``), so spans
+opened on different threads (a daemon's connection handlers, say) nest
+correctly without sharing state; a span may also name an explicit
+``parent`` span id to attach under work that is not on the stack (the
+engine parents each advancement under its pair's span this way).
 
 Spans recorded by another tracer — in another process, say — can join this
 one's tree: :meth:`Tracer.adopt` grafts them under a chosen parent span,
@@ -34,7 +34,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, IO, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, IO, Iterable, List, Optional, Sequence, Union
 
 
 @dataclass
@@ -177,9 +177,9 @@ class Tracer:
     ) -> Span:
         """Open a span *without* touching the thread's stack.
 
-        Used for spans whose lifetime crosses threads (a pair's span is
-        opened when its pipeline first advances and finished when the result
-        lands).  ``parent=None`` attaches under the calling thread's
+        Used for spans that do not nest on one stack (a batch's pair spans
+        are all opened when the batch starts and each is finished when its
+        result lands).  ``parent=None`` attaches under the calling thread's
         innermost open span, if any.
         """
         if parent is None:
@@ -354,7 +354,7 @@ def span(name: str, parent: Optional[int] = None, **attrs: object):
 def start_span(
     name: str, parent: Optional[int] = None, **attrs: object
 ) -> Union[Span, _NullSpan]:
-    """Open a cross-thread span on the active tracer (no-op handle when off)."""
+    """Open an unstacked span on the active tracer (no-op handle when off)."""
     tracer = _ACTIVE
     if tracer is None:
         return NULL_SPAN

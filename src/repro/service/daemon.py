@@ -236,11 +236,6 @@ class ContainmentDaemon:
             "Batch requests in the daemon right now (running + waiting).",
             callback=self.gate.depth,
         )
-        workers = self.registry.gauge(
-            "repro_daemon_workers",
-            "Width of the engine's thread pool (--jobs).",
-        )
-        workers.set(self.service.options.max_workers)
         self._queue_wait = self.registry.histogram(
             "repro_daemon_queue_wait_seconds",
             "Seconds an admitted batch request waited for the service gate.",
@@ -331,7 +326,6 @@ class ContainmentDaemon:
             "queue_depth": self.gate.depth(),
             "queue_waiting": self.gate.waiting(),
             "requests_served": self.requests_served,
-            "workers": self.service.options.max_workers,
             "shed": {
                 "max_queue_depth": self.shed.max_queue_depth,
                 "policy": self.shed.policy,

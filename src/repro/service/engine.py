@@ -27,13 +27,9 @@ of them at once:
   constructions, and answering them from a joint solve could select a
   different vertex of the same polyhedron than the sequential path.
 
-With ``max_workers > 1`` the engine advances pipelines and solves LP
-chunks on a :class:`~concurrent.futures.ThreadPoolExecutor`.  The
-query-side stages (Boolean reduction, inequality construction,
-homomorphism counting, witness building) still serialize on the GIL, but
-the HiGHS solves release it, so chunks of different arity groups overlap.
-Every pipeline meets the same grouped LP answers whatever the pool width,
-so verdicts do not depend on it.
+The engine runs every round inline on the calling thread.  Parallelism
+across cores comes from fleet replicas, one process each
+(:mod:`repro.service.fleet`).
 
 Where the engine sits between the decision core and the serving layers is
 diagrammed in ``docs/architecture.md``.
@@ -42,9 +38,8 @@ diagrammed in ``docs/architecture.md``.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.containment import (
     ConeDecisionRequest,
@@ -166,9 +161,6 @@ class BatchEngine:
     chunk_size:
         Maximum number of same-arity Shannon-cone requests folded into one
         block-LP solve.
-    max_workers:
-        Thread-pool width for pipeline advancement and LP solving (1 = fully
-        inline).
     pair_budget:
         Optional per-pair wall-clock budget in seconds, measured over the
         pair's pipeline stages.  A pair that exceeds it is closed out with an
@@ -191,7 +183,6 @@ class BatchEngine:
     def __init__(
         self,
         chunk_size: int = 32,
-        max_workers: int = 1,
         pair_budget: Optional[float] = None,
         on_error: str = "raise",
         stats: Optional[ServiceStats] = None,
@@ -200,8 +191,6 @@ class BatchEngine:
     ):
         if chunk_size < 1:
             raise ValueError("chunk_size must be at least 1")
-        if max_workers < 1:
-            raise ValueError("max_workers must be at least 1")
         if on_error not in ("raise", "capture"):
             raise ValueError("on_error must be 'raise' or 'capture'")
         if lp_method not in ("dense", "rowgen", "auto"):
@@ -209,15 +198,11 @@ class BatchEngine:
         if deadline is not None and deadline < 0:
             raise ValueError("deadline must be non-negative (or None)")
         self.chunk_size = chunk_size
-        self.max_workers = max_workers
         self.pair_budget = pair_budget
         self.deadline = deadline
         self.on_error = on_error
         self.stats = stats if stats is not None else ServiceStats()
         self.lp_method = lp_method
-        # The current run's batch span id: chunk solves run on pool threads
-        # whose span stacks are empty, so they parent here explicitly.
-        self._batch_span_id: Optional[int] = None
         # Per-pair pipeline seconds of the most recent run (see _collect).
         self.last_pair_seconds: List[float] = []
 
@@ -310,17 +295,6 @@ class BatchEngine:
             run.result = self._budget_result(run.elapsed)
             self.stats.count_over_budget()
 
-    def _advance_all(
-        self,
-        steps: Sequence[Tuple[_PairRun, Optional[MaxIIVerdict]]],
-        pool: Optional[ThreadPoolExecutor],
-    ) -> None:
-        if pool is not None and len(steps) > 1:
-            list(pool.map(lambda step: self._advance(step[0], step[1]), steps))
-        else:
-            for run, verdict in steps:
-                self._advance(run, verdict)
-
     # ------------------------------------------------------------------ #
     # Request answering
     # ------------------------------------------------------------------ #
@@ -335,11 +309,11 @@ class BatchEngine:
             mapping = dict(zip(run.request.ground, canonical))
             renamed.append(_rename_max_ii(run.request.max_ii, mapping, canonical))
         rows = sum(len(max_ii.branches) for max_ii in renamed)
-        # The span is pushed on this (pool) thread's stack, so the rowgen
-        # round spans recorded inside the solve nest under it.
+        # The span is pushed on the thread's span stack: it nests under the
+        # batch span, and the rowgen round spans recorded inside the solve
+        # nest under it.
         with obs_tracer.span(
             "lp-chunk",
-            parent=self._batch_span_id,
             cone="gamma",
             ground_size=size,
             requests=len(chunk),
@@ -372,7 +346,7 @@ class BatchEngine:
         self.stats.count_scalar_solve()
         with obs_tracer.span(
             "lp-scalar",
-            parent=run.span.id if run.span.id is not None else self._batch_span_id,
+            parent=run.span.id,
             over=request.over,
             ground_size=len(request.ground),
         ):
@@ -385,9 +359,7 @@ class BatchEngine:
             )
         return run, verdict
 
-    def _answer_round(
-        self, pending: List[_PairRun], pool: Optional[ThreadPoolExecutor]
-    ) -> List[Tuple[_PairRun, MaxIIVerdict]]:
+    def _answer_round(self, pending: List[_PairRun]) -> List[Tuple[_PairRun, MaxIIVerdict]]:
         self.stats.lp_requests += len(pending)
         # Group by (arity, seed): all of a chunk's requests share one block
         # LP call, so they must agree on the ``Γn`` seed row set too (in
@@ -400,21 +372,14 @@ class BatchEngine:
                 grouped.setdefault(key, []).append(run)
             else:
                 scalar.append(run)
-        chunks: List[List[_PairRun]] = []
+        answers: List[Tuple[_PairRun, MaxIIVerdict]] = []
         for key in sorted(grouped):
             group = grouped[key]
             for start in range(0, len(group), self.chunk_size):
-                chunks.append(group[start : start + self.chunk_size])
-        tasks: List[Callable[[], object]] = [
-            (lambda chunk=chunk: self._solve_gamma_chunk(chunk)) for chunk in chunks
-        ] + [(lambda run=run: [self._solve_scalar(run)]) for run in scalar]
-        answers: List[Tuple[_PairRun, MaxIIVerdict]] = []
-        if pool is not None and len(tasks) > 1:
-            for result in pool.map(lambda task: task(), tasks):
-                answers.extend(result)
-        else:
-            for task in tasks:
-                answers.extend(task())
+                answers.extend(
+                    self._solve_gamma_chunk(group[start : start + self.chunk_size])
+                )
+        answers.extend(self._solve_scalar(run) for run in scalar)
         return answers
 
     # ------------------------------------------------------------------ #
@@ -424,33 +389,24 @@ class BatchEngine:
         """Drive every pair's pipeline to completion; results in submission order."""
         runs = [_PairRun(spec.build(), index) for index, spec in enumerate(specs)]
         self.stats.pipelines_run += len(runs)
-        batch_span = obs_tracer.start_span("batch", pairs=len(runs))
-        self._batch_span_id = batch_span.id
-        for run in runs:
-            run.span = obs_tracer.start_span(
-                "pair", parent=batch_span.id, index=run.index
-            )
         deadline_at = (
             None if self.deadline is None else time.perf_counter() + self.deadline
         )
-        pool: Optional[ThreadPoolExecutor] = None
-        try:
-            if self.max_workers > 1:
-                pool = ThreadPoolExecutor(max_workers=self.max_workers)
+        # Pair and LP-chunk spans nest under the batch span through the
+        # thread's span stack.
+        with obs_tracer.span("batch", pairs=len(runs)):
+            for run in runs:
+                run.span = obs_tracer.start_span("pair", index=run.index)
             if not self._shed_expired(runs, deadline_at):
-                self._advance_all([(run, None) for run in runs], pool)
+                for run in runs:
+                    self._advance(run, None)
             while True:
                 self._shed_expired(runs, deadline_at)
                 pending = [run for run in runs if run.active and run.request is not None]
                 if not pending:
                     break
-                answers = self._answer_round(pending, pool)
-                self._advance_all(answers, pool)
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=True)
-            self._batch_span_id = None
-            batch_span.finish()
+                for run, verdict in self._answer_round(pending):
+                    self._advance(run, verdict)
         return self._collect(runs)
 
     def _collect(self, runs: Sequence[_PairRun]) -> List[ContainmentResult]:

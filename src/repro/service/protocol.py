@@ -14,7 +14,7 @@ Requests
 ``{"op": "ping"}``
     Liveness probe; answered immediately, never queued.
 ``{"op": "status"}``
-    Daemon metadata (pid, uptime, address, queue depth, worker pool) plus a
+    Daemon metadata (pid, uptime, address, queue depth, shedding) plus a
     full :class:`~repro.service.stats.ServiceStats` snapshot.  When the
     daemon runs with a durable verdict store (``--store``), the reply also
     carries a ``store`` block (path, entries, recovered/dropped counts from

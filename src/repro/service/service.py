@@ -54,35 +54,28 @@ class BatchOptions:
     ``method``, ``max_witness_rows`` and ``refutation_effort`` are forwarded
     to every pair's pipeline (same meaning as in
     :func:`repro.core.containment.decide_containment`).  ``chunk_size``,
-    ``max_workers``, ``pair_budget``, ``on_error`` and ``lp_method``
-    configure the engine (see :class:`repro.service.engine.BatchEngine`;
-    ``lp_method`` picks the ``Γn`` LP path — dense elemental matrix vs.
-    lazy row generation).
-    ``cache_size`` bounds the plan cache (``None`` =
-    unbounded) and ``canonicalize`` switches the isomorphism-aware dedup on
-    or off (off, only the LP grouping remains).
+    ``pair_budget``, ``on_error`` and ``lp_method`` configure the engine
+    (see :class:`repro.service.engine.BatchEngine`; ``lp_method`` picks the
+    ``Γn`` LP path — dense elemental matrix vs. lazy row generation).
+    ``cache_size`` bounds the plan cache (``None`` = unbounded).
 
-    ``max_workers`` is the engine's thread-pool width (see
-    :mod:`repro.service.engine`).  ``deadline`` is an optional wall-clock
-    bound in seconds for each :meth:`ContainmentService.run` call: pairs
-    still undecided when it expires are reported as UNKNOWN
-    ``"deadline-exceeded"`` results in the batch report, never raised.
+    ``deadline`` is an optional wall-clock bound in seconds for each
+    :meth:`ContainmentService.run` call: pairs still undecided when it
+    expires are reported as UNKNOWN ``"deadline-exceeded"`` results in the
+    batch report, never raised.
 
     ``store_path`` points the service at a durable
     :class:`~repro.store.VerdictStore` behind the plan cache (``None`` = no
-    persistence).  Requires ``canonicalize=True`` — the store is keyed by
-    canonical pair keys.
+    persistence), keyed by the same canonical pair keys.
     """
 
     method: str = "auto"
     max_witness_rows: int = 1024
     refutation_effort: int = 1
     chunk_size: int = 32
-    max_workers: int = 1
     pair_budget: Optional[float] = None
     on_error: str = "raise"
     cache_size: Optional[int] = 4096
-    canonicalize: bool = True
     lp_method: str = "auto"
     deadline: Optional[float] = None
     store_path: Optional[str] = None
@@ -146,11 +139,6 @@ class ContainmentService:
         self.cache = PlanCache(maxsize=options.cache_size)
         self.store = None
         if options.store_path is not None:
-            if not options.canonicalize:
-                raise ValueError(
-                    "the durable verdict store requires canonicalize=True "
-                    "(it is keyed by canonical pair keys)"
-                )
             from repro.store import VerdictStore
 
             self.store = VerdictStore(options.store_path)
@@ -202,7 +190,6 @@ class ContainmentService:
             deadline = options.deadline
         engine = BatchEngine(
             chunk_size=options.chunk_size,
-            max_workers=options.max_workers,
             pair_budget=options.pair_budget,
             on_error=options.on_error,
             stats=self.stats,
@@ -226,12 +213,9 @@ class ContainmentService:
         # Canonical-labeling keys, with the per-side labelings that rename
         # cached evidence onto each requester's variables.
         with obs_tracer.span("canonicalize", pairs=len(pairs)):
-            if self.options.canonicalize:
-                keyed = [pair_key_with_labelings(q1, q2) for q1, q2 in pairs]
-            else:
-                keyed = [(None, None)] * len(pairs)
+            keyed = [pair_key_with_labelings(q1, q2) for q1, q2 in pairs]
 
-        jobs: List[Tuple[QueryPair, Optional[Hashable], Optional[PairLabelings]]] = []
+        jobs: List[Tuple[QueryPair, Hashable, PairLabelings]] = []
         # Per input pair: ("hit", result, source) | ("job", job_index, source,
         # labelings) — hits resolve immediately, jobs after the engine run.
         placements: List[Tuple] = []
@@ -239,34 +223,31 @@ class ContainmentService:
         with obs_tracer.span("plan-cache", pairs=len(pairs)) as cache_span:
             hits = store_hits = duplicates = 0
             for (q1, q2), (key, labelings) in zip(pairs, keyed):
-                if key is not None:
-                    cached = self.cache.get(key, labelings)
-                    if cached is not None:
-                        self.stats.cache_hits += 1
-                        hits += 1
-                        placements.append(("hit", cached, "plan-cache"))
-                        continue
-                    if self.store is not None:
-                        stored = self.store.get(key)
-                        if stored is not None:
-                            self.stats.store_hits += 1
-                            store_hits += 1
-                            # Promote the canonical entry into the memory tier,
-                            # then rename onto this requester's variables.
-                            self.cache.put(key, stored)
-                            mapping1, mapping2 = requester_mappings(labelings)
-                            placements.append(
-                                ("hit", rename_result(stored, mapping1, mapping2), "store")
-                            )
-                            continue
-                    if key in first_seen:
-                        self.stats.batch_duplicates += 1
-                        duplicates += 1
+                cached = self.cache.get(key, labelings)
+                if cached is not None:
+                    self.stats.cache_hits += 1
+                    hits += 1
+                    placements.append(("hit", cached, "plan-cache"))
+                    continue
+                if self.store is not None:
+                    stored = self.store.get(key)
+                    if stored is not None:
+                        self.stats.store_hits += 1
+                        store_hits += 1
+                        # Promote the canonical entry into the memory tier,
+                        # then rename onto this requester's variables.
+                        self.cache.put(key, stored)
+                        mapping1, mapping2 = requester_mappings(labelings)
                         placements.append(
-                            ("job", first_seen[key], "batch-dedup", labelings)
+                            ("hit", rename_result(stored, mapping1, mapping2), "store")
                         )
                         continue
-                    first_seen[key] = len(jobs)
+                if key in first_seen:
+                    self.stats.batch_duplicates += 1
+                    duplicates += 1
+                    placements.append(("job", first_seen[key], "batch-dedup", labelings))
+                    continue
+                first_seen[key] = len(jobs)
                 placements.append(("job", len(jobs), "solved", labelings))
                 jobs.append(((q1, q2), key, labelings))
             cache_span.set(hits=hits, store_hits=store_hits, duplicates=duplicates)
@@ -276,7 +257,7 @@ class ContainmentService:
         for job_index, (((_, _), key, labelings), result) in enumerate(
             zip(jobs, solved)
         ):
-            if key is None or result.method in _UNCACHEABLE_METHODS:
+            if result.method in _UNCACHEABLE_METHODS:
                 continue
             canonical = self.cache.put(key, result, labelings)
             canonical_by_job[job_index] = canonical
@@ -310,7 +291,7 @@ class ContainmentService:
                     # The duplicate's evidence must be in *its* variables, not
                     # the variables of the batch-mate that ran the pipeline.
                     canonical = canonical_by_job.get(job_index)
-                    if canonical is not None and labelings is not None:
+                    if canonical is not None:
                         mapping1, mapping2 = requester_mappings(labelings)
                         result = rename_result(canonical, mapping1, mapping2)
             outcomes.append(

@@ -177,9 +177,10 @@ class ServiceStats:
             labelnames=("cone", "ground_size"),
         )
         self.group_timings: List[GroupTiming] = []
-        # Chunk solves and scalar solves run on engine worker threads; the
-        # lock keeps group_timings appends consistent under max_workers > 1
-        # (the counters carry their own registry lock).
+        # A daemon's connection threads read these stats (``status``,
+        # ``metrics``) while a batch runs on another thread; the lock keeps
+        # group_timings appends and snapshots consistent (the counters carry
+        # their own registry lock).
         self._lock = threading.Lock()
 
     def record_chunk(self, timing: GroupTiming) -> None:

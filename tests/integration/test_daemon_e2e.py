@@ -35,7 +35,7 @@ PAIRS_TEXT = (
 def spawned_daemon(tmp_path):
     socket_path = str(tmp_path / "e2e.sock")
     log_path = str(tmp_path / "daemon.log")
-    pid = spawn_daemon(socket_path, extra_args=["--jobs", "2"], log_path=log_path)
+    pid = spawn_daemon(socket_path, log_path=log_path)
     yield socket_path, pid, log_path
     if daemon_available(socket_path, timeout=1.0):
         try:
@@ -101,11 +101,7 @@ def test_restart_over_stale_socket_after_sigkill(spawned_daemon, tmp_path):
     assert not daemon_available(socket_path, timeout=1.0)
 
     # A fresh start must clear the dead socket and bind cleanly.
-    new_pid = spawn_daemon(
-        socket_path,
-        extra_args=["--jobs", "2"],
-        log_path=str(tmp_path / "restart.log"),
-    )
+    new_pid = spawn_daemon(socket_path, log_path=str(tmp_path / "restart.log"))
     try:
         assert daemon_available(socket_path, timeout=1.0)
         pairs = tmp_path / "pairs.txt"
@@ -142,7 +138,7 @@ def test_restarted_daemon_replays_from_store(tmp_path, capsys):
     def start():
         return spawn_daemon(
             socket_path,
-            extra_args=["--jobs", "2", "--store", store_path],
+            extra_args=["--store", store_path],
             log_path=str(tmp_path / "daemon-store.log"),
         )
 

@@ -33,12 +33,6 @@ def test_equivalence_independent_of_chunking(seed, chunk_size):
     assert [r.status for r in batch] == _sequential_statuses(pairs)
 
 
-def test_equivalence_with_parallel_workers():
-    pairs = mixed_containment_pairs(20, seed=17)
-    batch = decide_containment_many(pairs, max_workers=4)
-    assert [r.status for r in batch] == _sequential_statuses(pairs)
-
-
 def test_cache_hits_preserve_equivalence_across_calls():
     service = ContainmentService()
     pairs = mixed_containment_pairs(18, seed=23)

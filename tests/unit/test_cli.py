@@ -128,7 +128,7 @@ def test_batch_command_with_knobs(tmp_path):
     pairs = tmp_path / "pairs.txt"
     pairs.write_text("R(x,y), R(y,z), R(z,x) | R(a,b), R(a,c)\n")
     code, output = run_cli(
-        "batch", str(pairs), "--jobs", "2", "--chunk-size", "4", "--method", "auto"
+        "batch", str(pairs), "--chunk-size", "4", "--method", "auto"
     )
     assert code == 0
     assert json.loads(output.splitlines()[0])["status"] == "contained"
@@ -159,12 +159,15 @@ def test_batch_command_non_string_json_values(tmp_path):
     assert "query strings" in output
 
 
+SRC = str(Path(__file__).resolve().parents[2] / "src")
+
+
 def _cli_import_loads(module: str) -> bool:
     """Whether a fresh ``import repro.cli`` puts ``module`` in ``sys.modules``."""
     code = f"import sys, repro.cli; print({module!r} in sys.modules)"
     completed = subprocess.run(
         [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[2] / "src")),
+        env=dict(os.environ, PYTHONPATH=SRC),
         capture_output=True,
         text=True,
         timeout=120,
@@ -183,3 +186,50 @@ def test_importing_the_cli_skips_scipy_optimize():
 
 def test_importing_the_cli_skips_the_process_executor_module():
     assert not _cli_import_loads("concurrent.futures.process")
+
+
+def _run_with_closed_stdout(argv, unbuffered="", stdin_text=None):
+    """Run ``repro argv`` with the read end of its stdout pipe already closed."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            env=dict(os.environ, PYTHONPATH=SRC, PYTHONUNBUFFERED=unbuffered),
+            input=stdin_text,
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize(
+    "argv,unbuffered,stdin_text",
+    [
+        (["inspect", "R(x,y), R(y,z)"], "1", None),
+        (["contain", "R(x,y), R(y,z)", "R(x,y)"], "", None),
+        (["batch", "-"], "", "R(x,y), R(y,z) | R(x,y)\nR(x,y) | R(x,y), R(y,z)\n"),
+    ],
+    ids=["inspect-unbuffered", "contain-buffered", "batch-buffered"],
+)
+def test_closed_stdout_ends_quietly(argv, unbuffered, stdin_text):
+    # The reader is gone before the command writes (``repro ... | head``):
+    # unbuffered, the first print fails; buffered, the final flush does.
+    completed = _run_with_closed_stdout(argv, unbuffered, stdin_text)
+    assert completed.stderr == ""
+    assert completed.returncode == 141
+
+
+def test_closed_stdout_ends_cache_info_quietly(tmp_path):
+    # ``repro cache info --store FILE | head -5`` over a store that holds a
+    # verdict: the report's lines hit a reader that has already gone.
+    store = tmp_path / "verdicts.sqlite"
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("R(x,y), R(y,z) | R(x,y)\n")
+    assert main(["batch", "--store", str(store), str(pairs)], out=io.StringIO()) == 0
+    completed = _run_with_closed_stdout(["cache", "info", "--store", str(store)])
+    assert completed.stderr == ""
+    assert completed.returncode == 141

@@ -11,7 +11,7 @@ import threading
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _daemon_run_args, build_parser, main
 from repro.service import BatchOptions
 from repro.service.daemon import ShedOptions, serve
 from repro.service.protocol import parse_address
@@ -55,13 +55,32 @@ class TestArgumentParsing:
     def test_daemon_subcommands_parse(self):
         parser = build_parser()
         for argv in (
-            ["daemon", "run", "--socket", "/tmp/x.sock", "--jobs", "4"],
+            ["daemon", "run", "--socket", "/tmp/x.sock", "--chunk-size", "4"],
             ["daemon", "start", "--max-queue-depth", "8", "--shed-policy", "degrade"],
             ["daemon", "stop"],
             ["daemon", "status", "--socket", "localhost:7411"],
         ):
             args = parser.parse_args(argv)
             assert callable(args.handler)
+
+    def test_daemon_start_forwards_only_flags_daemon_run_accepts(self):
+        # The detached child (and every fleet replica, re-warmed ones from
+        # fleet.json included) parses exactly these arguments.
+        parser = build_parser()
+        start = parser.parse_args(
+            [
+                "daemon", "start", "--method", "sufficient", "--lp-method", "rowgen",
+                "--chunk-size", "8", "--budget", "2.5", "--store", "v.sqlite",
+                "--max-queue-depth", "4", "--shed-policy", "degrade",
+                "--degrade-budget", "0.5", "--default-deadline", "9",
+            ]
+        )
+        run = parser.parse_args(["daemon", "run", *_daemon_run_args(start)])
+        for name in (
+            "method", "lp_method", "chunk_size", "budget", "store",
+            "max_queue_depth", "shed_policy", "degrade_budget", "default_deadline",
+        ):
+            assert getattr(run, name) == getattr(start, name), name
 
     def test_warmup_flag_defaults_off(self):
         parser = build_parser()
@@ -96,6 +115,10 @@ class TestArgumentParsing:
             (["daemon", "start"], ["--lp-backend", "scipy"]),
             (["fleet", "start"], ["--lp-backend", "scipy"]),
             (["cache", "verify", "--store", "v.sqlite"], ["--lp-backend", "scipy"]),
+            (["batch", "p.txt"], ["--jobs", "2"]),
+            (["daemon", "run"], ["--jobs", "2"]),
+            (["daemon", "start"], ["--jobs", "2"]),
+            (["fleet", "start"], ["--jobs", "2"]),
         ],
         ids=[
             "batch",
@@ -108,6 +131,10 @@ class TestArgumentParsing:
             "lp-backend-daemon-start",
             "lp-backend-fleet-start",
             "lp-backend-cache-verify",
+            "jobs-batch",
+            "jobs-daemon-run",
+            "jobs-daemon-start",
+            "jobs-fleet-start",
         ],
     )
     def test_removed_flag_is_rejected(self, command, flag, capsys):
@@ -148,11 +175,11 @@ class TestBatchViaDaemon:
         pairs.write_text(PAIRS_TEXT)
         code, _ = run_cli(
             "batch", str(pairs), "--daemon", live_daemon, "--daemon-only",
-            "--jobs", "4", "--lp-method", "rowgen",
+            "--chunk-size", "4", "--lp-method", "rowgen",
         )
         assert code == 0
         err = capsys.readouterr().err
-        assert "--jobs" in err and "--lp-method" in err and "ignored" in err
+        assert "--chunk-size" in err and "--lp-method" in err and "ignored" in err
 
     def test_fallback_when_no_daemon(self, tmp_path, capsys):
         pairs = tmp_path / "pairs.txt"

@@ -17,9 +17,9 @@ def test_unknown_flag_after_a_command_is_reported():
     docs_check = load_docs_check()
     top, nested = docs_check.parser_commands()
     text = (
-        "python -m repro daemon run|start --jobs 4 --warmup\n"
-        "python -m repro batch pairs.txt --jobs 4 --worker-mode thread --stats\n"
+        "python -m repro daemon run|start --chunk-size 4 --warmup\n"
+        "python -m repro batch pairs.txt --chunk-size 4 --jobs 4 --stats\n"
     )
     assert docs_check.cli_errors(text, top, nested) == [
-        "2: docs give 'repro batch' the flag '--worker-mode', which it does not accept"
+        "2: docs give 'repro batch' the flag '--jobs', which it does not accept"
     ]

@@ -1,6 +1,7 @@
 """Tests for the daemon-facing telemetry: stats view, metrics verb, soak."""
 
 import json
+import threading
 
 import pytest
 
@@ -103,7 +104,6 @@ class TestDaemonMetricsVerb:
         for family in (
             "repro_daemon_uptime_seconds",
             "repro_daemon_queue_depth",
-            "repro_daemon_workers",
             "repro_daemon_queue_wait_seconds_count",
             "repro_daemon_request_seconds_count",
             "repro_pair_seconds_count",
@@ -112,6 +112,7 @@ class TestDaemonMetricsVerb:
         ):
             assert family in samples, f"missing {family}"
         assert samples["repro_daemon_uptime_seconds"][()] >= 0.0
+        assert "repro_daemon_workers" not in samples
 
     def test_batch_moves_the_daemon_counters(self):
         daemon = ContainmentDaemon()
@@ -141,7 +142,7 @@ class TestDaemonMetricsVerb:
         assert "repro_lp_decisions_total" in samples
         assert sum(samples["repro_lp_decisions_total"].values()) >= 1.0
 
-    def test_status_reports_the_worker_pool(self):
+    def test_status_reports_the_queue(self):
         daemon = ContainmentDaemon()
         status = control(daemon, "status")
         for key in (
@@ -149,12 +150,45 @@ class TestDaemonMetricsVerb:
             "queue_depth",
             "queue_waiting",
             "requests_served",
-            "workers",
         ):
             assert key in status, f"status is missing {key}"
-        assert "worker_mode" not in status
-        assert status["workers"] == daemon.service.options.max_workers
+        assert "worker_mode" not in status and "workers" not in status
         assert status["queue_depth"] == 0
+
+    def test_status_and_metrics_answer_while_a_batch_runs(self):
+        # A daemon's connection threads read the service stats while a batch
+        # is being decided on another thread: hold the batch inside its first
+        # chunk's bookkeeping and read both from here.
+        daemon = ContainmentDaemon()
+        stats = daemon.service.stats
+        inside, release = threading.Event(), threading.Event()
+        record_chunk = stats.record_chunk
+
+        def held_record_chunk(timing):
+            inside.set()
+            assert release.wait(timeout=60)
+            record_chunk(timing)
+
+        stats.record_chunk = held_record_chunk
+        responses = {}
+
+        def decide():
+            responses["batch"] = run_batch(daemon, (TRIANGLE, VEE))
+
+        batch = threading.Thread(target=decide)
+        batch.start()
+        try:
+            assert inside.wait(timeout=60)
+            status = control(daemon, "status")
+            samples = parse_exposition(control(daemon, "metrics")["body"])
+        finally:
+            release.set()
+            batch.join(timeout=60)
+        assert status["queue_depth"] == 1
+        assert status["stats"]["block_solves"] == 0
+        assert samples["repro_daemon_queue_depth"][()] == 1.0
+        assert responses["batch"]["ok"]
+        assert control(daemon, "status")["stats"]["block_solves"] == 1
 
     def test_degraded_view_shares_the_service_state(self, tmp_path):
         daemon = ContainmentDaemon(

@@ -1,12 +1,12 @@
 """Tests for span tracing: tracer mechanics, tree well-formedness, summaries.
 
-The well-formedness class carries the most weight: a traced batch, with
-pipelines advanced inline or on the engine's thread pool, must produce a
-single span tree with no orphans, no duplicate ids, and every child's
-interval inside its parent's.
+The well-formedness class carries the most weight: a traced batch must
+produce a single span tree with no orphans, no duplicate ids, and every
+child's interval inside its parent's.
 """
 
 import io
+import threading
 
 import pytest
 
@@ -138,9 +138,8 @@ class TestTracerMechanics:
         assert names == ["floating", "outer", "retro"]
 
 
-@pytest.mark.parametrize("max_workers", [1, 2], ids=["inline", "thread-pool"])
 class TestBatchSpanTree:
-    def run_traced_batch(self, max_workers):
+    def run_traced_batch(self):
         pairs = [
             (
                 parse_query("R(x,y), R(y,z), R(z,x)", name="tri"),
@@ -155,21 +154,19 @@ class TestBatchSpanTree:
                 parse_query("R(a,b), R(b,c), R(c,d)", name="path3"),
             ),
         ]
-        service = ContainmentService(
-            BatchOptions(max_workers=max_workers, on_error="capture")
-        )
+        service = ContainmentService(BatchOptions(on_error="capture"))
         with tracing() as tracer:
             report = service.run(pairs)
         service.close()
         assert all(result.status.value != "unknown" for result in report.results)
         return tracer.records()
 
-    def test_tree_is_well_formed(self, max_workers):
-        records = self.run_traced_batch(max_workers)
+    def test_tree_is_well_formed(self):
+        records = self.run_traced_batch()
         well_formed(records)
 
-    def test_single_request_root_and_expected_phases(self, max_workers):
-        records = self.run_traced_batch(max_workers)
+    def test_single_request_root_and_expected_phases(self):
+        records = self.run_traced_batch()
         roots = [record for record in records if record.parent_id is None]
         assert [root.name for root in roots] == ["request"]
         by_name = {record.name: record for record in records}
@@ -185,8 +182,8 @@ class TestBatchSpanTree:
         outcomes = {record.attrs.get("outcome") for record in pair_spans}
         assert outcomes == {"contained", "not_contained"}
 
-    def test_advances_attach_under_their_pair(self, max_workers):
-        records = self.run_traced_batch(max_workers)
+    def test_advances_attach_under_their_pair(self):
+        records = self.run_traced_batch()
         pair_ids = {
             record.span_id for record in records if record.name == "pair"
         }
@@ -194,8 +191,41 @@ class TestBatchSpanTree:
         assert advances
         assert all(record.parent_id in pair_ids for record in advances)
 
-    def test_lp_chunks_attach_under_the_batch(self, max_workers):
-        records = self.run_traced_batch(max_workers)
+    def test_lp_chunks_attach_under_the_batch(self):
+        records = self.run_traced_batch()
+        [batch] = [record for record in records if record.name == "batch"]
+        chunks = [record for record in records if record.name == "lp-chunk"]
+        assert chunks
+        assert all(record.parent_id == batch.span_id for record in chunks)
+
+    def test_scalar_solves_attach_under_their_pair(self):
+        # star3 ⋢ star2 fails its Γn check and is refuted through scalar
+        # normal/modular solves.
+        pair = (parse_query("R(c,x1), R(c,x2), R(c,x3)"), parse_query("R(c,x1), R(c,x2)"))
+        with tracing() as tracer:
+            ContainmentService().run([pair])
+        records = tracer.records()
+        [pair_span] = [record for record in records if record.name == "pair"]
+        scalars = [record for record in records if record.name == "lp-scalar"]
+        assert scalars
+        assert all(record.parent_id == pair_span.span_id for record in scalars)
+
+    def test_batch_on_another_thread_is_its_own_tree(self):
+        # Spans nest through the calling thread's own stack: a batch run on a
+        # second thread must not attach under a span the first thread holds
+        # open, and its chunks must still find their batch.
+        pair = (parse_query("R(x,y), R(y,z), R(z,x)"), parse_query("R(a,b), R(a,c)"))
+        with tracing() as tracer:
+            with span("outer") as outer:
+                worker = threading.Thread(target=ContainmentService().run, args=([pair],))
+                worker.start()
+                worker.join(timeout=120)
+        assert not worker.is_alive()
+        records = tracer.records()
+        well_formed(records)
+        roots = [record for record in records if record.parent_id is None]
+        assert sorted(root.name for root in roots) == ["outer", "request"]
+        assert not [record for record in records if record.parent_id == outer.id]
         [batch] = [record for record in records if record.name == "batch"]
         chunks = [record for record in records if record.name == "lp-chunk"]
         assert chunks

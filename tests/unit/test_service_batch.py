@@ -115,21 +115,9 @@ class TestContainmentService:
         assert service.stats.cache_hits == 1
         assert second.results[0].status == ContainmentStatus.CONTAINED
 
-    def test_canonicalize_off_disables_dedup(self):
-        service = ContainmentService(canonicalize=False)
-        report = service.run([(TRIANGLE, VEE), (TRIANGLE, VEE)])
-        assert [o.source for o in report.outcomes] == ["solved", "solved"]
-        assert service.stats.batch_duplicates == 0
-
     def test_chunk_size_one_still_correct(self):
         pairs = mixed_containment_pairs(12, seed=3)
         batch = decide_containment_many(pairs, chunk_size=1)
-        for (q1, q2), result in zip(pairs, batch):
-            assert result.status == decide_containment(q1, q2).status
-
-    def test_parallel_workers_match_sequential(self):
-        pairs = mixed_containment_pairs(16, seed=5)
-        batch = decide_containment_many(pairs, max_workers=4, chunk_size=4)
         for (q1, q2), result in zip(pairs, batch):
             assert result.status == decide_containment(q1, q2).status
 
@@ -179,14 +167,19 @@ class TestContainmentService:
 
     def test_options_object_with_overrides(self):
         options = BatchOptions(chunk_size=8)
-        service = ContainmentService(options, max_workers=2)
+        service = ContainmentService(options, pair_budget=2.0)
         assert service.options.chunk_size == 8
-        assert service.options.max_workers == 2
+        assert service.options.pair_budget == 2.0
 
-    def test_worker_mode_is_not_an_option(self):
-        # Pipelines always run in-process; max_workers is the thread-pool width.
+    @pytest.mark.parametrize(
+        "option",
+        [{"worker_mode": "thread"}, {"max_workers": 2}, {"canonicalize": False}],
+        ids=["worker_mode", "max_workers", "canonicalize"],
+    )
+    def test_removed_option_is_rejected(self, option):
+        # The engine runs every round inline, and every pair is canonicalized.
         with pytest.raises(TypeError):
-            BatchOptions(worker_mode="thread")
+            BatchOptions(**option)
 
 
 class TestPlanCache:

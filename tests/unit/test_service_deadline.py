@@ -26,12 +26,6 @@ class TestDeadline:
             assert result.method == "deadline-exceeded"
         assert report.stats["pairs_deadline_exceeded"] == 2
 
-    def test_zero_deadline_sheds_with_a_thread_pool_too(self):
-        report = ContainmentService(
-            BatchOptions(deadline=0.0, max_workers=2)
-        ).run([(TRIANGLE, VEE), (VEE, TRIANGLE)])
-        assert [r.method for r in report.results] == ["deadline-exceeded"] * 2
-
     def test_per_call_deadline_overrides_options(self):
         service = ContainmentService()
         shed = service.run([(TRIANGLE, VEE)], deadline=0.0)

@@ -9,8 +9,6 @@ evidence as a fresh solve: every CONTAINED result, solved or replayed,
 carries a Theorem 6.1 proof in the requester's variables.
 """
 
-import pytest
-
 from repro.core.containment import ContainmentStatus, decide_containment
 from repro.core.witness import verify_witness
 from repro.cq.parser import parse_query
@@ -171,14 +169,6 @@ class TestStoreHitRenaming:
             assert restarted.stats.store_hits == 2
         finally:
             restarted.close()
-
-    def test_store_requires_canonicalization(self, tmp_path):
-        with pytest.raises(ValueError):
-            ContainmentService(
-                BatchOptions(
-                    canonicalize=False, store_path=str(tmp_path / "s.sqlite")
-                )
-            )
 
 
 class TestContainsAndPeekSemantics:
