@@ -71,11 +71,25 @@ def _expressions(n):
     return ground, han, bad
 
 
+def _pin_path(path: str) -> None:
+    """Send every ``Γn`` LP of this worker process down ``path``.
+
+    The library picks the path from the row count alone; the cell pins it
+    by moving both thresholds out of reach (dense) or below every row count
+    (rowgen).  Each cell runs in its own worker, so nothing is restored.
+    """
+    from repro.lp import rowgen
+
+    threshold = sys.maxsize if path == "dense" else -1
+    rowgen.AUTO_ROW_THRESHOLD = rowgen.AUTO_BLOCK_ROW_THRESHOLD = threshold
+
+
 def run_cell(n: int, problem: str, path: str) -> dict:
     """Worker body: solve one (n, problem, path) cell, return measurements."""
     from repro.lp.backends import resolve_backend
     from repro.lp.rowgen import shannon_row_oracle
 
+    _pin_path(path)
     ground, han, bad = _expressions(n)
     oracle = shannon_row_oracle(ground)
     # The HiGHS bindings load at the first solve; keep that out of the timing.
@@ -92,7 +106,7 @@ def run_cell(n: int, problem: str, path: str) -> dict:
             valid, report = _rowgen_validity(prover, expression)
             seconds = time.perf_counter() - started
         else:
-            valid = prover.is_valid(expression, method="dense")
+            valid = prover.is_valid(expression)
             seconds = time.perf_counter() - started
             report = None
         verdict = "valid" if valid else "invalid"
@@ -118,7 +132,7 @@ def run_cell(n: int, problem: str, path: str) -> dict:
             from repro.infotheory.cones import cone_by_name
 
             cone = cone_by_name("gamma", ground)
-            point = cone.find_point_below([branch], method="dense")
+            point = cone.find_point_below([branch])
             seconds = time.perf_counter() - started
             verdict = "point-found" if point is not None else "no-point"
             report = None
@@ -149,7 +163,6 @@ def _rowgen_validity(prover, expression):
         b_ub=np.array([1.0]),
         bounds=(0, 1),
         lazy_rows=prover._oracle,
-        method="rowgen",
         rowgen_options=RowGenOptions(early_stop_objective=-1e-9),
     )
     return result.objective >= -1e-7, result.rowgen

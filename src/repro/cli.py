@@ -120,12 +120,7 @@ def _print_result(result, out) -> None:
 def _cmd_contain(args, out) -> int:
     q1 = parse_query(args.q1, name="Q1")
     q2 = parse_query(args.q2, name="Q2")
-    result = decide_containment(
-        q1,
-        q2,
-        method=args.method,
-        lp_method=args.lp_method,
-    )
+    result = decide_containment(q1, q2, method=args.method)
     _print_result(result, out)
     return 0 if result.status.value != "unknown" else 2
 
@@ -252,7 +247,6 @@ def _emit_batch_stats(stats, args) -> None:
 #: (args attribute, parser default, flag spelling).
 _DAEMON_SIDE_FLAGS = (
     ("method", "auto", "--method"),
-    ("lp_method", "auto", "--lp-method"),
     ("chunk_size", 32, "--chunk-size"),
     ("budget", None, "--budget"),
     ("store", None, "--store"),
@@ -335,7 +329,6 @@ def _cmd_batch(args, out) -> int:
             chunk_size=args.chunk_size,
             pair_budget=args.budget,
             on_error="capture",
-            lp_method=args.lp_method,
             deadline=args.deadline,
             store_path=args.store,
         )
@@ -378,7 +371,6 @@ def _daemon_options(args) -> BatchOptions:
         chunk_size=args.chunk_size,
         pair_budget=args.budget,
         on_error="capture",
-        lp_method=args.lp_method,
         store_path=args.store,
     )
 
@@ -396,7 +388,6 @@ def _daemon_run_args(args) -> List[str]:
     """Re-serialize the engine/shedding flags for the detached child."""
     forwarded = [
         "--method", args.method,
-        "--lp-method", args.lp_method,
         "--chunk-size", str(args.chunk_size),
         "--shed-policy", args.shed_policy,
         "--degrade-budget", str(args.degrade_budget),
@@ -649,12 +640,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         default="auto",
         choices=["auto", "theorem-3.1", "sufficient", "brute-force"],
-    )
-    contain.add_argument(
-        "--lp-method",
-        default="auto",
-        choices=["auto", "dense", "rowgen"],
-        help="Γn LP path: full elemental matrix vs lazy row generation (default auto)",
     )
     contain.set_defaults(handler=_cmd_contain)
 
@@ -1042,12 +1027,6 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         "--method",
         default="auto",
         choices=["auto", "theorem-3.1", "sufficient", "brute-force"],
-    )
-    parser.add_argument(
-        "--lp-method",
-        default="auto",
-        choices=["auto", "dense", "rowgen"],
-        help="Γn LP path: full elemental matrix vs lazy row generation (default auto)",
     )
     parser.add_argument(
         "--chunk-size",

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, Generator, Optional, Sequence, Tuple
+from typing import Dict, Generator, Optional, Sequence, Tuple
 
 from repro.cq.decompositions import (
     TreeDecomposition,
@@ -157,24 +157,19 @@ class ConeDecisionRequest:
 
 
 ContainmentPipeline = Generator[ConeDecisionRequest, MaxIIVerdict, ContainmentResult]
-ConeDecider = Callable[..., MaxIIVerdict]
 
 
-def run_containment_pipeline(
-    pipeline: ContainmentPipeline,
-    decider: ConeDecider = decide_max_ii,
-) -> ContainmentResult:
-    """Drive a containment pipeline, answering each request with ``decider``.
+def run_containment_pipeline(pipeline: ContainmentPipeline) -> ContainmentResult:
+    """Drive a containment pipeline, answering each request with :func:`decide_max_ii`.
 
-    ``decider`` must accept ``(max_ii, over=..., ground=..., seed=...)`` and
-    return a :class:`MaxIIVerdict` — the signature of
-    :func:`decide_max_ii`, the default.  The batch engine substitutes a
-    decider that resolves requests from grouped block-LP solves.
+    The batch engine (:mod:`repro.service.engine`) drives the same
+    generators itself and answers their ``Γn`` requests from grouped
+    block-LP solves.
     """
     try:
         request = next(pipeline)
         while True:
-            verdict = decider(
+            verdict = decide_max_ii(
                 request.max_ii,
                 over=request.over,
                 ground=request.ground,
@@ -480,7 +475,6 @@ def decide_containment(
     method: str = "auto",
     max_witness_rows: int = 1024,
     refutation_effort: int = 1,
-    lp_method: str = "auto",
 ) -> ContainmentResult:
     """Decide (or semi-decide) ``Q1 ⊑ Q2`` under bag-set semantics.
 
@@ -495,24 +489,12 @@ def decide_containment(
     * ``"brute-force"`` — only run the explicit witness searches.
 
     ``refutation_effort`` scales the witness-search budgets in the general
-    (possibly undecidable) case.  ``lp_method`` selects the ``Γn`` LP path
-    for every cone decision the pipeline issues
-    (``"dense" | "rowgen" | "auto"``, see :mod:`repro.lp.rowgen`).
+    (possibly undecidable) case.
 
     This is the sequential driver over :func:`containment_pipeline`; the
     batch engine (:func:`repro.service.decide_containment_many`) runs the
     same pipeline with grouped LP solving and a plan cache.
     """
-
-    def decider(max_ii, over, ground, seed="generic"):
-        return decide_max_ii(
-            max_ii,
-            over=over,
-            ground=ground,
-            lp_method=lp_method,
-            seed=seed,
-        )
-
     return run_containment_pipeline(
         containment_pipeline(
             q1,
@@ -520,6 +502,5 @@ def decide_containment(
             method=method,
             max_witness_rows=max_witness_rows,
             refutation_effort=refutation_effort,
-        ),
-        decider=decider,
+        )
     )

@@ -34,19 +34,8 @@ from repro.infotheory.imeasure import is_normal_function
 from repro.infotheory.polymatroid import is_modular, is_polymatroid
 from repro.infotheory.setfunction import SetFunction
 from repro.infotheory.shannon import ShannonCertificate, shannon_prover
-from repro.lp.rowgen import (
-    AUTO_BLOCK_ROW_THRESHOLD,
-    AUTO_ROW_THRESHOLD,
-    RowGenOptions,
-    resolve_method,
-    shannon_row_oracle,
-)
-from repro.lp.solver import (
-    FeasibilityBlock,
-    check_feasibility,
-    record_solver_path,
-    solve_feasibility_blocks,
-)
+from repro.lp.rowgen import RowGenOptions, shannon_row_oracle
+from repro.lp.solver import FeasibilityBlock, check_feasibility, solve_feasibility_blocks
 from repro.utils.lattice import lattice_context
 from repro.utils.subsets import proper_subsets
 
@@ -81,16 +70,14 @@ class Cone:
         self,
         expressions: Sequence[LinearExpression],
         margin: float = 1.0,
-        method: str = "auto",
         seed: str = "generic",
     ) -> Optional[ConePoint]:
         """A cone point with ``E_ℓ(h) ≤ -margin`` for every expression, if any.
 
-        ``method`` selects the LP path for the cone description
-        (``"dense" | "rowgen" | "auto"``) and ``seed`` the row-generation
-        seed set (``"containment"`` front-loads the ``|K| ≤ 1`` rows the
-        Eq. (8) inequalities are made of); only ``Γn`` has an implicit row
-        family, so the generated cones accept and ignore both.
+        ``seed`` names the row-generation seed set (``"containment"``
+        front-loads the ``|K| ≤ 1`` rows the Eq. (8) inequalities are made
+        of); only ``Γn`` has an implicit row family, so the generated cones
+        accept and ignore it.
         """
         raise NotImplementedError
 
@@ -98,7 +85,6 @@ class Cone:
         self,
         expression_lists: Sequence[Sequence[LinearExpression]],
         margin: float = 1.0,
-        method: str = "auto",
         seed: str = "generic",
     ) -> List[Optional[ConePoint]]:
         """Batched :meth:`find_point_below`: one answer per expression list.
@@ -108,10 +94,10 @@ class Cone:
         call (:func:`repro.lp.solver.solve_feasibility_blocks`): one stacked
         HiGHS invocation for the generated cones and for ``Γn`` on the
         dense path, one warm-started model per system for ``Γn`` on the
-        row-generation path, which ``"auto"`` picks from ``n = 8``.
+        row-generation path, which it takes from ``n = 8``.
         """
         return [
-            self.find_point_below(exprs, margin, method=method, seed=seed)
+            self.find_point_below(exprs, margin, seed=seed)
             for exprs in expression_lists
         ]
 
@@ -119,7 +105,6 @@ class Cone:
         self,
         expression_lists: Sequence[Sequence[LinearExpression]],
         margin: float = 1.0,
-        method: str = "auto",
         seed: str = "generic",
     ) -> List[Tuple[Optional[ConePoint], Optional[ConeProof]]]:
         """:meth:`find_points_below_many`, with a proof where there is no point.
@@ -130,9 +115,7 @@ class Cone:
         """
         return [
             (point, None)
-            for point in self.find_points_below_many(
-                expression_lists, margin, method=method, seed=seed
-            )
+            for point in self.find_points_below_many(expression_lists, margin, seed=seed)
         ]
 
 
@@ -140,14 +123,13 @@ class GammaCone(Cone):
     """The Shannon (polymatroid) cone ``Γn``.
 
     The elemental description is held implicitly through the shared
-    :class:`~repro.lp.rowgen.ShannonRowOracle`; the ``method`` knob of the
-    decision methods picks between materializing it in full (``"dense"``)
-    and lazy row generation (``"rowgen"``), with ``"auto"`` switching on the
-    row count — from ``n = 9`` for :meth:`find_point_below`
+    :class:`~repro.lp.rowgen.ShannonRowOracle`.  The LP layer materializes
+    it in full (the dense path) or grows it by row generation, by its row
+    count — row generation from ``n = 9`` for :meth:`find_point_below`
     (:data:`~repro.lp.rowgen.AUTO_ROW_THRESHOLD`) and from ``n = 8`` for the
     block LP of :meth:`points_or_proofs_below_many`
     (:data:`~repro.lp.rowgen.AUTO_BLOCK_ROW_THRESHOLD`) — so large-arity
-    cones never pay for the full matrix unless a caller insists.
+    cones never pay for the full matrix.
     """
 
     name = "gamma"
@@ -161,12 +143,6 @@ class GammaCone(Cone):
         # Implicit elemental row family (shared, cached); the full CSR is
         # materialized only on first dense use via the oracle.
         self._oracle = shannon_row_oracle(self.ground)
-        self._num_elementals = self._oracle.row_count
-
-    def _resolve_method(self, method: str, threshold: int = AUTO_ROW_THRESHOLD) -> str:
-        resolved = resolve_method(method, self._num_elementals, threshold)
-        record_solver_path(resolved)
-        return resolved
 
     def _expression_row(self, expression: LinearExpression) -> np.ndarray:
         row = np.zeros(len(self._subsets))
@@ -181,7 +157,6 @@ class GammaCone(Cone):
         self,
         expressions: Sequence[LinearExpression],
         margin: float = 1.0,
-        method: str = "auto",
         seed: str = "generic",
     ) -> Optional[ConePoint]:
         branch_rows = sp.csr_matrix(
@@ -192,7 +167,6 @@ class GammaCone(Cone):
             A_ub=branch_rows,
             b_ub=-margin * np.ones(len(expressions)),
             lazy_rows=self._oracle,
-            method=self._resolve_method(method),
             rowgen_options=RowGenOptions(seed=seed),
         )
         if not feasible or solution is None:
@@ -204,13 +178,12 @@ class GammaCone(Cone):
         self,
         expression_lists: Sequence[Sequence[LinearExpression]],
         margin: float = 1.0,
-        method: str = "auto",
         seed: str = "generic",
     ) -> List[Optional[ConePoint]]:
         return [
             point
             for point, _ in self.points_or_proofs_below_many(
-                expression_lists, margin, method=method, seed=seed
+                expression_lists, margin, seed=seed
             )
         ]
 
@@ -218,7 +191,6 @@ class GammaCone(Cone):
         self,
         expression_lists: Sequence[Sequence[LinearExpression]],
         margin: float = 1.0,
-        method: str = "auto",
         seed: str = "generic",
     ) -> List[Tuple[Optional[ConePoint], Optional[ConeProof]]]:
         """One block LP for every list; proofs are read off its duals.
@@ -253,7 +225,6 @@ class GammaCone(Cone):
             blocks,
             slack_threshold=margin / 2,
             lazy_rows=self._oracle,
-            method=self._resolve_method(method, AUTO_BLOCK_ROW_THRESHOLD),
             rowgen_options=RowGenOptions(seed=seed),
         )
         prover = shannon_prover(self.ground)
@@ -339,11 +310,10 @@ class _GeneratedCone(Cone):
         self,
         expressions: Sequence[LinearExpression],
         margin: float = 1.0,
-        method: str = "auto",
         seed: str = "generic",
     ) -> Optional[ConePoint]:
-        # ``method``/``seed`` are accepted for interface parity and ignored:
-        # the generated cones are described by explicit generators, not an
+        # ``seed`` is accepted for interface parity and ignored: the
+        # generated cones are described by explicit generators, not an
         # implicit row family, so there is nothing to generate lazily.
         generators, _ = self._generator_data()
         matrix = self._lp_matrix(expressions)
@@ -360,7 +330,6 @@ class _GeneratedCone(Cone):
         self,
         expression_lists: Sequence[Sequence[LinearExpression]],
         margin: float = 1.0,
-        method: str = "auto",
         seed: str = "generic",
     ) -> List[Optional[ConePoint]]:
         if not expression_lists:

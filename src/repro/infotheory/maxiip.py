@@ -75,22 +75,19 @@ def decide_max_ii(
     over: str = "gamma",
     ground: Tuple[str, ...] = None,
     with_certificate: bool = False,
-    lp_method: str = "auto",
     seed: str = "generic",
 ) -> MaxIIVerdict:
     """Decide validity of a Max-II over the cone named by ``over``.
 
     ``ground`` may enlarge the variable set beyond the variables actually
     mentioned by the inequality (validity is not affected, but violating
-    functions are returned over the larger ground set).  ``lp_method``
-    selects the ``Γn`` LP path (``"dense" | "rowgen" | "auto"``) and
-    ``seed`` the row-generation seed set (both ignored by the generated
-    cones).
+    functions are returned over the larger ground set).  ``seed`` names the
+    row-generation seed set (ignored by the generated cones).
     """
     ground = tuple(ground) if ground is not None else inequality.ground
     cone = cone_by_name(over, ground)
     branches = [branch.with_ground(ground) for branch in inequality.branches]
-    point = cone.find_point_below(branches, method=lp_method, seed=seed)
+    point = cone.find_point_below(branches, seed=seed)
     if point is not None:
         return MaxIIVerdict(
             valid=False,
@@ -100,7 +97,7 @@ def decide_max_ii(
         )
     certificate = None
     if with_certificate and over == "gamma" and len(branches) == 1:
-        certificate = shannon_prover(ground).certificate(branches[0], method=lp_method)
+        certificate = shannon_prover(ground).certificate(branches[0])
     return MaxIIVerdict(
         valid=True,
         cone=over,
@@ -113,7 +110,6 @@ def decide_max_ii_many(
     inequalities: Sequence[MaxInformationInequality],
     over: str = "gamma",
     ground: Tuple[str, ...] = None,
-    lp_method: str = "auto",
     seed: str = "generic",
 ) -> List[MaxIIVerdict]:
     """Decide many Max-IIs over one cone in one block-LP call.
@@ -125,13 +121,13 @@ def decide_max_ii_many(
     is one block of :meth:`Cone.points_or_proofs_below_many`.  On the dense
     path (and for ``Nn``/``Mn``) the blocks are stacked into one
     block-diagonal LP, so ``k`` decisions pay one HiGHS invocation instead
-    of ``k``.  With ``lp_method="rowgen"`` (or ``"auto"`` from ``n = 8``)
-    every block instead carries its own lazily generated elemental rows on
-    its own warm-started model, so no block is re-solved for another's
-    cuts, and its verdict, ``λ`` and proof do not depend on which
-    inequalities share the call.  Over ``Γn`` a valid verdict carries the
-    Theorem 6.1 certificate read off the duals of the solve that decided it
-    whenever they pass the proof check (see :class:`MaxIIVerdict`).
+    of ``k``.  On the row-generation path, which ``Γn`` takes from
+    ``n = 8``, every block instead carries its own lazily generated
+    elemental rows on its own warm-started model, so no block is re-solved
+    for another's cuts, and its verdict, ``λ`` and proof do not depend on
+    which inequalities share the call.  Over ``Γn`` a valid verdict carries
+    the Theorem 6.1 certificate read off the duals of the solve that decided
+    it whenever they pass the proof check (see :class:`MaxIIVerdict`).
     """
     if not inequalities:
         return []
@@ -149,7 +145,7 @@ def decide_max_ii_many(
         [branch.with_ground(ground) for branch in inequality.branches]
         for inequality in inequalities
     ]
-    outcomes = cone.points_or_proofs_below_many(branch_lists, method=lp_method, seed=seed)
+    outcomes = cone.points_or_proofs_below_many(branch_lists, seed=seed)
     verdicts: List[MaxIIVerdict] = []
     for point, proof in outcomes:
         if point is not None:
@@ -181,7 +177,6 @@ def decide_ii(
     over: str = "gamma",
     ground: Tuple[str, ...] = None,
     with_certificate: bool = False,
-    lp_method: str = "auto",
 ) -> MaxIIVerdict:
     """Decide an ordinary II (the ``k = 1`` special case of Max-IIP)."""
     return decide_max_ii(
@@ -189,7 +184,6 @@ def decide_ii(
         over=over,
         ground=ground,
         with_certificate=with_certificate,
-        lp_method=lp_method,
     )
 
 

@@ -17,8 +17,9 @@ containment algorithm.
 
 Solver paths
 ------------
-Every decision runs through one of two LP paths, selected by the ``method``
-knob (``"dense" | "rowgen" | "auto"``, constructor default ``"auto"``):
+Every decision runs through one of two LP paths, picked by the elemental
+row count (:func:`repro.lp.rowgen.choose_path`; row generation from
+``n = 9``, past :data:`repro.lp.rowgen.AUTO_ROW_THRESHOLD`):
 
 * **dense** materializes the full elemental CSR matrix (comfortable to
   ``n ≈ 8–10``);
@@ -33,9 +34,6 @@ knob (``"dense" | "rowgen" | "auto"``, constructor default ``"auto"``):
   the proof is checked to sum to its target in floating point, within
   ``1e-6`` per coordinate (:meth:`ShannonProver.proof_from_duals`), not in
   exact arithmetic.
-
-``"auto"`` switches on the elemental row count
-(:data:`repro.lp.rowgen.AUTO_ROW_THRESHOLD`).
 
 Performance notes
 -----------------
@@ -68,12 +66,8 @@ from repro.infotheory.polymatroid import (
 from repro.infotheory.setfunction import SetFunction
 from repro.lp.certificates import nonnegative_combination
 from repro.lp.backends import resolve_backend
-from repro.lp.rowgen import (
-    RowGenOptions,
-    resolve_method,
-    shannon_row_oracle,
-)
-from repro.lp.solver import LPStatus, minimize, record_solver_path
+from repro.lp.rowgen import RowGenOptions, choose_path, minimize_lazy, shannon_row_oracle
+from repro.lp.solver import LPStatus, minimize
 from repro.utils.lattice import lattice_context
 
 
@@ -107,20 +101,12 @@ class ShannonCertificate:
 
 
 class ShannonProver:
-    """Decide Shannon validity of linear information expressions over a ground set.
+    """Decide Shannon validity of linear information expressions over a ground set."""
 
-    ``method`` sets the default LP path for every decision this prover makes
-    (``"auto"`` picks per problem size); each decision method also accepts a
-    per-call override.
-    """
-
-    def __init__(self, ground: Sequence[str], method: str = "auto"):
+    def __init__(self, ground: Sequence[str]):
         self.ground: Tuple[str, ...] = tuple(ground)
         if not self.ground:
             raise ValueError("the ground set must be non-empty")
-        if method not in ("dense", "rowgen", "auto"):
-            raise ValueError(f"unknown LP method {method!r}")
-        self.method = method
         lattice = lattice_context(self.ground)
         self._lattice = lattice
         self._subsets = lattice.nonempty_subsets
@@ -148,13 +134,6 @@ class ShannonProver:
         """The full elemental CSR matrix (built lazily, dense path only)."""
         return self._lattice.elemental_matrix()
 
-    def _resolve_method(self, method: Optional[str]) -> str:
-        resolved = resolve_method(
-            method if method is not None else self.method, self._oracle.row_count
-        )
-        record_solver_path(resolved)
-        return resolved
-
     # ------------------------------------------------------------------ #
     # Vector encoding
     # ------------------------------------------------------------------ #
@@ -181,11 +160,7 @@ class ShannonProver:
     # ------------------------------------------------------------------ #
     # Decision procedures
     # ------------------------------------------------------------------ #
-    def minimum_over_gamma(
-        self,
-        expression: LinearExpression,
-        method: Optional[str] = None,
-    ) -> Tuple[float, SetFunction]:
+    def minimum_over_gamma(self, expression: LinearExpression) -> Tuple[float, SetFunction]:
         """Minimize ``E(h)`` over the slice ``{h ∈ Γn : h(V) ≤ 1}``.
 
         Because ``Γn`` is a cone and every non-zero polymatroid has
@@ -197,8 +172,7 @@ class ShannonProver:
             ([1.0], ([0], [self._subset_index[frozenset(self.ground)]])),
             shape=(1, len(self._subsets)),
         )
-        resolved = self._resolve_method(method)
-        if resolved == "rowgen":
+        if choose_path(self.num_elemental_rows) == "rowgen":
             # The box 0 ≤ h(X) ≤ 1 is implied by monotonicity plus the
             # normalization over the full cone, so adding it cuts nothing
             # from the true feasible set while keeping every cutting-plane
@@ -207,14 +181,13 @@ class ShannonProver:
             # relaxation bound ≥ -ε pins it to [-ε, 0] and the zero
             # polymatroid is a minimizer up to ε — no need to grow the
             # active set until the relaxed point itself reaches Γn.
-            result = minimize(
+            result = minimize_lazy(
                 objective,
+                self._oracle,
                 A_ub=total_row,
                 b_ub=np.array([1.0]),
                 bounds=(0, 1),
-                lazy_rows=self._oracle,
-                method="rowgen",
-                rowgen_options=RowGenOptions(early_stop_objective=-1e-9),
+                options=RowGenOptions(early_stop_objective=-1e-9),
             )
             if result.status == LPStatus.OPTIMAL and result.rowgen.early_stopped:
                 return result.objective, SetFunction.zero(self.ground)
@@ -222,42 +195,29 @@ class ShannonProver:
             # Elemental inequalities A h >= 0  →  -A h <= 0, plus h(V) <= 1.
             result = minimize(
                 objective,
-                A_ub=total_row,
-                b_ub=np.array([1.0]),
-                lazy_rows=self._oracle,
-                method="dense",
+                A_ub=sp.vstack([-self._elemental_matrix, total_row], format="csr"),
+                b_ub=np.append(np.zeros(self.num_elemental_rows), 1.0),
             )
         if result.status != LPStatus.OPTIMAL:
             raise CertificateError(f"unexpected LP status {result.status} in Shannon prover")
         return result.objective, self.function_from_vector(result.solution)
 
-    def is_valid(
-        self,
-        expression: LinearExpression,
-        tolerance: float = 1e-7,
-        method: Optional[str] = None,
-    ) -> bool:
+    def is_valid(self, expression: LinearExpression, tolerance: float = 1e-7) -> bool:
         """True when ``0 ≤ E(h)`` holds for every polymatroid ``h ∈ Γn``."""
-        value, _ = self.minimum_over_gamma(expression, method=method)
+        value, _ = self.minimum_over_gamma(expression)
         return value >= -tolerance
 
     def is_valid_inequality(
-        self,
-        inequality: InformationInequality,
-        tolerance: float = 1e-7,
-        method: Optional[str] = None,
+        self, inequality: InformationInequality, tolerance: float = 1e-7
     ) -> bool:
         """Convenience wrapper taking an :class:`InformationInequality`."""
-        return self.is_valid(inequality.expression, tolerance, method=method)
+        return self.is_valid(inequality.expression, tolerance)
 
     def find_violating_polymatroid(
-        self,
-        expression: LinearExpression,
-        tolerance: float = 1e-7,
-        method: Optional[str] = None,
+        self, expression: LinearExpression, tolerance: float = 1e-7
     ) -> Optional[SetFunction]:
         """A polymatroid with ``E(h) < 0``, or ``None`` when the inequality is valid."""
-        value, function = self.minimum_over_gamma(expression, method=method)
+        value, function = self.minimum_over_gamma(expression)
         if value >= -tolerance:
             return None
         return function
@@ -266,10 +226,7 @@ class ShannonProver:
     # Certificates
     # ------------------------------------------------------------------ #
     def certificate(
-        self,
-        expression: LinearExpression,
-        tolerance: float = 1e-6,
-        method: Optional[str] = None,
+        self, expression: LinearExpression, tolerance: float = 1e-6
     ) -> Optional[ShannonCertificate]:
         """A Shannon proof of ``0 ≤ E(h)``, or ``None`` when no proof exists.
 
@@ -279,8 +236,7 @@ class ShannonProver:
         :meth:`_certificate_rowgen`.
         """
         target = self.expression_vector(expression)
-        resolved = self._resolve_method(method)
-        if resolved == "rowgen":
+        if choose_path(self.num_elemental_rows) == "rowgen":
             found = self._certificate_rowgen(target[np.newaxis, :], tolerance)
             return None if found is None else found[1]
         multipliers = nonnegative_combination(self._elemental_matrix, target, tolerance)
@@ -460,8 +416,6 @@ def shannon_prover(ground: Tuple[str, ...]) -> ShannonProver:
     Provers are stateless after construction, so sharing them is safe; the
     cache lets repeated containment checks over the same arity skip the LP
     constraint-matrix work entirely.  Bounded so processes that see many
-    distinct variable-name tuples don't grow without limit.  The shared
-    instances keep the ``"auto"`` method default; pass ``method=`` per call
-    to force a path.
+    distinct variable-name tuples don't grow without limit.
     """
     return ShannonProver(tuple(ground))

@@ -7,8 +7,9 @@ block-diagonal primitive under the :mod:`repro.service` batch engine).
 
 The :mod:`repro.lp.rowgen` submodule provides lazy row generation for the
 Shannon cone: a vectorized separation oracle over the implicit elemental
-rows plus cutting-plane loops, selected through the ``method`` knob
-(``"dense" | "rowgen" | "auto"``) every solver entry point grew for it.
+rows plus cutting-plane loops.  Its :func:`~repro.lp.rowgen.choose_path`
+sends each ``Γn`` LP down the dense path or row generation by the row
+count of the cone description.
 
 The :mod:`repro.lp.backends` submodule drives the one solver, HiGHS,
 incrementally (native ``highspy`` when installed, scipy's bundled bindings
@@ -41,7 +42,7 @@ from repro.lp.rowgen import (
     RowGenOptions,
     RowGenReport,
     ShannonRowOracle,
-    resolve_method,
+    choose_path,
     shannon_row_oracle,
 )
 
@@ -60,7 +61,7 @@ __all__ = [
     "RowGenReport",
     "ShannonRowOracle",
     "shannon_row_oracle",
-    "resolve_method",
+    "choose_path",
     "record_solver_path",
     "solver_path_counts",
     "reset_solver_path_counts",

@@ -27,6 +27,10 @@ This module makes the elemental rows *implicit*:
   ``n = 12`` minimizations (see :func:`minimize_lazy`).  The certificate loop of
   :meth:`repro.infotheory.shannon.ShannonProver._certificate_rowgen` drives
   the same kind of model over the same oracle, warm.
+* :func:`choose_path` — whether an LP over ``Γn`` materializes the rows
+  (the dense path) or runs these loops, decided from the row count alone
+  against :data:`AUTO_ROW_THRESHOLD` (sequential loops) or
+  :data:`AUTO_BLOCK_ROW_THRESHOLD` (the block LP).  No caller names a path.
 
 Soundness of the loop shapes used by the library:
 
@@ -79,7 +83,7 @@ from repro.lp.solver import (
 )
 from repro.utils.lattice import SubsetLattice, lattice_context
 
-#: ``method="auto"`` switches the sequential loops (:func:`minimize_lazy`,
+#: :func:`choose_path` sends the sequential loops (:func:`minimize_lazy`,
 #: so ``ShannonProver.is_valid`` and ``GammaCone.find_point_below``) from
 #: the dense elemental matrix to row generation when the full row count
 #: exceeds this threshold: ``n ≤ 8`` (1 800 rows) stays dense and ``n ≥ 9``
@@ -172,13 +176,19 @@ def _separate_timed(
     return cut_ids, scores
 
 
-def resolve_method(method: str, row_count: int, threshold: int = AUTO_ROW_THRESHOLD) -> str:
-    """Resolve a ``"dense" | "rowgen" | "auto"`` knob against a row count."""
-    if method in ("dense", "rowgen"):
-        return method
-    if method == "auto":
-        return "rowgen" if row_count > threshold else "dense"
-    raise LPError(f"unknown LP method {method!r}; expected 'dense', 'rowgen' or 'auto'")
+def choose_path(row_count: int, blocks: bool = False) -> str:
+    """The ``Γn`` LP path for a row family of ``row_count`` rows, tallied once.
+
+    ``"rowgen"`` when the count exceeds the threshold of the loop that will
+    solve it — :data:`AUTO_BLOCK_ROW_THRESHOLD` for the block LP
+    (``blocks=True``), :data:`AUTO_ROW_THRESHOLD` for the sequential loops —
+    and ``"dense"`` otherwise.  Both thresholds are read at call time.
+    Every call is one decision in :func:`~repro.lp.solver.solver_path_counts`.
+    """
+    threshold = AUTO_BLOCK_ROW_THRESHOLD if blocks else AUTO_ROW_THRESHOLD
+    path = "rowgen" if row_count > threshold else "dense"
+    record_solver_path(path)
+    return path
 
 
 @lru_cache(maxsize=64)
@@ -774,7 +784,7 @@ __all__ = [
     "RowGenReport",
     "ShannonRowOracle",
     "shannon_row_oracle",
-    "resolve_method",
+    "choose_path",
     "minimize_lazy",
     "solve_feasibility_blocks_lazy",
     "record_solver_path",

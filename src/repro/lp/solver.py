@@ -30,19 +30,19 @@ Lazy (implicit) constraint rows
 Every public entry point accepts an optional ``lazy_rows`` object — an
 implicit family of homogeneous rows ``A x ≥ 0`` (in practice the
 :class:`repro.lp.rowgen.ShannonRowOracle` describing the elemental rows of
-``Γn``) — together with a ``method`` knob:
+``Γn``).  The family's row count picks how its rows join the LP
+(:func:`repro.lp.rowgen.choose_path`):
 
 * ``"dense"`` materializes the full row family and appends it to the
-  explicit constraints (bit-for-bit the historical behaviour);
+  explicit constraints;
 * ``"rowgen"`` runs the cutting-plane loops of :mod:`repro.lp.rowgen`,
   starting from a small seed row set and adding only the rows a separation
-  oracle finds violated;
-* ``"auto"`` picks between them on the family's total row count: the
-  block LP switches to row generation past
-  :data:`repro.lp.rowgen.AUTO_BLOCK_ROW_THRESHOLD` (``n ≥ 8``), every other
-  entry point past :data:`repro.lp.rowgen.AUTO_ROW_THRESHOLD` (``n ≥ 9``).
+  oracle finds violated.
 
-Which path actually ran is tallied in a process-wide counter
+The block LP switches to row generation past
+:data:`repro.lp.rowgen.AUTO_BLOCK_ROW_THRESHOLD` rows (``n ≥ 8``), every
+other entry point past :data:`repro.lp.rowgen.AUTO_ROW_THRESHOLD`
+(``n ≥ 9``).  Which path actually ran is tallied in a process-wide counter
 (:func:`solver_path_counts`) so test runs can prove both paths were
 exercised.
 """
@@ -151,19 +151,13 @@ def _as_array(matrix, width: Optional[int] = None):
     return array
 
 
-def _resolve_lazy(lazy_rows, method: str, blocks: bool = False) -> Optional[str]:
-    """Resolve the ``method`` knob against a lazy row family (or ``None``).
-
-    ``blocks`` picks the block LP's ``"auto"`` threshold
-    (:data:`repro.lp.rowgen.AUTO_BLOCK_ROW_THRESHOLD`) instead of the
-    sequential loops' (:data:`repro.lp.rowgen.AUTO_ROW_THRESHOLD`).
-    """
+def _lazy_path(lazy_rows, blocks: bool = False) -> Optional[str]:
+    """The path of a lazy row family, or ``None`` without one (see ``choose_path``)."""
     if lazy_rows is None:
         return None
-    from repro.lp.rowgen import AUTO_BLOCK_ROW_THRESHOLD, AUTO_ROW_THRESHOLD, resolve_method
+    from repro.lp.rowgen import choose_path
 
-    threshold = AUTO_BLOCK_ROW_THRESHOLD if blocks else AUTO_ROW_THRESHOLD
-    return resolve_method(method, lazy_rows.row_count, threshold)
+    return choose_path(lazy_rows.row_count, blocks)
 
 
 def _backend():
@@ -216,7 +210,6 @@ def minimize(
     b_eq=None,
     bounds: Optional[Sequence[Tuple[Optional[float], Optional[float]]]] = None,
     lazy_rows=None,
-    method: str = "dense",
     rowgen_options=None,
 ) -> LPResult:
     """Minimize ``objective · x`` subject to ``A_ub x ≤ b_ub`` and ``A_eq x = b_eq``.
@@ -225,12 +218,12 @@ def minimize(
     variables (pass explicit ``(None, None)`` pairs for free variables).
 
     When ``lazy_rows`` is given, its implicit homogeneous rows ``A x ≥ 0``
-    join the constraints through the path selected by ``method`` (see the
-    module docstring); ``"rowgen"`` requires ``A_eq`` to be empty and relies
-    on ``bounds`` to keep every relaxation bounded.
+    join the constraints through the path its row count picks (see the
+    module docstring); row generation requires ``A_eq`` to be empty and
+    relies on ``bounds`` to keep every relaxation bounded.
     """
-    resolved = _resolve_lazy(lazy_rows, method)
-    if resolved == "rowgen":
+    path = _lazy_path(lazy_rows)
+    if path == "rowgen":
         if A_eq is not None or b_eq is not None:
             raise LPError("row generation does not support equality constraints")
         from repro.lp.rowgen import minimize_lazy
@@ -244,7 +237,7 @@ def minimize(
             options=rowgen_options,
         )
     objective = np.asarray(objective, dtype=float)
-    if resolved == "dense":
+    if path == "dense":
         A_ub, b_ub = _append_lazy_dense(lazy_rows, A_ub, b_ub, objective.shape[0])
     width = objective.shape[0]
     # A single (min, max) pair applies to every variable — the backend
@@ -311,7 +304,6 @@ def solve_feasibility_blocks(
     blocks: Sequence[FeasibilityBlock],
     slack_threshold: float = 0.5,
     lazy_rows=None,
-    method: str = "dense",
     rowgen_options=None,
 ) -> List[BlockFeasibilityResult]:
     """Decide many independent feasibility systems in one call.
@@ -319,18 +311,19 @@ def solve_feasibility_blocks(
     Block ``i`` receives a slack variable ``s_i ≥ 0`` relaxing its soft rows
     to ``A_soft x ≤ b_soft + s_i`` while the hard rows stay exact, and
     ``s_i`` is minimized: ``s_i = 0`` iff block ``i`` is feasible.  Without
-    ``lazy_rows``, or on the ``"dense"`` path, the blocks are stacked
+    ``lazy_rows``, or on the dense path, the blocks are stacked
     block-diagonally into one HiGHS invocation that minimizes ``Σ_i s_i``;
     they share no variables, so each ``s_i`` is minimized independently
     within the one solve.
 
     When ``lazy_rows`` is given, every block additionally carries the
-    family's implicit homogeneous rows as hard constraints: the ``"dense"``
-    path materializes the full family once and prepends it to each block's
-    ``A_hard``, while ``"rowgen"`` grows a per-block active row set through
+    family's implicit homogeneous rows as hard constraints: the dense path
+    materializes the full family once and prepends it to each block's
+    ``A_hard``, while row generation, which the family takes past
+    :data:`repro.lp.rowgen.AUTO_BLOCK_ROW_THRESHOLD` rows, grows a per-block
+    active row set through
     :func:`repro.lp.rowgen.solve_feasibility_blocks_lazy`, one warm-started
-    model per block.  ``"auto"`` switches to ``"rowgen"`` past
-    :data:`repro.lp.rowgen.AUTO_BLOCK_ROW_THRESHOLD` rows.
+    model per block.
 
     For the cone-decision shape (hard rows ``-M h ≤ 0`` describing a cone,
     soft rows ``E_ℓ(h) ≤ -margin``) the optimal slack is exactly 0 or
@@ -344,8 +337,8 @@ def solve_feasibility_blocks(
     """
     if not blocks:
         return []
-    resolved = _resolve_lazy(lazy_rows, method, blocks=True)
-    if resolved == "rowgen":
+    path = _lazy_path(lazy_rows, blocks=True)
+    if path == "rowgen":
         from repro.lp.rowgen import solve_feasibility_blocks_lazy
 
         return solve_feasibility_blocks_lazy(
@@ -354,7 +347,7 @@ def solve_feasibility_blocks(
             slack_threshold,
             options=rowgen_options,
         )
-    if resolved == "dense":
+    if path == "dense":
         cone_rows = -lazy_rows.full_matrix()
         blocks = [
             _block_with_hard_rows(block, cone_rows) for block in blocks
@@ -465,13 +458,12 @@ def check_feasibility(
     b_eq=None,
     bounds=None,
     lazy_rows=None,
-    method: str = "dense",
     rowgen_options=None,
 ) -> Tuple[bool, Optional[np.ndarray]]:
     """Decide non-emptiness of a polyhedron; return a feasible point if any.
 
     The objective is identically zero, so any feasible point is optimal.
-    ``lazy_rows``/``method`` behave as in :func:`minimize`.
+    ``lazy_rows`` behaves as in :func:`minimize`.
     """
     result = minimize(
         objective=np.zeros(num_variables),
@@ -481,7 +473,6 @@ def check_feasibility(
         b_eq=b_eq,
         bounds=bounds,
         lazy_rows=lazy_rows,
-        method=method,
         rowgen_options=rowgen_options,
     )
     if result.status == LPStatus.OPTIMAL:

@@ -13,18 +13,13 @@ instrumentation sites call the module-level helpers (:func:`span`,
 through when no tracer is active.  ``repro batch --trace FILE`` activates a
 tracer around one batch and exports the spans as JSONL.
 
-Threads and grafted spans
--------------------------
+Threads
+-------
 Each thread keeps its own span stack (``threading.local``), so spans
 opened on different threads (a daemon's connection handlers, say) nest
 correctly without sharing state; a span may also name an explicit
 ``parent`` span id to attach under work that is not on the stack (the
 engine parents each advancement under its pair's span this way).
-
-Spans recorded by another tracer — in another process, say — can join this
-one's tree: :meth:`Tracer.adopt` grafts them under a chosen parent span,
-with fresh span ids, parent links remapped, and their relative clock
-shifted onto this tracer's timeline by a given start offset.
 """
 
 from __future__ import annotations
@@ -34,7 +29,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, IO, Iterable, List, Optional, Sequence, Union
+from typing import Dict, IO, Iterable, List, Optional, Union
 
 
 @dataclass
@@ -227,47 +222,6 @@ class Tracer:
             )
         )
         return span_id
-
-    # ------------------------------------------------------------------ #
-    # Adoption
-    # ------------------------------------------------------------------ #
-    def adopt(
-        self,
-        records: Sequence[SpanRecord],
-        parent: Optional[int],
-        start_offset: float,
-    ) -> None:
-        """Graft spans recorded by another tracer into this one.
-
-        ``records`` carry times relative to their tracer's epoch;
-        ``start_offset`` is that epoch on *this* tracer's timeline.  Ids are
-        re-allocated, internal parent links remapped, and the grafted roots
-        attached under ``parent``.
-        """
-        if not records:
-            return
-        mapping: Dict[int, int] = {}
-        for record in records:
-            mapping[record.span_id] = self._allocate()
-        adopted: List[SpanRecord] = []
-        for record in records:
-            remapped_parent = (
-                mapping.get(record.parent_id, parent)
-                if record.parent_id is not None
-                else parent
-            )
-            adopted.append(
-                SpanRecord(
-                    span_id=mapping[record.span_id],
-                    parent_id=remapped_parent,
-                    name=record.name,
-                    start=record.start + start_offset,
-                    duration=record.duration,
-                    attrs=record.attrs,
-                )
-            )
-        with self._lock:
-            self._records.extend(adopted)
 
     # ------------------------------------------------------------------ #
     # Export

@@ -12,14 +12,14 @@ of them at once:
   ground tuple — an order-preserving positional rename, so the LP matrices
   are bit-for-bit the ones the sequential path would build — and decided in
   chunks through :func:`repro.infotheory.maxiip.decide_max_ii_many`, one
-  call per chunk.  The ``lp_method`` knob (``"dense" | "rowgen" | "auto"``)
-  picks how each block carries the ``Γn`` description: dense stacks one
-  full elemental-matrix copy per pair into one block-diagonal HiGHS solve,
-  while row generation (what ``"auto"`` picks from ``n = 8``) gives every
-  block a small lazily-grown active row set on its own warm-started model
-  — so chunks of large-arity pairs never multiply the
-  ~``C(n,2)·2^(n-2)``-row matrix by the chunk size, and a rowgen block's
-  verdict and certificate do not depend on its chunk-mates.
+  call per chunk.  The arity picks how each block carries the ``Γn``
+  description: up to ``n = 7`` the dense path stacks one full
+  elemental-matrix copy per pair into one block-diagonal HiGHS solve, and
+  from ``n = 8`` row generation gives every block a small lazily-grown
+  active row set on its own warm-started model — so chunks of large-arity
+  pairs never multiply the ~``C(n,2)·2^(n-2)``-row matrix by the chunk
+  size, and a rowgen block's verdict and certificate do not depend on its
+  chunk-mates.
 * **Refutation requests** (``over`` in ``{"normal", "modular"}`` — the rare
   tail after a failed Γn check) are answered by individual
   :func:`decide_max_ii` calls, exactly as the sequential driver would: the
@@ -175,9 +175,6 @@ class BatchEngine:
         ``"raise"`` propagates a pair's exception (mirroring the sequential
         loop); ``"capture"`` converts it into an UNKNOWN ``"error"`` result
         so one malformed pair cannot fail a whole batch.
-    lp_method:
-        ``Γn`` LP path for every cone decision (``"dense" | "rowgen" |
-        "auto"``; see :mod:`repro.lp.rowgen`).
     """
 
     def __init__(
@@ -186,15 +183,12 @@ class BatchEngine:
         pair_budget: Optional[float] = None,
         on_error: str = "raise",
         stats: Optional[ServiceStats] = None,
-        lp_method: str = "auto",
         deadline: Optional[float] = None,
     ):
         if chunk_size < 1:
             raise ValueError("chunk_size must be at least 1")
         if on_error not in ("raise", "capture"):
             raise ValueError("on_error must be 'raise' or 'capture'")
-        if lp_method not in ("dense", "rowgen", "auto"):
-            raise ValueError("lp_method must be 'dense', 'rowgen' or 'auto'")
         if deadline is not None and deadline < 0:
             raise ValueError("deadline must be non-negative (or None)")
         self.chunk_size = chunk_size
@@ -202,7 +196,6 @@ class BatchEngine:
         self.deadline = deadline
         self.on_error = on_error
         self.stats = stats if stats is not None else ServiceStats()
-        self.lp_method = lp_method
         # Per-pair pipeline seconds of the most recent run (see _collect).
         self.last_pair_seconds: List[float] = []
 
@@ -324,7 +317,6 @@ class BatchEngine:
                 renamed,
                 over="gamma",
                 ground=canonical,
-                lp_method=self.lp_method,
                 seed=chunk[0].request.seed,
             )
         self.stats.record_chunk(
@@ -354,7 +346,6 @@ class BatchEngine:
                 request.max_ii,
                 over=request.over,
                 ground=request.ground,
-                lp_method=self.lp_method,
                 seed=request.seed,
             )
         return run, verdict

@@ -54,10 +54,9 @@ class BatchOptions:
     ``method``, ``max_witness_rows`` and ``refutation_effort`` are forwarded
     to every pair's pipeline (same meaning as in
     :func:`repro.core.containment.decide_containment`).  ``chunk_size``,
-    ``pair_budget``, ``on_error`` and ``lp_method`` configure the engine
-    (see :class:`repro.service.engine.BatchEngine`; ``lp_method`` picks the
-    ``Γn`` LP path — dense elemental matrix vs. lazy row generation).
-    ``cache_size`` bounds the plan cache (``None`` = unbounded).
+    ``pair_budget`` and ``on_error`` configure the engine (see
+    :class:`repro.service.engine.BatchEngine`).  ``cache_size`` bounds the
+    plan cache (``None`` = unbounded).
 
     ``deadline`` is an optional wall-clock bound in seconds for each
     :meth:`ContainmentService.run` call: pairs still undecided when it
@@ -76,7 +75,6 @@ class BatchOptions:
     pair_budget: Optional[float] = None
     on_error: str = "raise"
     cache_size: Optional[int] = 4096
-    lp_method: str = "auto"
     deadline: Optional[float] = None
     store_path: Optional[str] = None
 
@@ -94,7 +92,6 @@ class PairOutcome:
     index: int
     result: ContainmentResult
     source: str
-    key: Optional[Hashable] = None
 
 
 @dataclass(frozen=True)
@@ -193,7 +190,6 @@ class ContainmentService:
             pair_budget=options.pair_budget,
             on_error=options.on_error,
             stats=self.stats,
-            lp_method=options.lp_method,
             deadline=deadline,
         )
         self.stats.pairs_submitted += len(pairs)
@@ -270,7 +266,6 @@ class ContainmentService:
                     canonical,
                     provenance={
                         "origin": "containment-service",
-                        "lp_method": self.options.lp_method,
                         "created_at": time.time(),
                         "pair_seconds": pair_seconds,
                     },
@@ -282,11 +277,9 @@ class ContainmentService:
         for index, placement in enumerate(placements):
             if placement[0] == "hit":
                 _, result, source = placement
-                key = None
             else:
                 _, job_index, source, labelings = placement
                 result = solved[job_index]
-                key = jobs[job_index][1]
                 if source == "batch-dedup":
                     # The duplicate's evidence must be in *its* variables, not
                     # the variables of the batch-mate that ran the pipeline.
@@ -294,9 +287,7 @@ class ContainmentService:
                     if canonical is not None:
                         mapping1, mapping2 = requester_mappings(labelings)
                         result = rename_result(canonical, mapping1, mapping2)
-            outcomes.append(
-                PairOutcome(index=index, result=result, source=source, key=key)
-            )
+            outcomes.append(PairOutcome(index=index, result=result, source=source))
         self.stats.wall_seconds += time.perf_counter() - started
         return BatchReport(
             results=tuple(outcome.result for outcome in outcomes),
@@ -327,6 +318,6 @@ def decide_containment_many(
     Returns one :class:`ContainmentResult` per pair, in order, with statuses
     identical to a per-pair :func:`~repro.core.containment.decide_containment`
     loop.  Keyword overrides are :class:`BatchOptions` fields, e.g.
-    ``decide_containment_many(pairs, chunk_size=64, lp_method="rowgen")``.
+    ``decide_containment_many(pairs, chunk_size=64, pair_budget=2.0)``.
     """
     return ContainmentService(options, **overrides).decide_many(pairs)

@@ -16,6 +16,7 @@ import random
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from lp_paths import pin_path
 
 from repro.core.containment import containment_pipeline
 from repro.cq.parser import parse_query
@@ -55,10 +56,10 @@ def assert_same_answer(alone, in_chunk):
         )
 
 
-def assert_chunk_mate_independent(inequalities, ground, **knobs):
-    chunk = decide_max_ii_many(inequalities, over="gamma", ground=ground, **knobs)
+def assert_chunk_mate_independent(inequalities, ground, seed="generic"):
+    chunk = decide_max_ii_many(inequalities, over="gamma", ground=ground, seed=seed)
     for inequality, in_chunk in zip(inequalities, chunk):
-        (alone,) = decide_max_ii_many([inequality], over="gamma", ground=ground, **knobs)
+        (alone,) = decide_max_ii_many([inequality], over="gamma", ground=ground, seed=seed)
         assert_same_answer(alone, in_chunk)
     return chunk
 
@@ -72,9 +73,9 @@ def test_benchmark_n9_pairs_get_their_own_proofs_in_a_chunk():
         mapping = dict(zip(request.ground, canonical))
         inequalities.append(_rename_max_ii(request.max_ii, mapping, canonical))
     assert [len(inequality.branches) for inequality in inequalities] == [18, 74]
-    # lp_method="auto" resolves to row generation at n = 9.
+    # The block LP runs row generation at n = 9.
     chunk = assert_chunk_mate_independent(
-        inequalities, _canonical_ground(9), lp_method="auto", seed="containment"
+        inequalities, _canonical_ground(9), seed="containment"
     )
     for inequality, verdict in zip(inequalities, chunk):
         assert verdict.valid and verdict.certificate is not None
@@ -115,7 +116,8 @@ def test_random_rowgen_chunks_answer_as_blocks_alone(n, seed, shapes):
         else random_max_ii(n, rng.randint(1, 3), seed=rng.randrange(1 << 30))
         for valid in shapes
     ]
-    chunk = assert_chunk_mate_independent(inequalities, ground, lp_method="rowgen")
+    with pin_path("rowgen"):
+        chunk = assert_chunk_mate_independent(inequalities, ground)
     for valid, verdict in zip(shapes, chunk):
         if valid:
             assert verdict.valid

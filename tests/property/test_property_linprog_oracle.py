@@ -8,8 +8,9 @@ with ``scipy.optimize.linprog`` solving the same question once over the
 full elemental description of ``Γn`` (``tests/linprog_oracle.py``):
 
 * the same minimum over ``Γn`` (within tolerance),
-* the same validity and feasibility verdicts, on both ``lp_method`` paths,
-  for single systems and for blocks of the block LP,
+* the same validity and feasibility verdicts, on both ``Γn`` LP paths
+  (each pinned with ``tests/lp_paths.py``), for single systems and for
+  blocks of the block LP,
 * genuine cone points for every feasible answer, and the block LP's own
   point on every invalid batched verdict,
 * certificates exactly for the valid expressions, each checked by
@@ -28,6 +29,7 @@ import linprog_oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from lp_paths import PATHS, pin_path
 
 from repro.infotheory.cones import cone_by_name
 from repro.infotheory.expressions import LinearExpression
@@ -37,8 +39,6 @@ from repro.infotheory.shannon import ShannonProver, shannon_prover
 from repro.workloads.generators import random_max_ii
 
 TOLERANCE = 1e-6
-
-LP_METHODS = ["dense", "rowgen"]
 
 
 def grounds(min_n=2, max_n=6):
@@ -64,12 +64,13 @@ def random_expressions(draw, min_n=2, max_n=6):
     return LinearExpression(ground=ground, coefficients=coefficients)
 
 
-@pytest.mark.parametrize("lp_method", LP_METHODS)
+@pytest.mark.parametrize("path", PATHS)
 @settings(max_examples=30, deadline=None)
 @given(random_expressions())
-def test_minimum_over_gamma_matches_linprog(lp_method, expression):
+def test_minimum_over_gamma_matches_linprog(path, expression):
     prover = shannon_prover(expression.ground)
-    value, point = prover.minimum_over_gamma(expression, method=lp_method)
+    with pin_path(path):
+        value, point = prover.minimum_over_gamma(expression)
     assert value == pytest.approx(
         linprog_oracle.minimum_over_gamma(expression), abs=TOLERANCE
     )
@@ -79,14 +80,14 @@ def test_minimum_over_gamma_matches_linprog(lp_method, expression):
     assert expression.evaluate(point) <= value + TOLERANCE
 
 
-@pytest.mark.parametrize("lp_method", LP_METHODS)
+@pytest.mark.parametrize("path", PATHS)
 @settings(max_examples=20, deadline=None)
 @given(random_expressions())
-def test_validity_verdicts_match_linprog(lp_method, expression):
+def test_validity_verdicts_match_linprog(path, expression):
     prover = shannon_prover(expression.ground)
-    assert prover.is_valid(expression, method=lp_method) == linprog_oracle.is_valid(
-        expression
-    )
+    with pin_path(path):
+        valid = prover.is_valid(expression)
+    assert valid == linprog_oracle.is_valid(expression)
 
 
 @settings(max_examples=15, deadline=None)
@@ -94,26 +95,28 @@ def test_validity_verdicts_match_linprog(lp_method, expression):
 def test_certificates_exist_exactly_where_linprog_finds_validity(expression):
     prover = shannon_prover(expression.ground)
     valid = linprog_oracle.is_valid(expression)
-    certificate = prover.certificate(expression, method="rowgen")
+    with pin_path("rowgen"):
+        certificate = prover.certificate(expression)
     assert (certificate is not None) == valid
     if valid:
         assert certificate.verify(expression, tolerance=1e-5)
 
 
-@pytest.mark.parametrize("lp_method", LP_METHODS)
+@pytest.mark.parametrize("path", PATHS)
 @settings(max_examples=20, deadline=None)
 @given(
     st.integers(min_value=0, max_value=10_000),
     st.integers(min_value=2, max_value=5),
     st.integers(min_value=1, max_value=3),
 )
-def test_find_point_below_verdicts_match_linprog(lp_method, seed, n, branches):
+def test_find_point_below_verdicts_match_linprog(path, seed, n, branches):
     max_ii = random_max_ii(n, branches, seed=seed)
     ground = tuple(f"X{i}" for i in range(1, n + 1))
     cone = cone_by_name("gamma", ground)
     expressions = [branch.with_ground(ground) for branch in max_ii.branches]
     reference = linprog_oracle.point_below(ground, expressions)
-    point = cone.find_point_below(expressions, method=lp_method)
+    with pin_path(path):
+        point = cone.find_point_below(expressions)
     assert (reference is None) == (point is None)
     if point is not None:
         linprog_oracle.assert_point_below(point.function, expressions)
@@ -144,12 +147,11 @@ def test_batched_cone_decisions_match_linprog(seed, n, specs):
         linprog_oracle.point_below(ground, expressions) is None
         for expressions in expression_lists
     ]
-    for lp_method in LP_METHODS:
-        points = cone.find_points_below_many(expression_lists, method=lp_method)
+    for path in PATHS:
+        with pin_path(path):
+            points = cone.find_points_below_many(expression_lists)
+            verdicts = decide_max_ii_many(inequalities, over="gamma", ground=ground)
         assert [point is None for point in points] == reference
-        verdicts = decide_max_ii_many(
-            inequalities, over="gamma", ground=ground, lp_method=lp_method
-        )
         for verdict, point, expressions in zip(verdicts, points, expression_lists):
             # An invalid verdict carries the point find_points_below_many
             # returns: the block LP's own point.
@@ -182,8 +184,9 @@ def test_larger_arity_spot_checks_match_linprog(n):
             frozenset({"X1", "X2"}): -1.5,
         },
     )
-    for expression, expected in ((han, True), (bad, False)):
-        valid = prover.is_valid(expression, method="rowgen")
+    with pin_path("rowgen"):
+        verdicts = [prover.is_valid(expression) for expression in (han, bad)]
+        certificate = prover.certificate(han)
+    for expression, valid, expected in zip((han, bad), verdicts, (True, False)):
         assert linprog_oracle.is_valid(expression) == valid == expected
-    certificate = prover.certificate(han, method="rowgen")
     assert certificate is not None and certificate.verify(han, tolerance=1e-5)

@@ -2,7 +2,7 @@
 
 The lockdown harness for the lazy-separation solver: on randomly generated
 entropic expressions and containment workloads at ``n ≤ 8``, the rowgen and
-dense paths must return
+dense paths, each pinned with ``tests/lp_paths.py``, must return
 
 * identical validity / feasibility verdicts,
 * matching optimal objective values (within tolerance),
@@ -10,7 +10,7 @@ dense paths must return
   :meth:`ShannonCertificate.verify`, which re-sums the weighted elemental
   inequalities without any LP), among them the Theorem 6.1 certificates
   batched decisions read off the block LP's duals on either path, and
-* identical batch-service statuses across ``chunk_size`` × ``lp_method``
+* identical batch-service statuses across ``chunk_size`` × path
   combinations.
 
 A wrong-but-fast separation oracle would silently flip containment
@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from lp_paths import PATHS, pin_path
 
 from repro.infotheory.cones import cone_by_name
 from repro.infotheory.expressions import LinearExpression
@@ -62,8 +63,10 @@ def random_expressions(draw, min_n=2, max_n=6):
 @given(random_expressions())
 def test_minimum_over_gamma_agrees(expression):
     prover = shannon_prover(expression.ground)
-    dense_value, dense_point = prover.minimum_over_gamma(expression, method="dense")
-    lazy_value, lazy_point = prover.minimum_over_gamma(expression, method="rowgen")
+    with pin_path("dense"):
+        dense_value, dense_point = prover.minimum_over_gamma(expression)
+    with pin_path("rowgen"):
+        lazy_value, lazy_point = prover.minimum_over_gamma(expression)
     assert lazy_value == pytest.approx(dense_value, abs=TOLERANCE)
     # Both minimizers must genuinely be polymatroids attaining their value.
     assert is_polymatroid(dense_point, tolerance=1e-6)
@@ -75,18 +78,22 @@ def test_minimum_over_gamma_agrees(expression):
 @given(random_expressions())
 def test_validity_verdicts_agree(expression):
     prover = shannon_prover(expression.ground)
-    assert prover.is_valid(expression, method="dense") == prover.is_valid(
-        expression, method="rowgen"
-    )
+    with pin_path("dense"):
+        dense_valid = prover.is_valid(expression)
+    with pin_path("rowgen"):
+        lazy_valid = prover.is_valid(expression)
+    assert dense_valid == lazy_valid
 
 
 @settings(max_examples=40, deadline=None)
 @given(random_expressions())
 def test_certificates_exist_iff_valid_and_verify_independently(expression):
     prover = shannon_prover(expression.ground)
-    valid = prover.is_valid(expression, method="dense")
-    dense_certificate = prover.certificate(expression, method="dense")
-    lazy_certificate = prover.certificate(expression, method="rowgen")
+    with pin_path("dense"):
+        valid = prover.is_valid(expression)
+        dense_certificate = prover.certificate(expression)
+    with pin_path("rowgen"):
+        lazy_certificate = prover.certificate(expression)
     assert (dense_certificate is not None) == valid
     assert (lazy_certificate is not None) == valid
     if valid:
@@ -105,8 +112,10 @@ def test_find_point_below_verdicts_agree(seed, n, branches):
     ground = tuple(f"X{i}" for i in range(1, n + 1))
     cone = cone_by_name("gamma", ground)
     expressions = [branch.with_ground(ground) for branch in max_ii.branches]
-    dense_point = cone.find_point_below(expressions, method="dense")
-    lazy_point = cone.find_point_below(expressions, method="rowgen")
+    with pin_path("dense"):
+        dense_point = cone.find_point_below(expressions)
+    with pin_path("rowgen"):
+        lazy_point = cone.find_point_below(expressions)
     assert (dense_point is None) == (lazy_point is None)
     if lazy_point is not None:
         function = lazy_point.function
@@ -135,15 +144,15 @@ def test_batched_cone_decisions_agree(seed, n, specs):
         [branch.with_ground(ground) for branch in inequality.branches]
         for inequality in inequalities
     ]
-    dense_points = cone.find_points_below_many(expression_lists, method="dense")
-    lazy_points = cone.find_points_below_many(expression_lists, method="rowgen")
-    assert [p is None for p in dense_points] == [p is None for p in lazy_points]
-    for lp_method, points in (("dense", dense_points), ("rowgen", lazy_points)):
-        verdicts = decide_max_ii_many(
-            inequalities, over="gamma", ground=ground, lp_method=lp_method
-        )
+    points_by_path = {}
+    for path in PATHS:
+        with pin_path(path):
+            points = cone.find_points_below_many(expression_lists)
+            verdicts = decide_max_ii_many(inequalities, over="gamma", ground=ground)
         for verdict, point, expressions in zip(verdicts, points, expression_lists):
             assert_verdict_matches_block(verdict, point, expressions, ground)
+        points_by_path[path] = [point is None for point in points]
+    assert points_by_path["dense"] == points_by_path["rowgen"]
 
 
 def assert_verdict_matches_block(verdict, point, expressions, ground):
@@ -178,12 +187,10 @@ def assert_verdict_matches_block(verdict, point, expressions, ground):
 )
 def test_batch_service_statuses_identical_across_lp_methods(seed, chunk_size):
     pairs = mixed_containment_pairs(10, seed=seed)
-    dense_results = decide_containment_many(
-        pairs, chunk_size=chunk_size, lp_method="dense"
-    )
-    lazy_results = decide_containment_many(
-        pairs, chunk_size=chunk_size, lp_method="rowgen"
-    )
+    with pin_path("dense"):
+        dense_results = decide_containment_many(pairs, chunk_size=chunk_size)
+    with pin_path("rowgen"):
+        lazy_results = decide_containment_many(pairs, chunk_size=chunk_size)
     assert [r.status for r in dense_results] == [r.status for r in lazy_results]
 
 
@@ -211,8 +218,11 @@ def test_larger_arity_spot_checks_agree(n):
         },
     )
     for expression, expected in ((han, True), (bad, False)):
-        dense_valid = prover.is_valid(expression, method="dense")
-        lazy_valid = prover.is_valid(expression, method="rowgen")
+        with pin_path("dense"):
+            dense_valid = prover.is_valid(expression)
+        with pin_path("rowgen"):
+            lazy_valid = prover.is_valid(expression)
         assert dense_valid == lazy_valid == expected
-    certificate = prover.certificate(han, method="rowgen")
+    with pin_path("rowgen"):
+        certificate = prover.certificate(han)
     assert certificate is not None and certificate.verify(han, tolerance=1e-5)

@@ -15,11 +15,16 @@ Usage::
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
-from repro.core.containment import decide_containment
-from repro.workloads.generators import mixed_containment_pairs
-from repro.workloads.paper_examples import (
+# The path-pinning helper lives in tests/, one level up.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from lp_paths import pin_path  # noqa: E402
+from repro.core.containment import decide_containment  # noqa: E402
+from repro.workloads.generators import mixed_containment_pairs  # noqa: E402
+from repro.workloads.paper_examples import (  # noqa: E402
     chaudhuri_vardi_example,
     example_3_5,
     example_e2_queries,
@@ -63,8 +68,10 @@ def main():
             previous[entry["name"]] = entry["status"]
     entries = []
     for name, q1, q2 in collect_pairs():
-        dense = decide_containment(q1, q2, lp_method="dense")
-        rowgen = decide_containment(q1, q2, lp_method="rowgen")
+        with pin_path("dense"):
+            dense = decide_containment(q1, q2)
+        with pin_path("rowgen"):
+            rowgen = decide_containment(q1, q2)
         if dense.status != rowgen.status:
             raise SystemExit(
                 f"{name}: dense={dense.status.value} rowgen={rowgen.status.value} — "

@@ -3,9 +3,9 @@
 Every entry of ``containment_corpus.json`` is a pair with a known verdict
 (paper examples plus deterministic batch-workload seeds).  The replay runs
 each pair through the sequential driver and the batch service on both
-values of ``lp_method`` (the dense elemental matrix and row generation) —
-any future solver change that flips a verdict fails loudly with the pair's
-name.  Each pair's ``Γn`` decision is also checked against the one-shot
+``Γn`` LP paths (the dense elemental matrix and row generation, each pinned
+with ``tests/lp_paths.py``) — any future solver change that flips a verdict
+fails loudly with the pair's name.  Each pair's ``Γn`` decision is also checked against the one-shot
 ``linprog`` oracle (``tests/linprog_oracle.py``), on the sequential path
 and on the block LP the batch engine drives, whose valid verdicts carry
 the Theorem 6.1 certificate read off its duals.
@@ -22,6 +22,7 @@ from pathlib import Path
 
 import linprog_oracle
 import pytest
+from lp_paths import PATHS, pin_path
 
 from repro.core.containment import containment_pipeline, decide_containment
 from repro.cq.parser import parse_query
@@ -74,22 +75,24 @@ def test_corpus_is_intact():
     assert statuses == {"contained", "not_contained"}
 
 
-@pytest.mark.parametrize("lp_method", ["dense", "rowgen"])
+@pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("entry", CORPUS, ids=[e["name"] for e in CORPUS])
-def test_sequential_replay_matches_frozen_verdict(entry, lp_method):
+def test_sequential_replay_matches_frozen_verdict(entry, path):
     q1, q2 = load_pair(entry)
-    result = decide_containment(q1, q2, lp_method=lp_method)
+    with pin_path(path):
+        result = decide_containment(q1, q2)
     assert result.status.value == entry["status"], (
-        f"{entry['name']}: frozen {entry['status']!r} but {lp_method} "
+        f"{entry['name']}: frozen {entry['status']!r} but {path} "
         f"path returned {result.status.value!r}"
     )
 
 
-@pytest.mark.parametrize("lp_method", ["dense", "rowgen"])
+@pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("chunk_size", [1, 32])
-def test_batch_replay_matches_frozen_verdicts(lp_method, chunk_size):
+def test_batch_replay_matches_frozen_verdicts(path, chunk_size):
     pairs = [load_pair(entry) for entry in CORPUS]
-    results = decide_containment_many(pairs, lp_method=lp_method, chunk_size=chunk_size)
+    with pin_path(path):
+        results = decide_containment_many(pairs, chunk_size=chunk_size)
     got = [result.status.value for result in results]
     expected = [entry["status"] for entry in CORPUS]
     mismatches = [
@@ -100,25 +103,25 @@ def test_batch_replay_matches_frozen_verdicts(lp_method, chunk_size):
     assert not mismatches, f"verdict flips: {mismatches}"
 
 
-@pytest.mark.parametrize("lp_method", ["dense", "rowgen"])
+@pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("entry", GAMMA_ENTRIES, ids=[e["name"] for e in GAMMA_ENTRIES])
-def test_gamma_decision_matches_linprog_oracle(entry, lp_method):
+def test_gamma_decision_matches_linprog_oracle(entry, path):
     request, ground, branches = gamma_case(entry)
-    verdict = decide_max_ii(
-        request.max_ii, over="gamma", ground=ground, lp_method=lp_method, seed=request.seed
-    )
+    with pin_path(path):
+        verdict = decide_max_ii(request.max_ii, over="gamma", ground=ground, seed=request.seed)
     assert verdict.valid == (linprog_oracle.point_below(ground, branches) is None)
     if not verdict.valid:
         linprog_oracle.assert_point_below(verdict.violating_function, branches)
 
 
-@pytest.mark.parametrize("lp_method", ["dense", "rowgen"])
+@pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("entry", GAMMA_ENTRIES, ids=[e["name"] for e in GAMMA_ENTRIES])
-def test_block_decision_matches_linprog_oracle(entry, lp_method):
+def test_block_decision_matches_linprog_oracle(entry, path):
     """The batched path: the block LP's verdict, ``λ`` and proof, or its point."""
     request, ground, branches = gamma_case(entry)
-    (verdict,) = decide_max_ii_many(
-        [request.max_ii], over="gamma", ground=ground, lp_method=lp_method, seed=request.seed
-    )
+    with pin_path(path):
+        (verdict,) = decide_max_ii_many(
+            [request.max_ii], over="gamma", ground=ground, seed=request.seed
+        )
     assert verdict.valid == (linprog_oracle.point_below(ground, branches) is None)
     linprog_oracle.assert_block_verdict(verdict, ground, branches)

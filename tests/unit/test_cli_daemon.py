@@ -69,7 +69,7 @@ class TestArgumentParsing:
         parser = build_parser()
         start = parser.parse_args(
             [
-                "daemon", "start", "--method", "sufficient", "--lp-method", "rowgen",
+                "daemon", "start", "--method", "sufficient",
                 "--chunk-size", "8", "--budget", "2.5", "--store", "v.sqlite",
                 "--max-queue-depth", "4", "--shed-policy", "degrade",
                 "--degrade-budget", "0.5", "--default-deadline", "9",
@@ -77,7 +77,7 @@ class TestArgumentParsing:
         )
         run = parser.parse_args(["daemon", "run", *_daemon_run_args(start)])
         for name in (
-            "method", "lp_method", "chunk_size", "budget", "store",
+            "method", "chunk_size", "budget", "store",
             "max_queue_depth", "shed_policy", "degrade_budget", "default_deadline",
         ):
             assert getattr(run, name) == getattr(start, name), name
@@ -119,6 +119,11 @@ class TestArgumentParsing:
             (["daemon", "run"], ["--jobs", "2"]),
             (["daemon", "start"], ["--jobs", "2"]),
             (["fleet", "start"], ["--jobs", "2"]),
+            (["contain", "R(x,y)", "R(x,y)"], ["--lp-method", "rowgen"]),
+            (["batch", "p.txt"], ["--lp-method", "rowgen"]),
+            (["daemon", "run"], ["--lp-method", "rowgen"]),
+            (["daemon", "start"], ["--lp-method", "rowgen"]),
+            (["fleet", "start"], ["--lp-method", "rowgen"]),
         ],
         ids=[
             "batch",
@@ -135,6 +140,11 @@ class TestArgumentParsing:
             "jobs-daemon-run",
             "jobs-daemon-start",
             "jobs-fleet-start",
+            "lp-method-contain",
+            "lp-method-batch",
+            "lp-method-daemon-run",
+            "lp-method-daemon-start",
+            "lp-method-fleet-start",
         ],
     )
     def test_removed_flag_is_rejected(self, command, flag, capsys):
@@ -175,11 +185,11 @@ class TestBatchViaDaemon:
         pairs.write_text(PAIRS_TEXT)
         code, _ = run_cli(
             "batch", str(pairs), "--daemon", live_daemon, "--daemon-only",
-            "--chunk-size", "4", "--lp-method", "rowgen",
+            "--chunk-size", "4", "--method", "sufficient",
         )
         assert code == 0
         err = capsys.readouterr().err
-        assert "--chunk-size" in err and "--lp-method" in err and "ignored" in err
+        assert "--chunk-size" in err and "--method" in err and "ignored" in err
 
     def test_fallback_when_no_daemon(self, tmp_path, capsys):
         pairs = tmp_path / "pairs.txt"

@@ -4,6 +4,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from lp_paths import pin_path
 
 from repro.core.containment import ContainmentStatus
 from repro.core.convex_certificate import find_convex_certificate
@@ -150,7 +151,8 @@ def test_certificate_loop_rejects_a_proof_that_does_not_sum(monkeypatch):
 
     expression = LinearExpression.entropy_term(GROUND, {"X1"})
     prover = ShannonProver(GROUND)
-    assert prover.certificate(expression, method="rowgen") is not None
-    monkeypatch.setattr(backends.IncrementalModel, "solve", doubled_duals)
-    with pytest.raises(CertificateError, match="does not sum"):
-        prover.certificate(expression, method="rowgen")
+    with pin_path("rowgen"):
+        assert prover.certificate(expression) is not None
+        monkeypatch.setattr(backends.IncrementalModel, "solve", doubled_duals)
+        with pytest.raises(CertificateError, match="does not sum"):
+            prover.certificate(expression)

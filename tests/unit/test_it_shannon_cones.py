@@ -1,6 +1,7 @@
 """Unit tests for the Shannon prover, the cones and the Max-II decision layer."""
 
 import pytest
+from lp_paths import PATHS, pin_path
 
 from repro.infotheory.cones import GammaCone, ModularCone, NormalCone, cone_by_name
 from repro.infotheory.expressions import (
@@ -129,17 +130,18 @@ def test_decide_ii_valid_with_certificate():
     assert verdict.certificate.verify(submodularity_expression())
 
 
-@pytest.mark.parametrize("lp_method", ["dense", "rowgen"])
-def test_batched_proof_pays_for_the_bound_duals(lp_method):
+@pytest.mark.parametrize("path", PATHS)
+def test_batched_proof_pays_for_the_bound_duals(path):
     # Valid because entropies are non-negative: the block LP's duals sit on
     # its bounds h >= 0, not on elemental rows, and the certificate pays for
     # them with the elemental rows that sum to each h(X).
     expression = LinearExpression.entropy_term(GROUND, {"X2"}) + LinearExpression.entropy_term(
         GROUND, {"X1", "X2"}
     )
-    [verdict] = decide_max_ii_many(
-        [MaxInformationInequality.single(expression)], over="gamma", lp_method=lp_method
-    )
+    with pin_path(path):
+        [verdict] = decide_max_ii_many(
+            [MaxInformationInequality.single(expression)], over="gamma"
+        )
     assert verdict.valid and verdict.lambdas == (1.0,)
     assert verdict.certificate is not None and verdict.certificate.verify(expression)
 

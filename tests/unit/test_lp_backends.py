@@ -26,6 +26,7 @@ import linprog_oracle
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from lp_paths import pin_path
 
 from repro.cq.parser import parse_query
 from repro.cq.reductions import to_boolean_pair
@@ -317,7 +318,7 @@ def test_incremental_loop_matches_dense_optimum(n):
 
 
 def _run_loop(loop, ground):
-    """Drive one cutting-plane loop over the invalid-pair objective."""
+    """Drive one cutting-plane loop over the invalid-pair objective (pin ``rowgen``)."""
     oracle = shannon_row_oracle(ground)
     objective = _invalid_pair_objective(ground)
     if loop == "minimize":
@@ -328,7 +329,6 @@ def _run_loop(loop, ground):
             A_ub=objective[np.newaxis, :],
             b_ub=[-1.0],
             lazy_rows=oracle,
-            method="rowgen",
         )
     elif loop == "blocks":
         block = FeasibilityBlock(
@@ -336,7 +336,7 @@ def _run_loop(loop, ground):
             A_soft=objective[np.newaxis, :],
             b_soft=np.array([-1.0]),
         )
-        solve_feasibility_blocks([block], lazy_rows=oracle, method="rowgen")
+        solve_feasibility_blocks([block], lazy_rows=oracle)
     else:
         # I(X1;X2|X3X4) ≥ 0 needs cuts beyond the seed, so the probe re-solves.
         from repro.infotheory.expressions import LinearExpression
@@ -351,7 +351,7 @@ def _run_loop(loop, ground):
             },
         )
         prover = shannon_prover(ground)
-        assert prover.certificate(cmi, method="rowgen") is not None
+        assert prover.certificate(cmi) is not None
 
 
 @pytest.mark.parametrize(
@@ -378,7 +378,8 @@ def test_loop_re_solve_policy(monkeypatch, loop, warm):
         return solve(self, warm)
 
     monkeypatch.setattr(backends.IncrementalModel, "solve", recording)
-    _run_loop(loop, GROUNDS[4])
+    with pin_path("rowgen"):
+        _run_loop(loop, GROUNDS[4])
     assert len(warm_flags) > 1
     assert set(warm_flags) == {warm}
 
@@ -646,11 +647,8 @@ def test_seeded_verdicts_match_through_decide_max_ii(seed):
         parse_query("R(x,y), R(y,z), R(z,x)"), parse_query("R(a,b), R(a,c)")
     )
     inequality = build_containment_inequality(q1, q2)
-    verdict = decide_max_ii(
-        inequality.as_max_ii(),
-        over="gamma",
-        ground=inequality.ground,
-        lp_method="rowgen",
-        seed=seed,
-    )
+    with pin_path("rowgen"):
+        verdict = decide_max_ii(
+            inequality.as_max_ii(), over="gamma", ground=inequality.ground, seed=seed
+        )
     assert verdict.valid

@@ -1,17 +1,18 @@
 """The lazy (rowgen) solver entry points agree with the dense path.
 
-These tests exercise the ``lazy_rows``/``method`` knob of
+These tests exercise the ``lazy_rows`` entry points of
 :mod:`repro.lp.solver` directly, below the infotheory layer: the same cone
-problems solved through ``method="dense"`` and ``method="rowgen"`` must
-return identical feasibility verdicts and matching objectives, the auto
-threshold must dispatch on the row count, and the reports must show that
-row generation really solved with a fraction of the rows.
+problems solved on the dense path and on row generation (each pinned with
+``tests/lp_paths.py``) must return identical feasibility verdicts and
+matching objectives, the row count must pick the path, and the reports
+must show that row generation really solved with a fraction of the rows.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from lp_paths import pin_path
 
 from repro.exceptions import LPError
 from repro.infotheory.cones import cone_by_name
@@ -22,7 +23,7 @@ from repro.lp.rowgen import (
     AUTO_BLOCK_ROW_THRESHOLD,
     AUTO_ROW_THRESHOLD,
     RowGenOptions,
-    resolve_method,
+    choose_path,
     shannon_row_oracle,
 )
 from repro.lp.solver import (
@@ -75,21 +76,21 @@ INVALID = {
 def test_minimize_rowgen_matches_dense(coefficients, expected_negative):
     oracle = shannon_row_oracle(GROUND)
     objective = _objective(GROUND, coefficients)
-    dense = minimize(
-        objective,
-        A_ub=_normalization_row(GROUND),
-        b_ub=[1.0],
-        lazy_rows=oracle,
-        method="dense",
-    )
-    lazy = minimize(
-        objective,
-        A_ub=_normalization_row(GROUND),
-        b_ub=[1.0],
-        bounds=(0, 1),
-        lazy_rows=oracle,
-        method="rowgen",
-    )
+    with pin_path("dense"):
+        dense = minimize(
+            objective,
+            A_ub=_normalization_row(GROUND),
+            b_ub=[1.0],
+            lazy_rows=oracle,
+        )
+    with pin_path("rowgen"):
+        lazy = minimize(
+            objective,
+            A_ub=_normalization_row(GROUND),
+            b_ub=[1.0],
+            bounds=(0, 1),
+            lazy_rows=oracle,
+        )
     assert dense.status == lazy.status == LPStatus.OPTIMAL
     assert lazy.objective == pytest.approx(dense.objective, abs=1e-7)
     assert (dense.objective < -1e-7) == expected_negative
@@ -107,12 +108,14 @@ def test_check_feasibility_rowgen_matches_dense():
     branch_invalid = _objective(GROUND, INVALID).reshape(1, width)
     branch_valid = _objective(GROUND, VALID).reshape(1, width)
     for branch, expected in [(branch_invalid, True), (branch_valid, False)]:
-        dense_feasible, _ = check_feasibility(
-            width, A_ub=branch, b_ub=[-1.0], lazy_rows=oracle, method="dense"
-        )
-        lazy_feasible, solution = check_feasibility(
-            width, A_ub=branch, b_ub=[-1.0], lazy_rows=oracle, method="rowgen"
-        )
+        with pin_path("dense"):
+            dense_feasible, _ = check_feasibility(
+                width, A_ub=branch, b_ub=[-1.0], lazy_rows=oracle
+            )
+        with pin_path("rowgen"):
+            lazy_feasible, solution = check_feasibility(
+                width, A_ub=branch, b_ub=[-1.0], lazy_rows=oracle
+            )
         assert dense_feasible == lazy_feasible == expected
         if expected:
             assert (branch @ solution)[0] <= -1.0 + 1e-7
@@ -143,8 +146,10 @@ def test_solve_feasibility_blocks_rowgen_matches_dense():
             b_hard=[0.0],
         )
     )
-    dense_results = solve_feasibility_blocks(blocks, lazy_rows=oracle, method="dense")
-    lazy_results = solve_feasibility_blocks(blocks, lazy_rows=oracle, method="rowgen")
+    with pin_path("dense"):
+        dense_results = solve_feasibility_blocks(blocks, lazy_rows=oracle)
+    with pin_path("rowgen"):
+        lazy_results = solve_feasibility_blocks(blocks, lazy_rows=oracle)
     assert [r.feasible for r in dense_results] == [r.feasible for r in lazy_results]
     assert [r.feasible for r in lazy_results] == [True, False, True, False]
     for result in lazy_results:
@@ -155,20 +160,31 @@ def test_solve_feasibility_blocks_rowgen_matches_dense():
     assert lazy_results[0].rows_used < oracle.row_count
 
 
-def test_auto_threshold_dispatch():
-    assert resolve_method("dense", 10**9) == "dense"
-    assert resolve_method("rowgen", 1) == "rowgen"
-    assert resolve_method("auto", AUTO_ROW_THRESHOLD) == "dense"
-    assert resolve_method("auto", AUTO_ROW_THRESHOLD + 1) == "rowgen"
-    with pytest.raises(LPError):
-        resolve_method("typo", 1)
-
-
-def _paths_taken(decide):
+def _path_deltas(decide):
     before = solver_path_counts()
     decide()
     after = solver_path_counts()
-    return {path for path in after if after[path] != before.get(path, 0)}
+    return {path: after[path] - before.get(path, 0) for path in after}
+
+
+def _paths_taken(decide):
+    return {path for path, delta in _path_deltas(decide).items() if delta}
+
+
+@pytest.mark.parametrize(
+    "row_count, blocks, expected",
+    [
+        (AUTO_ROW_THRESHOLD, False, "dense"),
+        (AUTO_ROW_THRESHOLD + 1, False, "rowgen"),
+        (AUTO_BLOCK_ROW_THRESHOLD, True, "dense"),
+        (AUTO_BLOCK_ROW_THRESHOLD + 1, True, "rowgen"),
+    ],
+)
+def test_the_row_count_picks_the_path_and_tallies_it_once(row_count, blocks, expected):
+    paths = []
+    deltas = _path_deltas(lambda: paths.append(choose_path(row_count, blocks)))
+    assert paths == [expected]
+    assert deltas == {path: int(path == expected) for path in deltas}
 
 
 def _mutual_information(ground):
@@ -186,8 +202,6 @@ def _mutual_information(ground):
 @pytest.mark.parametrize("n, expected", [(7, "dense"), (8, "rowgen"), (9, "rowgen")])
 def test_block_lp_auto_switches_to_rowgen_from_n8(n, expected):
     ground = tuple(f"X{i}" for i in range(1, n + 1))
-    oracle = shannon_row_oracle(ground)
-    assert resolve_method("auto", oracle.row_count, AUTO_BLOCK_ROW_THRESHOLD) == expected
     inequality = MaxInformationInequality.single(_mutual_information(ground))
     taken = _paths_taken(
         lambda: decide_max_ii_many([inequality, inequality], over="gamma", ground=ground)
@@ -198,22 +212,32 @@ def test_block_lp_auto_switches_to_rowgen_from_n8(n, expected):
 def test_sequential_loops_stay_dense_at_n8():
     ground = tuple(f"X{i}" for i in range(1, 9))
     expression = _mutual_information(ground)
-    assert resolve_method("auto", shannon_row_oracle(ground).row_count) == "dense"
     cone = cone_by_name("gamma", ground)
     assert _paths_taken(lambda: cone.find_point_below([expression])) == {"dense"}
     assert _paths_taken(lambda: shannon_prover(ground).is_valid(expression)) == {"dense"}
 
 
+@pytest.mark.parametrize("path, n", [("dense", 9), ("rowgen", 3)])
+def test_pin_path_sends_a_block_down_the_pinned_path(path, n):
+    # Unpinned, an n = 9 block runs row generation and an n = 3 block dense.
+    ground = tuple(f"X{i}" for i in range(1, n + 1))
+    inequality = MaxInformationInequality.single(_mutual_information(ground))
+    with pin_path(path):
+        deltas = _path_deltas(
+            lambda: decide_max_ii_many([inequality], over="gamma", ground=ground)
+        )
+    assert deltas == {taken: int(taken == path) for taken in deltas}
+
+
 def test_rowgen_rejects_equality_constraints():
     oracle = shannon_row_oracle(GROUND)
     width = lattice_context(GROUND).size - 1
-    with pytest.raises(LPError):
+    with pin_path("rowgen"), pytest.raises(LPError):
         minimize(
             np.zeros(width),
             A_eq=np.ones((1, width)),
             b_eq=[1.0],
             lazy_rows=oracle,
-            method="rowgen",
         )
 
 
@@ -223,22 +247,22 @@ def test_unbounded_relaxation_raises_instead_of_guessing():
     # cases and must refuse rather than answer.
     oracle = shannon_row_oracle(GROUND)
     objective = _objective(GROUND, {frozenset(GROUND): -1.0})
-    with pytest.raises(LPError):
-        minimize(objective, lazy_rows=oracle, method="rowgen")
+    with pin_path("rowgen"), pytest.raises(LPError):
+        minimize(objective, lazy_rows=oracle)
 
 
 def test_tight_cut_budget_still_converges():
     oracle = shannon_row_oracle(GROUND)
     objective = _objective(GROUND, VALID)
-    result = minimize(
-        objective,
-        A_ub=_normalization_row(GROUND),
-        b_ub=[1.0],
-        bounds=(0, 1),
-        lazy_rows=oracle,
-        method="rowgen",
-        rowgen_options=RowGenOptions(max_cuts_per_round=1),
-    )
+    with pin_path("rowgen"):
+        result = minimize(
+            objective,
+            A_ub=_normalization_row(GROUND),
+            b_ub=[1.0],
+            bounds=(0, 1),
+            lazy_rows=oracle,
+            rowgen_options=RowGenOptions(max_cuts_per_round=1),
+        )
     assert result.status == LPStatus.OPTIMAL
     assert result.objective == pytest.approx(0.0, abs=1e-7)
     assert result.rowgen.rounds >= result.rowgen.cuts_added

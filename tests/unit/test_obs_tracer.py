@@ -82,23 +82,6 @@ class TestTracerMechanics:
         assert record.duration == 0.25
         assert record.attrs == {"cuts": 3}
 
-    def test_adopt_remaps_ids_parents_and_timeline(self):
-        tracer = Tracer()
-        parent = tracer.start("pair")
-        worker_spans = [
-            SpanRecord(span_id=1, parent_id=None, name="advance", start=0.0, duration=0.5),
-            SpanRecord(span_id=2, parent_id=1, name="stage", start=0.1, duration=0.2),
-        ]
-        tracer.adopt(worker_spans, parent=parent.id, start_offset=10.0)
-        parent.finish()
-        by_name = {record.name: record for record in tracer.records()}
-        assert by_name["advance"].parent_id == parent.id
-        assert by_name["stage"].parent_id == by_name["advance"].span_id
-        assert by_name["advance"].start == pytest.approx(10.0)
-        assert by_name["stage"].start == pytest.approx(10.1)
-        ids = {record.span_id for record in tracer.records()}
-        assert len(ids) == 3  # all re-allocated, no clashes with the parent
-
     def test_export_jsonl_round_trips(self):
         tracer = Tracer()
         with tracer.span("outer", tag="x"):

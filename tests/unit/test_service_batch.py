@@ -173,11 +173,17 @@ class TestContainmentService:
 
     @pytest.mark.parametrize(
         "option",
-        [{"worker_mode": "thread"}, {"max_workers": 2}, {"canonicalize": False}],
-        ids=["worker_mode", "max_workers", "canonicalize"],
+        [
+            {"worker_mode": "thread"},
+            {"max_workers": 2},
+            {"canonicalize": False},
+            {"lp_method": "rowgen"},
+        ],
+        ids=["worker_mode", "max_workers", "canonicalize", "lp_method"],
     )
     def test_removed_option_is_rejected(self, option):
-        # The engine runs every round inline, and every pair is canonicalized.
+        # The engine runs every round inline, every pair is canonicalized,
+        # and the row count picks each Γn LP path.
         with pytest.raises(TypeError):
             BatchOptions(**option)
 

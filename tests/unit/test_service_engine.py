@@ -58,9 +58,8 @@ class TestRunSpecs:
         [
             {"chunk_size": 0},
             {"on_error": "ignore"},
-            {"lp_method": "simplex"},
         ],
-        ids=["chunk_size", "on_error", "lp_method"],
+        ids=["chunk_size", "on_error"],
     )
     def test_rejects_invalid_knob(self, knob):
         with pytest.raises(ValueError):

@@ -372,10 +372,11 @@ class TestCertificatesFromTheDecision:
 
 
 class TestProvenance:
-    def test_records_name_the_origin_and_the_lp_method(self, tmp_path):
-        # One LP backend solves everything, so provenance names no backend.
+    def test_records_name_the_origin_and_no_lp_knob(self, tmp_path):
+        # One LP backend solves everything, and the row count picks each Γn
+        # LP path, so provenance names neither.
         path = str(tmp_path / "provenance.sqlite")
-        service = ContainmentService(BatchOptions(store_path=path, lp_method="rowgen"))
+        service = ContainmentService(BatchOptions(store_path=path))
         try:
             service.run([(TRIANGLE, VEE), (PATH2, EDGE)])
         finally:
@@ -383,8 +384,7 @@ class TestProvenance:
         with VerdictStore(path) as store:
             provenance = [record["provenance"] for _, record in store.records()]
         assert [entry["origin"] for entry in provenance] == ["containment-service"] * 2
-        assert [entry["lp_method"] for entry in provenance] == ["rowgen", "rowgen"]
-        assert not any("backend" in entry for entry in provenance)
+        assert not any("backend" in entry or "lp_method" in entry for entry in provenance)
 
 
 class TestLifecycle:
