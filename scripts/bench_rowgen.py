@@ -26,9 +26,9 @@ the same problem inside the budget is the acceptance evidence for this PR.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_rowgen.py              # full grid
-    PYTHONPATH=src python benchmarks/bench_rowgen.py --budget 60
-    PYTHONPATH=src python benchmarks/bench_rowgen.py --sizes 6 8
+    PYTHONPATH=src python scripts/bench_rowgen.py              # full grid
+    PYTHONPATH=src python scripts/bench_rowgen.py --budget 60
+    PYTHONPATH=src python scripts/bench_rowgen.py --sizes 6 8
 """
 
 from __future__ import annotations

@@ -1,12 +1,12 @@
-"""CI docs check: links in the docs tree resolve, CLI references are real.
+"""CI docs check: links in the docs resolve, CLI and script references are real.
 
-Two classes of rot this catches:
+The checked docs are ``README.md``, ``docs/*.md`` and the verify skill
+(``.claude/skills/verify/SKILL.md``).  The classes of rot this catches:
 
-* **Dead intra-repo links** — every markdown link in ``docs/`` and
-  ``README.md`` that points inside the repo must resolve to an existing
-  file, and a ``#fragment`` on a markdown target must match a heading in
-  that file (GitHub-style slugs).  External ``http(s)``/``mailto`` links
-  are not fetched.
+* **Dead intra-repo links** — every markdown link that points inside the
+  repo must resolve to an existing file, and a ``#fragment`` on a markdown
+  target must match a heading in that file (GitHub-style slugs).  External
+  ``http(s)``/``mailto`` links are not fetched.
 * **Phantom CLI commands** — every ``repro <subcommand>`` (and nested
   ``repro <group> <subcommand>``) named in the docs must exist in the real
   parser built by ``repro.cli.build_parser()``.  Docs that mention a
@@ -15,6 +15,11 @@ Two classes of rot this catches:
   same line and before the next one, must be an option of that command's
   parser (for a group named without a subcommand, of any of its
   subcommands).  Docs that advertise a removed option fail the job.
+* **Phantom scripts** — every repo ``.py`` file that a command runs
+  (``python …``, ``python3 …`` or ``pytest …``, with or without
+  ``PYTHONPATH=src``) must exist, relative to the repo root.  A path named
+  in prose, without such a command before it, is not checked, so the docs
+  can still say which deleted script made a snapshot.
 
 Run from the repo root::
 
@@ -36,11 +41,18 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 # Spaces only (no newlines), and not ``from repro import ...``.
 CLI_RE = re.compile(r"(?<!from )\brepro +([a-z][a-z|-]*)(?: +([a-z][a-z|-]*))?")
 FLAG_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+# A command word and the rest of its command: up to a backtick, a shell
+# separator or a comment.  Not ``pytest-benchmark`` or ``pure-python``.
+COMMAND_RE = re.compile(r"(?<![\w./-])(?:python3?|pytest)(?![\w-])([^`|;&#]*)")
+# A relative ``.py`` path among the command's words (``::test`` ids allowed).
+SCRIPT_RE = re.compile(r"(?<!\S)([\w.-][\w./-]*\.py)(?:::\S*)?(?!\S)")
 
 
 def doc_files():
-    return [REPO_ROOT / "README.md"] + sorted(
-        (REPO_ROOT / "docs").glob("*.md")
+    return (
+        [REPO_ROOT / "README.md"]
+        + sorted((REPO_ROOT / "docs").glob("*.md"))
+        + [REPO_ROOT / ".claude" / "skills" / "verify" / "SKILL.md"]
     )
 
 
@@ -142,8 +154,22 @@ def cli_errors(text, top, nested):
     return errors
 
 
-def check_cli_references(path, top, nested, errors):
-    for error in cli_errors(path.read_text(), top, nested):
+def script_errors(text):
+    """``line: message`` for every command in ``text`` that runs a missing script."""
+    errors = []
+    for number, line in enumerate(text.splitlines(), start=1):
+        for command in COMMAND_RE.finditer(line):
+            for script in SCRIPT_RE.findall(command.group(1)):
+                if not (REPO_ROOT / script).is_file():
+                    errors.append(
+                        f"{number}: docs run '{script}', which does not exist"
+                    )
+    return errors
+
+
+def check_references(path, top, nested, errors):
+    text = path.read_text()
+    for error in cli_errors(text, top, nested) + script_errors(text):
         errors.append(f"{path.relative_to(REPO_ROOT)}:{error}")
 
 
@@ -153,7 +179,7 @@ def main():
     files = doc_files()
     for path in files:
         check_links(path, errors)
-        check_cli_references(path, top, nested, errors)
+        check_references(path, top, nested, errors)
     for error in errors:
         print(f"error: {error}")
     print(

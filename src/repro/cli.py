@@ -33,7 +33,8 @@ durable verdict store written by ``batch --store`` / ``daemon --store``
 (see :mod:`repro.store`): ``verify`` independently re-checks every stored
 certificate and witness, ``export``/``import`` move records as JSONL,
 ``compact`` rewrites the append-only log to one row per verdict, and
-``info`` prints the store's summary.
+``info`` prints the store's summary.  Only ``import`` creates a missing
+store; the others refuse it.
 
 The ``batch`` input format is one pair per line, either as the two query
 bodies separated by ``|``::
@@ -47,6 +48,7 @@ starting with ``#`` are ignored.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -313,6 +315,10 @@ def _cmd_batch(args, out) -> int:
         args.daemon = args.fleet
         args.daemon_only = True
     pairs, texts = _read_pairs(args.pairs_file)
+    if args.stats_json:
+        # Refuse an unwritable path before solving, not after: appending
+        # creates the file without truncating one that exists.
+        open(args.stats_json, "a", encoding="utf-8").close()
     if args.daemon is not None:
         if args.trace:
             print(
@@ -525,18 +531,25 @@ def _cmd_fleet_gateway(args, out) -> int:
 # ---------------------------------------------------------------------- #
 # Durable verdict store operations
 # ---------------------------------------------------------------------- #
-def _cmd_cache_info(args, out) -> int:
+def _existing_store(path: str):
+    """The verdict store at ``path``, for the commands that must not create one."""
     from repro.store import VerdictStore
 
-    with VerdictStore(args.store) as store:
+    if not os.path.isfile(path):
+        raise ReproError(f"no verdict store at {path}")
+    return VerdictStore(path)
+
+
+def _cmd_cache_info(args, out) -> int:
+    with _existing_store(args.store) as store:
         print(json.dumps(store.info(), indent=2, sort_keys=True), file=out)
     return 0
 
 
 def _cmd_cache_verify(args, out) -> int:
-    from repro.store import VerdictStore, verify_store
+    from repro.store import verify_store
 
-    with VerdictStore(args.store) as store:
+    with _existing_store(args.store) as store:
         report = verify_store(store)
         dropped = store.dropped
     print(
@@ -554,9 +567,7 @@ def _cmd_cache_verify(args, out) -> int:
 
 
 def _cmd_cache_export(args, out) -> int:
-    from repro.store import VerdictStore
-
-    with VerdictStore(args.store) as store:
+    with _existing_store(args.store) as store:
         if args.output == "-":
             count = store.export_jsonl(out)
         else:
@@ -569,20 +580,20 @@ def _cmd_cache_export(args, out) -> int:
 def _cmd_cache_import(args, out) -> int:
     from repro.store import VerdictStore
 
-    with VerdictStore(args.store) as store:
-        if args.input == "-":
-            imported, skipped = store.import_jsonl(sys.stdin)
-        else:
-            with open(args.input, "r", encoding="utf-8") as handle:
-                imported, skipped = store.import_jsonl(handle)
+    source = (
+        contextlib.nullcontext(sys.stdin)
+        if args.input == "-"
+        else open(args.input, "r", encoding="utf-8")
+    )
+    # The input opens first, so a missing one leaves no new store behind.
+    with source as handle, VerdictStore(args.store) as store:
+        imported, skipped = store.import_jsonl(handle)
     print(f"imported {imported} records, skipped {skipped} already present", file=out)
     return 0
 
 
 def _cmd_cache_compact(args, out) -> int:
-    from repro.store import VerdictStore
-
-    with VerdictStore(args.store) as store:
+    with _existing_store(args.store) as store:
         removed = store.compact()
         entries = len(store)
     print(f"compacted: {entries} records kept, {removed} superseded rows removed", file=out)
@@ -593,7 +604,11 @@ def _cmd_trace_summarize(args, out) -> int:
     from repro.obs.trace_tools import format_summary, summarize
     from repro.obs.tracer import read_spans_jsonl
 
-    summary = summarize(read_spans_jsonl(args.trace_file), top=args.top)
+    try:
+        spans = read_spans_jsonl(args.trace_file)
+    except ValueError as error:
+        raise ReproError(f"{args.trace_file}: {error}") from None
+    summary = summarize(spans, top=args.top)
     if args.json:
         print(json.dumps(summary, indent=2), file=out)
     else:
@@ -1099,6 +1114,14 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
             code = args.handler(args, out)
         except ReproError as error:
             print(f"error: {error}", file=out)
+            code = 1
+        except BrokenPipeError:
+            raise
+        except OSError as error:
+            # A file named on the command line is missing or cannot be
+            # written: one line naming it, as for any other bad argument.
+            where = f"{error.filename}: " if error.filename else ""
+            print(f"error: {where}{error.strerror or error}", file=out)
             code = 1
         out.flush()
         return code

@@ -126,14 +126,6 @@ class ContainmentResult:
     details: Dict[str, object] = field(default_factory=dict)
     provenance: str = "solved"
 
-    @property
-    def is_contained(self) -> bool:
-        return self.status == ContainmentStatus.CONTAINED
-
-    @property
-    def is_not_contained(self) -> bool:
-        return self.status == ContainmentStatus.NOT_CONTAINED
-
 
 @dataclass(frozen=True)
 class ConeDecisionRequest:

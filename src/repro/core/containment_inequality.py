@@ -47,10 +47,6 @@ class ContainmentBranch:
     def is_simple(self) -> bool:
         return self.conditional.is_simple
 
-    @property
-    def is_unconditioned(self) -> bool:
-        return self.conditional.is_unconditioned
-
 
 @dataclass(frozen=True)
 class ContainmentInequality:
@@ -82,10 +78,6 @@ class ContainmentInequality:
     @property
     def all_branches_simple(self) -> bool:
         return all(branch.is_simple for branch in self.branches)
-
-    @property
-    def all_branches_unconditioned(self) -> bool:
-        return all(branch.is_unconditioned for branch in self.branches)
 
     def branch_expressions(self) -> List[LinearExpression]:
         """The branches flattened to plain linear expressions over ``ground``."""

@@ -79,11 +79,6 @@ def exponent_domination_holds(
     return decide_containment(q1, q2, method=method)
 
 
-def domination_summary(results: Dict[str, ContainmentResult]) -> Dict[str, str]:
-    """Small helper turning a dict of results into printable statuses."""
-    return {name: result.status.value for name, result in results.items()}
-
-
 def homomorphism_domination_exponent(
     base: Structure,
     dominating: Structure,

@@ -223,10 +223,6 @@ class ConjunctiveQuery:
         state.pop("decompositions", None)
         return state
 
-    def atoms_with_relation(self, relation: RelationName) -> Tuple[Atom, ...]:
-        """All atoms whose relation name equals ``relation``."""
-        return tuple(atom for atom in self.atoms if atom.relation == relation)
-
     def atoms_within(self, variables: Iterable[Variable]) -> Tuple[Atom, ...]:
         """Atoms whose variables are all contained in ``variables``.
 

@@ -130,14 +130,6 @@ class Structure:
     # ------------------------------------------------------------------ #
     # Algebra
     # ------------------------------------------------------------------ #
-    def restrict_vocabulary(self, names: Iterable[str]) -> "Structure":
-        """Keep only the relations listed in ``names``."""
-        allowed = set(names)
-        return Structure(
-            domain=self.domain,
-            relations={n: t for n, t in self.relations.items() if n in allowed},
-        )
-
     def rename_domain(self, mapping: Mapping) -> "Structure":
         """Apply an injective renaming to the domain elements."""
         image = [mapping.get(v, v) for v in self.domain]
@@ -238,15 +230,6 @@ class Relation:
     # ------------------------------------------------------------------ #
     # Constructors
     # ------------------------------------------------------------------ #
-    @classmethod
-    def from_mappings(
-        cls, attributes: Sequence[str], mappings: Iterable[Mapping]
-    ) -> "Relation":
-        """Build a relation from an iterable of attribute → value mappings."""
-        attributes = tuple(attributes)
-        rows = {tuple(mapping[a] for a in attributes) for mapping in mappings}
-        return cls(attributes=attributes, rows=rows)
-
     @classmethod
     def product_relation(cls, columns: Mapping[str, Iterable]) -> "Relation":
         """The product relation ``∏_x S_x`` of Definition 3.3.

@@ -113,12 +113,3 @@ def uniform_function(ground: Sequence[str], rank: int, scale: float = 1.0) -> Se
     lattice = lattice_context(ground)
     vec = scale * np.minimum(lattice.popcount, rank).astype(float)
     return SetFunction._from_dense(ground, vec, lattice)
-
-
-def conditional_entropy_function(base: SetFunction, given: Iterable[str]) -> SetFunction:
-    """The function ``X ↦ h(X | given)`` over the remaining variables.
-
-    Provided as a named helper because the paper repeatedly warns that the
-    result is a polymatroid but not necessarily entropic (Fact B.6).
-    """
-    return base.conditioned_on(given)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
@@ -172,19 +172,6 @@ def _elemental_values(function: SetFunction) -> np.ndarray:
     """Evaluate every elemental inequality on ``function`` in one sweep."""
     _, masks, coeffs, _ = function.lattice.elemental_structure()
     return (function.dense_values()[masks] * coeffs).sum(axis=1)
-
-
-def iter_inequality_violations(
-    function: SetFunction, tolerance: float = DEFAULT_TOLERANCE
-) -> Iterator[ElementalInequality]:
-    """Yield the elemental inequalities violated by ``function``."""
-    values = _elemental_values(function)
-    violated = np.nonzero(values < -tolerance)[0]
-    if violated.size == 0:
-        return
-    inequalities = _elemental_inequalities(function.ground)
-    for row in violated:
-        yield inequalities[row]
 
 
 def is_polymatroid(function: SetFunction, tolerance: float = DEFAULT_TOLERANCE) -> bool:

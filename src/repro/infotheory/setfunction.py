@@ -113,25 +113,6 @@ class SetFunction:
         return function
 
     @classmethod
-    def from_dense(cls, ground: Sequence[str], dense: Sequence[float]) -> "SetFunction":
-        """Build from a dense bitmask-indexed vector of length ``2^n``.
-
-        Coordinate ``m`` holds ``h`` of the subset with bitmask ``m``
-        (element ``ground[i]`` contributes bit ``2**i``); coordinate 0 must
-        be 0.
-        """
-        ground = tuple(ground)
-        lattice = lattice_context(ground)
-        vec = np.array(dense, dtype=float)
-        if vec.shape != (lattice.size,):
-            raise EntropyError(
-                f"dense vector length {vec.shape} does not match 2^n = {lattice.size}"
-            )
-        if vec[0] != 0.0:
-            raise EntropyError("a set function must have h(∅) = 0")
-        return cls._from_dense(ground, vec, lattice)
-
-    @classmethod
     def zero(cls, ground: Sequence[str]) -> "SetFunction":
         """The identically-zero set function."""
         ground = tuple(ground)

@@ -242,15 +242,22 @@ class Tracer:
 
 
 def read_spans_jsonl(source: Union[str, IO[str], Iterable[str]]) -> List[SpanRecord]:
-    """Load spans back from a ``--trace`` JSONL file (or line iterable)."""
+    """Load spans back from a ``--trace`` JSONL file (or line iterable).
+
+    A line that is not a JSON span record raises :class:`ValueError` naming
+    its line number.
+    """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as handle:
             return read_spans_jsonl(handle)
     records: List[SpanRecord] = []
-    for line in source:
+    for number, line in enumerate(source, start=1):
         line = line.strip()
         if line:
-            records.append(SpanRecord.from_dict(json.loads(line)))
+            try:
+                records.append(SpanRecord.from_dict(json.loads(line)))
+            except (ValueError, KeyError, TypeError):
+                raise ValueError(f"line {number} is not a JSON span record") from None
     return records
 
 

@@ -90,16 +90,6 @@ class BagRelation:
             multiplicities={row: 1 for row in relation.rows},
         )
 
-    @classmethod
-    def from_mappings(
-        cls, attributes: Sequence[str], mappings: Iterable[Mapping[str, object]]
-    ) -> "BagRelation":
-        """Build from attribute → value dictionaries (duplicates accumulate)."""
-        attributes = tuple(attributes)
-        return cls.from_rows(
-            attributes, (tuple(mapping[a] for a in attributes) for mapping in mappings)
-        )
-
     # ------------------------------------------------------------------ #
     # Accessors
     # ------------------------------------------------------------------ #

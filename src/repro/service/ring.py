@@ -128,7 +128,7 @@ def reshuffle_fraction(
 ) -> float:
     """Fraction of *hashes* whose owner differs between two rings.
 
-    Used by the ring tests and ``benchmarks/bench_fleet_ring.py`` to check
+    The ring tests (``tests/unit/test_service_ring.py``) use it to check
     the consistent-hashing contract: adding or removing one member out of
     ``n`` should remap about ``1/n`` of a key sample, not all of it.
     """

@@ -304,9 +304,6 @@ class ContainmentService:
         """Single-pair convenience going through the same cache and engine."""
         return self.decide_many([(q1, q2)])[0]
 
-    def clear_cache(self) -> None:
-        self.cache.clear()
-
 
 def decide_containment_many(
     pairs: Sequence[QueryPair],

@@ -186,11 +186,6 @@ class VerdictStore:
             return None
         return result_from_record(entry[1])
 
-    def get_record(self, key: PairKey) -> Optional[Dict[str, object]]:
-        with self._lock:
-            entry = self._index.get(structural_hash(key))
-        return None if entry is None else entry[1]
-
     def records(self) -> Iterator[Tuple[str, Dict[str, object]]]:
         """``(hash, record)`` pairs in insertion (replay) order."""
         with self._lock:

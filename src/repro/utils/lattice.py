@@ -132,10 +132,6 @@ class SubsetLattice:
             raise EntropyError(f"unknown variables {sorted(unknown)}") from None
         return mask
 
-    def subset_of_mask(self, mask: int) -> FrozenSet[str]:
-        """The frozenset encoded by ``mask``."""
-        return self.subsets_by_mask[mask]
-
     def translate_masks(self, sub_ground: Sequence[str]) -> np.ndarray:
         """Map masks over ``sub_ground``'s bit order into this lattice's masks.
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import linprog_oracle
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from lp_paths import PATHS, pin_path
 
@@ -64,6 +64,17 @@ def random_expressions(draw, min_n=2, max_n=6):
     return LinearExpression(ground=ground, coefficients=coefficients)
 
 
+def chain_rule(n):
+    """``Σ_i h(X_i | X_1 … X_{i-1}) − h(V)``: zero once expanded, so valid."""
+    ground = tuple(f"X{i}" for i in range(1, n + 1))
+    expression = LinearExpression.entropy_term(ground, ground, -1.0)
+    for i, variable in enumerate(ground):
+        expression = expression + LinearExpression.conditional_term(
+            ground, {variable}, set(ground[:i])
+        )
+    return expression
+
+
 @pytest.mark.parametrize("path", PATHS)
 @settings(max_examples=30, deadline=None)
 @given(random_expressions())
@@ -83,6 +94,7 @@ def test_minimum_over_gamma_matches_linprog(path, expression):
 @pytest.mark.parametrize("path", PATHS)
 @settings(max_examples=20, deadline=None)
 @given(random_expressions())
+@example(expression=chain_rule(6))
 def test_validity_verdicts_match_linprog(path, expression):
     prover = shannon_prover(expression.ground)
     with pin_path(path):
@@ -92,6 +104,7 @@ def test_validity_verdicts_match_linprog(path, expression):
 
 @settings(max_examples=15, deadline=None)
 @given(random_expressions())
+@example(expression=chain_rule(5))
 def test_certificates_exist_exactly_where_linprog_finds_validity(expression):
     prover = shannon_prover(expression.ground)
     valid = linprog_oracle.is_valid(expression)

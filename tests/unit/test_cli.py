@@ -159,6 +159,53 @@ def test_batch_command_non_string_json_values(tmp_path):
     assert "query strings" in output
 
 
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (["batch", "{tmp}/missing.txt"], "missing.txt: No such file"),
+        (["batch", "{tmp}/pairs.txt", "--stats-json", "{tmp}/no/s.json"], "no/s.json"),
+        (["trace", "summarize", "{tmp}/missing.jsonl"], "missing.jsonl: No such file"),
+        (["trace", "summarize", "{tmp}/spans.jsonl"], "spans.jsonl: line 2 is not"),
+        (
+            ["cache", "import", "--store", "{tmp}/s.sqlite", "{tmp}/missing.jsonl"],
+            "missing.jsonl: No such file",
+        ),
+    ],
+    ids=["batch-missing", "batch-stats-json", "trace-missing", "trace-not-json", "import"],
+)
+def test_file_errors_end_in_one_error_line(tmp_path, argv, named):
+    (tmp_path / "pairs.txt").write_text("R(x,y), R(y,z) | R(x,y)\n")
+    (tmp_path / "spans.jsonl").write_text(
+        '{"span": 1, "parent": null, "name": "batch", "start": 0.0, "duration": 1.0}\n'
+        "not json\n"
+    )
+    code, output = run_cli(*(arg.format(tmp=tmp_path) for arg in argv))
+    assert code == 1
+    # One line and no verdicts: the unwritable --stats-json fails before solving.
+    assert output.startswith("error: ") and output.count("\n") == 1
+    assert named in output
+    assert not (tmp_path / "s.sqlite").exists()
+
+
+@pytest.mark.parametrize("command", ["info", "verify", "export", "compact"])
+def test_cache_commands_refuse_a_missing_store(tmp_path, command):
+    store = tmp_path / "typo" / "v.sqlite"
+    code, output = run_cli("cache", command, "--store", str(store))
+    assert (code, output) == (1, f"error: no verdict store at {store}\n")
+    assert not store.parent.exists()
+
+
+def test_cache_import_creates_a_missing_store(tmp_path):
+    source, target = tmp_path / "a.sqlite", tmp_path / "new" / "b.sqlite"
+    pairs, exported = tmp_path / "pairs.txt", tmp_path / "records.jsonl"
+    pairs.write_text("R(x,y), R(y,z) | R(x,y)\n")
+    assert run_cli("batch", "--store", str(source), str(pairs))[0] == 0
+    assert run_cli("cache", "export", "--store", str(source), str(exported))[0] == 0
+    code, output = run_cli("cache", "import", "--store", str(target), str(exported))
+    assert (code, output) == (0, "imported 1 records, skipped 0 already present\n")
+    assert run_cli("cache", "verify", "--store", str(target))[0] == 0
+
+
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 

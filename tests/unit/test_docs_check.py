@@ -1,4 +1,4 @@
-"""The docs checker rejects ``--flags`` the named CLI command does not accept."""
+"""The docs checker rejects CLI flags and scripts that do not exist."""
 
 import importlib.util
 from pathlib import Path
@@ -22,4 +22,18 @@ def test_unknown_flag_after_a_command_is_reported():
     )
     assert docs_check.cli_errors(text, top, nested) == [
         "2: docs give 'repro batch' the flag '--jobs', which it does not accept"
+    ]
+
+
+def test_a_command_running_a_missing_script_is_reported():
+    docs_check = load_docs_check()
+    text = (
+        "PYTHONPATH=src python scripts/bench_rowgen.py --sizes 6\n"
+        "BENCH_5 came from `retired/bench_obs.py`, now deleted.\n"
+        "python -m pytest -q tests/unit/test_docs_check.py::test_x\n"
+        "`python3 retired/run_all.py --fast` and `pytest retired/test_y.py`\n"
+    )
+    assert docs_check.script_errors(text) == [
+        "4: docs run 'retired/run_all.py', which does not exist",
+        "4: docs run 'retired/test_y.py', which does not exist",
     ]

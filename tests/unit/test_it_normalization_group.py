@@ -82,6 +82,9 @@ def test_normal_lower_bound_on_modular_function():
 def test_normal_lower_bound_on_matroid_ranks():
     for rank in (1, 2, 3):
         check_lemma_3_7_item2(uniform_function(GROUND, rank=rank))
+    for size in (4, 5, 6):
+        ground = tuple(f"X{i}" for i in range(size))
+        check_lemma_3_7_item2(uniform_function(ground, rank=size // 2))
 
 
 def test_normal_lower_bound_single_variable():

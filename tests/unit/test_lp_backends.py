@@ -599,6 +599,7 @@ EQ8_PAIRS = [
     ("R(x,y), R(y,z), R(z,x)", "R(a,b), R(a,c)"),
     ("R(x1,x2), R(x2,x3), R(x3,x4), R(x4,x1)", "R(a,b), R(b,c)"),
     ("R(x,y), R(y,z)", "R(a,b), R(b,c)"),
+    ("R(x1,x2), R(x2,x3), R(x3,x4), R(x4,x5), R(x5,x6), R(x6,x1)", "R(a,b), R(a,c)"),
 ]
 
 
