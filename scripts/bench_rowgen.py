@@ -17,18 +17,21 @@ covering both primitives in both verdict directions —
 
 — the script runs both solver paths in fresh subprocesses (cold caches for
 both, so dense pays its matrix build exactly as a new serving process
-would) under a per-cell wall-clock budget, and writes ``BENCH_3.json`` at
-the repo root with wall-clock seconds, peak row counts (full matrix for
-dense, final active set for rowgen), rowgen rounds and verdicts.  A cell
+would) under a per-cell wall-clock budget, and writes wall-clock seconds,
+peak row counts (full matrix for dense, final active set for rowgen),
+rowgen rounds and verdicts to ``.bench_out/bench_rowgen.json``.  The
+frozen ``BENCH_3.json`` is rewritten only by an explicit
+``--output BENCH_3.json``.  A cell
 exceeding the budget is recorded as ``"timeout"``; at ``n = 12`` the dense
 ``invalid-pair`` cell is the expected timeout, and the rowgen cell deciding
-the same problem inside the budget is the acceptance evidence for this PR.
+the same problem inside the budget shows that row generation scales past it.
 
 Usage::
 
     PYTHONPATH=src python scripts/bench_rowgen.py              # full grid
     PYTHONPATH=src python scripts/bench_rowgen.py --budget 60
     PYTHONPATH=src python scripts/bench_rowgen.py --sizes 6 8
+    PYTHONPATH=src python scripts/bench_rowgen.py --output BENCH_3.json
 """
 
 from __future__ import annotations
@@ -185,7 +188,9 @@ def main(argv=None) -> int:
         help="problem subset (default: all four)",
     )
     parser.add_argument(
-        "--output", default="BENCH_3.json", help="output path relative to repo root"
+        "--output",
+        default=".bench_out/bench_rowgen.json",
+        help="output path relative to repo root (default .bench_out/bench_rowgen.json)",
     )
     parser.add_argument("--worker", nargs=3, metavar=("N", "PROBLEM", "PATH"), default=None)
     args = parser.parse_args(argv)
@@ -260,6 +265,7 @@ def main(argv=None) -> int:
         "budget_seconds": args.budget,
         "results": results,
     }
+    output.parent.mkdir(parents=True, exist_ok=True)
     output.write_text(json.dumps(report, indent=1) + "\n")
     print(f"\nwrote {output} ({len(results)} cells)")
     return 0

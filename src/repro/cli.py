@@ -231,6 +231,16 @@ def _print_group_table(groups, stream) -> None:
         )
 
 
+def _check_writable(path: Optional[str]) -> None:
+    """Refuse an unwritable output path before the work that fills it.
+
+    Appending creates the file without truncating one that exists; a path
+    that cannot be opened raises the ``OSError`` that ``main`` reports.
+    """
+    if path:
+        open(path, "a", encoding="utf-8").close()
+
+
 def _emit_batch_stats(stats, args) -> None:
     """Honour ``--stats`` (stderr JSON + group table) and ``--stats-json``."""
     if args.stats:
@@ -249,7 +259,6 @@ def _emit_batch_stats(stats, args) -> None:
 #: (args attribute, parser default, flag spelling).
 _DAEMON_SIDE_FLAGS = (
     ("method", "auto", "--method"),
-    ("chunk_size", 32, "--chunk-size"),
     ("budget", None, "--budget"),
     ("store", None, "--store"),
 )
@@ -315,10 +324,7 @@ def _cmd_batch(args, out) -> int:
         args.daemon = args.fleet
         args.daemon_only = True
     pairs, texts = _read_pairs(args.pairs_file)
-    if args.stats_json:
-        # Refuse an unwritable path before solving, not after: appending
-        # creates the file without truncating one that exists.
-        open(args.stats_json, "a", encoding="utf-8").close()
+    _check_writable(args.stats_json)
     if args.daemon is not None:
         if args.trace:
             print(
@@ -329,10 +335,10 @@ def _cmd_batch(args, out) -> int:
         code = _batch_via_daemon(args, pairs, texts, out)
         if code is not None:
             return code
+    _check_writable(args.trace)
     service = ContainmentService(
         BatchOptions(
             method=args.method,
-            chunk_size=args.chunk_size,
             pair_budget=args.budget,
             on_error="capture",
             deadline=args.deadline,
@@ -374,7 +380,6 @@ def _cmd_batch(args, out) -> int:
 def _daemon_options(args) -> BatchOptions:
     return BatchOptions(
         method=args.method,
-        chunk_size=args.chunk_size,
         pair_budget=args.budget,
         on_error="capture",
         store_path=args.store,
@@ -394,7 +399,6 @@ def _daemon_run_args(args) -> List[str]:
     """Re-serialize the engine/shedding flags for the detached child."""
     forwarded = [
         "--method", args.method,
-        "--chunk-size", str(args.chunk_size),
         "--shed-policy", args.shed_policy,
         "--degrade-budget", str(args.degrade_budget),
     ]
@@ -619,6 +623,7 @@ def _cmd_trace_summarize(args, out) -> int:
 def _cmd_soak(args, out) -> int:
     from repro.obs.soak import SoakOptions, format_report, run_soak, write_report
 
+    _check_writable(args.report)
     report = run_soak(
         SoakOptions(
             clients=args.clients,
@@ -1042,12 +1047,6 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         "--method",
         default="auto",
         choices=["auto", "theorem-3.1", "sufficient", "brute-force"],
-    )
-    parser.add_argument(
-        "--chunk-size",
-        type=int,
-        default=32,
-        help="max Γn decisions folded into one block-LP solve (default 32)",
     )
     parser.add_argument(
         "--budget",

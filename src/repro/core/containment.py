@@ -188,10 +188,13 @@ def _no_homomorphism_witness(
 def _refute_from_cone_pipeline(
     inequality: ContainmentInequality,
     hom_count: int,
-    max_rows: int,
     prefer_modular: bool,
 ) -> Generator[ConeDecisionRequest, MaxIIVerdict, Optional[WitnessDatabase]]:
-    """Turn an LP violation over Nn (or Mn) into a verified witness, if possible."""
+    """Turn an LP violation over Nn (or Mn) into a verified witness, if possible.
+
+    The witness constructions cap the database at ``DEFAULT_MAX_ROWS`` rows
+    (:mod:`repro.core.witness`).
+    """
     max_ii = inequality.as_max_ii()
     cones = ("modular", "normal") if prefer_modular else ("normal", "modular")
     for cone in cones:
@@ -201,18 +204,13 @@ def _refute_from_cone_pipeline(
         try:
             if cone == "normal":
                 return witness_from_normal_coefficients(
-                    inequality,
-                    verdict.violating_coefficients,
-                    hom_count,
-                    max_rows=max_rows,
+                    inequality, verdict.violating_coefficients, hom_count
                 )
             weights = {
                 next(iter(key)): value
                 for key, value in verdict.violating_coefficients.items()
             }
-            return witness_from_modular_weights(
-                inequality, weights, hom_count, max_rows=max_rows
-            )
+            return witness_from_modular_weights(inequality, weights, hom_count)
         except WitnessError:
             continue
     return None
@@ -281,9 +279,7 @@ def sufficient_containment_check(
 # Theorem 3.1: complete decision for chordal Q2 with a simple junction tree
 # ---------------------------------------------------------------------- #
 def _theorem_3_1_pipeline(
-    q1: ConjunctiveQuery,
-    q2: ConjunctiveQuery,
-    max_witness_rows: int = 1024,
+    q1: ConjunctiveQuery, q2: ConjunctiveQuery
 ) -> ContainmentPipeline:
     """Theorem 3.1 pipeline for an already-Boolean pair."""
     if not has_simple_junction_tree(q2):
@@ -316,7 +312,6 @@ def _theorem_3_1_pipeline(
     witness = yield from _refute_from_cone_pipeline(
         inequality,
         hom_count,
-        max_rows=max_witness_rows,
         prefer_modular=has_totally_disconnected_junction_tree(q2),
     )
     if witness is None:
@@ -338,38 +333,32 @@ def _theorem_3_1_pipeline(
 
 
 def theorem_3_1_decision(
-    q1: ConjunctiveQuery,
-    q2: ConjunctiveQuery,
-    max_witness_rows: int = 1024,
+    q1: ConjunctiveQuery, q2: ConjunctiveQuery
 ) -> ContainmentResult:
     """The complete, exponential-time procedure of Theorem 3.1.
 
     Requires ``Q2`` to be chordal with a simple junction tree (raises
     :class:`QueryError` otherwise).  The verdict is always CONTAINED or
     NOT_CONTAINED; NOT_CONTAINED verdicts carry a verified witness whenever
-    one of size at most ``max_witness_rows`` exists.
+    one of at most ``DEFAULT_MAX_ROWS`` rows (:mod:`repro.core.witness`)
+    exists.
     """
     if not (q1.is_boolean and q2.is_boolean):
         q1, q2 = to_boolean_pair(q1, q2)
-    return run_containment_pipeline(_theorem_3_1_pipeline(q1, q2, max_witness_rows))
+    return run_containment_pipeline(_theorem_3_1_pipeline(q1, q2))
 
 
 # ---------------------------------------------------------------------- #
 # The general entry point
 # ---------------------------------------------------------------------- #
 def containment_pipeline(
-    q1: ConjunctiveQuery,
-    q2: ConjunctiveQuery,
-    method: str = "auto",
-    max_witness_rows: int = 1024,
-    refutation_effort: int = 1,
+    q1: ConjunctiveQuery, q2: ConjunctiveQuery, method: str = "auto"
 ) -> ContainmentPipeline:
     """The per-pair containment pipeline (see the module docstring).
 
     A generator that yields :class:`ConeDecisionRequest` objects, expects
     :class:`MaxIIVerdict` answers via ``send`` and returns the final
-    :class:`ContainmentResult`.  ``method``, ``max_witness_rows`` and
-    ``refutation_effort`` have the same meaning as in
+    :class:`ContainmentResult`.  ``method`` has the same meaning as in
     :func:`decide_containment`.  The Lemma A.1 Boolean reduction is applied
     exactly once, here; every downstream stage receives the Boolean pair.
     """
@@ -381,19 +370,11 @@ def containment_pipeline(
     boolean_q1, boolean_q2 = to_boolean_pair(q1, q2)
 
     if method == "theorem-3.1":
-        return (
-            yield from _theorem_3_1_pipeline(boolean_q1, boolean_q2, max_witness_rows)
-        )
+        return (yield from _theorem_3_1_pipeline(boolean_q1, boolean_q2))
     if method == "sufficient":
         return (yield from _sufficient_pipeline(boolean_q1, boolean_q2))
     if method == "brute-force":
-        witness = brute_force_refute(
-            boolean_q1,
-            boolean_q2,
-            max_column_size=2 + refutation_effort,
-            max_total_copies=2 + refutation_effort,
-            random_samples=100 * refutation_effort,
-        )
+        witness = brute_force_refute(boolean_q1, boolean_q2)
         if witness is not None:
             return ContainmentResult(
                 status=ContainmentStatus.NOT_CONTAINED,
@@ -407,9 +388,7 @@ def containment_pipeline(
         raise QueryError(f"unknown containment method {method!r}")
 
     if has_simple_junction_tree(boolean_q2):
-        return (
-            yield from _theorem_3_1_pipeline(boolean_q1, boolean_q2, max_witness_rows)
-        )
+        return (yield from _theorem_3_1_pipeline(boolean_q1, boolean_q2))
 
     # General case: sufficient check first, then refutation attempts.
     decompositions = candidate_tree_decompositions(boolean_q2)
@@ -422,16 +401,10 @@ def containment_pipeline(
     witness = None
     if inequality is not None and not inequality.is_trivially_false:
         witness = yield from _refute_from_cone_pipeline(
-            inequality, hom_count, max_rows=max_witness_rows, prefer_modular=False
+            inequality, hom_count, prefer_modular=False
         )
     if witness is None:
-        witness = brute_force_refute(
-            boolean_q1,
-            boolean_q2,
-            max_column_size=2 + refutation_effort,
-            max_total_copies=2 + refutation_effort,
-            random_samples=100 * refutation_effort,
-        )
+        witness = brute_force_refute(boolean_q1, boolean_q2)
     if witness is not None:
         return ContainmentResult(
             status=ContainmentStatus.NOT_CONTAINED,
@@ -462,11 +435,7 @@ def containment_pipeline(
 
 
 def decide_containment(
-    q1: ConjunctiveQuery,
-    q2: ConjunctiveQuery,
-    method: str = "auto",
-    max_witness_rows: int = 1024,
-    refutation_effort: int = 1,
+    q1: ConjunctiveQuery, q2: ConjunctiveQuery, method: str = "auto"
 ) -> ContainmentResult:
     """Decide (or semi-decide) ``Q1 ⊑ Q2`` under bag-set semantics.
 
@@ -478,21 +447,11 @@ def decide_containment(
     * ``"theorem-3.1"`` — force the complete procedure (raises when ``Q2`` is
       outside the decidable fragment);
     * ``"sufficient"`` — only run the Theorem 4.2 sufficient check;
-    * ``"brute-force"`` — only run the explicit witness searches.
-
-    ``refutation_effort`` scales the witness-search budgets in the general
-    (possibly undecidable) case.
+    * ``"brute-force"`` — only run the explicit witness searches, with
+      :func:`~repro.core.brute_force.brute_force_refute`'s budgets.
 
     This is the sequential driver over :func:`containment_pipeline`; the
     batch engine (:func:`repro.service.decide_containment_many`) runs the
     same pipeline with grouped LP solving and a plan cache.
     """
-    return run_containment_pipeline(
-        containment_pipeline(
-            q1,
-            q2,
-            method=method,
-            max_witness_rows=max_witness_rows,
-            refutation_effort=refutation_effort,
-        )
-    )
+    return run_containment_pipeline(containment_pipeline(q1, q2, method=method))

@@ -139,29 +139,19 @@ def count_query_homomorphisms(
     query: ConjunctiveQuery,
     structure: Structure,
     fixed: Optional[Mapping[str, object]] = None,
-    method: str = "auto",
 ) -> int:
     """Count ``|hom(Q, D)|`` (restricted to assignments extending ``fixed``).
 
-    ``method`` is one of ``"auto"``, ``"backtracking"`` or ``"decomposition"``.
-    ``"auto"`` uses the tree-decomposition dynamic program when the query is
-    acyclic and no variables are fixed, and backtracking otherwise.
+    Uses the tree-decomposition dynamic program over a join tree when the
+    query is acyclic and no variables are fixed, and backtracking otherwise.
     """
-    if method not in {"auto", "backtracking", "decomposition"}:
-        raise QueryError(f"unknown homomorphism counting method {method!r}")
-    if method in {"auto", "decomposition"} and not fixed:
+    if not fixed:
         from repro.cq.decompositions import is_acyclic, join_tree
 
         try:
             if is_acyclic(query):
                 return count_homomorphisms_via_decomposition(
                     query, structure, join_tree(query)
-                )
-            if method == "decomposition":
-                from repro.cq.decompositions import heuristic_tree_decomposition
-
-                return count_homomorphisms_via_decomposition(
-                    query, structure, heuristic_tree_decomposition(query)
                 )
         except QueryError:
             # A bag would materialize too many assignments; fall back to the

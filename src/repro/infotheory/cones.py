@@ -69,10 +69,9 @@ class Cone:
     def find_point_below(
         self,
         expressions: Sequence[LinearExpression],
-        margin: float = 1.0,
         seed: str = "generic",
     ) -> Optional[ConePoint]:
-        """A cone point with ``E_ℓ(h) ≤ -margin`` for every expression, if any.
+        """A cone point with ``E_ℓ(h) ≤ -1`` for every expression, if any.
 
         ``seed`` names the row-generation seed set (``"containment"``
         front-loads the ``|K| ≤ 1`` rows the Eq. (8) inequalities are made
@@ -81,41 +80,25 @@ class Cone:
         """
         raise NotImplementedError
 
-    def find_points_below_many(
-        self,
-        expression_lists: Sequence[Sequence[LinearExpression]],
-        margin: float = 1.0,
-        seed: str = "generic",
-    ) -> List[Optional[ConePoint]]:
-        """Batched :meth:`find_point_below`: one answer per expression list.
-
-        The base implementation falls back to sequential solves; the
-        concrete cones override it to decide all systems in one block LP
-        call (:func:`repro.lp.solver.solve_feasibility_blocks`): one stacked
-        HiGHS invocation for the generated cones and for ``Γn`` on the
-        dense path, one warm-started model per system for ``Γn`` on the
-        row-generation path, which it takes from ``n = 8``.
-        """
-        return [
-            self.find_point_below(exprs, margin, seed=seed)
-            for exprs in expression_lists
-        ]
-
     def points_or_proofs_below_many(
         self,
         expression_lists: Sequence[Sequence[LinearExpression]],
-        margin: float = 1.0,
         seed: str = "generic",
     ) -> List[Tuple[Optional[ConePoint], Optional[ConeProof]]]:
-        """:meth:`find_points_below_many`, with a proof where there is no point.
+        """Batched :meth:`find_point_below`, with a proof where there is no point.
 
-        One ``(point, proof)`` pair per expression list: ``proof`` is the
+        Each cone's ``find_points_below_many`` decides all systems in one
+        block LP call (:func:`repro.lp.solver.solve_feasibility_blocks`):
+        one stacked HiGHS invocation for the generated cones and for ``Γn``
+        on the dense path, one warm-started model per system for ``Γn`` on
+        the row-generation path, which it takes from ``n = 8``.  One
+        ``(point, proof)`` pair per expression list: ``proof`` is the
         Theorem 6.1 certificate ``(λ, µ)`` that no point exists, when the
         cone's LP yields one (only ``Γn``'s does), and ``None`` otherwise.
         """
         return [
             (point, None)
-            for point in self.find_points_below_many(expression_lists, margin, seed=seed)
+            for point in self.find_points_below_many(expression_lists, seed=seed)
         ]
 
 
@@ -156,7 +139,6 @@ class GammaCone(Cone):
     def find_point_below(
         self,
         expressions: Sequence[LinearExpression],
-        margin: float = 1.0,
         seed: str = "generic",
     ) -> Optional[ConePoint]:
         branch_rows = sp.csr_matrix(
@@ -165,7 +147,7 @@ class GammaCone(Cone):
         feasible, solution = check_feasibility(
             num_variables=len(self._subsets),
             A_ub=branch_rows,
-            b_ub=-margin * np.ones(len(expressions)),
+            b_ub=-np.ones(len(expressions)),
             lazy_rows=self._oracle,
             rowgen_options=RowGenOptions(seed=seed),
         )
@@ -177,20 +159,16 @@ class GammaCone(Cone):
     def find_points_below_many(
         self,
         expression_lists: Sequence[Sequence[LinearExpression]],
-        margin: float = 1.0,
         seed: str = "generic",
     ) -> List[Optional[ConePoint]]:
         return [
             point
-            for point, _ in self.points_or_proofs_below_many(
-                expression_lists, margin, seed=seed
-            )
+            for point, _ in self.points_or_proofs_below_many(expression_lists, seed=seed)
         ]
 
     def points_or_proofs_below_many(
         self,
         expression_lists: Sequence[Sequence[LinearExpression]],
-        margin: float = 1.0,
         seed: str = "generic",
     ) -> List[Tuple[Optional[ConePoint], Optional[ConeProof]]]:
         """One block LP for every list; proofs are read off its duals.
@@ -212,20 +190,15 @@ class GammaCone(Cone):
             FeasibilityBlock(
                 num_variables=len(self._subsets),
                 A_soft=sp.csr_matrix(rows),
-                b_soft=-margin * np.ones(rows.shape[0]),
+                b_soft=-np.ones(rows.shape[0]),
             )
             for rows in targets
         ]
-        # The optimal slack of a cone-shaped block is exactly 0 or margin
-        # (see solve_feasibility_blocks); threshold at the midpoint.  The
-        # elemental rows enter each block through the lazy family: dense
+        # The elemental rows enter each block through the lazy family: dense
         # prepends the full matrix to every block of one stacked solve,
         # rowgen grows each block's active set on its own model.
         results = solve_feasibility_blocks(
-            blocks,
-            slack_threshold=margin / 2,
-            lazy_rows=self._oracle,
-            rowgen_options=RowGenOptions(seed=seed),
+            blocks, lazy_rows=self._oracle, rowgen_options=RowGenOptions(seed=seed)
         )
         prover = shannon_prover(self.ground)
         outcomes: List[Tuple[Optional[ConePoint], Optional[ConeProof]]] = []
@@ -309,7 +282,6 @@ class _GeneratedCone(Cone):
     def find_point_below(
         self,
         expressions: Sequence[LinearExpression],
-        margin: float = 1.0,
         seed: str = "generic",
     ) -> Optional[ConePoint]:
         # ``seed`` is accepted for interface parity and ignored: the
@@ -320,7 +292,7 @@ class _GeneratedCone(Cone):
         feasible, solution = check_feasibility(
             num_variables=len(generators),
             A_ub=matrix,
-            b_ub=-margin * np.ones(len(expressions)),
+            b_ub=-np.ones(len(expressions)),
         )
         if not feasible or solution is None:
             return None
@@ -329,7 +301,6 @@ class _GeneratedCone(Cone):
     def find_points_below_many(
         self,
         expression_lists: Sequence[Sequence[LinearExpression]],
-        margin: float = 1.0,
         seed: str = "generic",
     ) -> List[Optional[ConePoint]]:
         if not expression_lists:
@@ -339,11 +310,11 @@ class _GeneratedCone(Cone):
             FeasibilityBlock(
                 num_variables=len(generators),
                 A_soft=self._lp_matrix(expressions),
-                b_soft=-margin * np.ones(len(expressions)),
+                b_soft=-np.ones(len(expressions)),
             )
             for expressions in expression_lists
         ]
-        results = solve_feasibility_blocks(blocks, slack_threshold=margin / 2)
+        results = solve_feasibility_blocks(blocks)
         return [
             self._point_from_solution(result.solution)
             if result.feasible and result.solution is not None

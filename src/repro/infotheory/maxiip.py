@@ -26,7 +26,7 @@ from repro.infotheory.expressions import (
     MaxInformationInequality,
 )
 from repro.infotheory.setfunction import SetFunction
-from repro.infotheory.shannon import ShannonCertificate, shannon_prover
+from repro.infotheory.shannon import ShannonCertificate
 
 
 @dataclass(frozen=True)
@@ -57,9 +57,8 @@ class MaxIIVerdict:
         computed).  :func:`decide_max_ii_many` reads ``λ`` and the proof
         off the duals of the block LP that decided every valid inequality
         over ``Γn``; a block whose duals failed the proof check has
-        neither.  :func:`decide_max_ii` computes a proof only on request
-        (``with_certificate=True``) for a single-branch inequality, with
-        ``λ = (1,)``.
+        neither.  :func:`decide_max_ii` computes no proof; for a single
+        inequality ``e``, ``shannon_prover(ground).certificate(e)`` does.
     """
 
     valid: bool
@@ -74,7 +73,6 @@ def decide_max_ii(
     inequality: MaxInformationInequality,
     over: str = "gamma",
     ground: Tuple[str, ...] = None,
-    with_certificate: bool = False,
     seed: str = "generic",
 ) -> MaxIIVerdict:
     """Decide validity of a Max-II over the cone named by ``over``.
@@ -95,15 +93,7 @@ def decide_max_ii(
             violating_function=point.function,
             violating_coefficients=point.coefficients,
         )
-    certificate = None
-    if with_certificate and over == "gamma" and len(branches) == 1:
-        certificate = shannon_prover(ground).certificate(branches[0])
-    return MaxIIVerdict(
-        valid=True,
-        cone=over,
-        certificate=certificate,
-        lambdas=None if certificate is None else (1.0,),
-    )
+    return MaxIIVerdict(valid=True, cone=over)
 
 
 def decide_max_ii_many(
@@ -176,14 +166,10 @@ def decide_ii(
     inequality: InformationInequality,
     over: str = "gamma",
     ground: Tuple[str, ...] = None,
-    with_certificate: bool = False,
 ) -> MaxIIVerdict:
     """Decide an ordinary II (the ``k = 1`` special case of Max-IIP)."""
     return decide_max_ii(
-        MaxInformationInequality.single(inequality.expression),
-        over=over,
-        ground=ground,
-        with_certificate=with_certificate,
+        MaxInformationInequality.single(inequality.expression), over=over, ground=ground
     )
 
 

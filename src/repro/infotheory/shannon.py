@@ -66,6 +66,7 @@ from repro.infotheory.polymatroid import (
 from repro.infotheory.setfunction import SetFunction
 from repro.lp.certificates import nonnegative_combination
 from repro.lp.backends import resolve_backend
+from repro.lp import rowgen
 from repro.lp.rowgen import RowGenOptions, choose_path, minimize_lazy, shannon_row_oracle
 from repro.lp.solver import LPStatus, minimize
 from repro.utils.lattice import lattice_context
@@ -290,7 +291,6 @@ class ShannonProver:
         caller gets a checked proof.
         """
         oracle = self._oracle
-        options = RowGenOptions()
         count, width = targets.shape
         farkas_tolerance = 1e-9 * max(1.0, float(np.abs(targets).sum(axis=1).max()))
         branch_rows = None
@@ -317,7 +317,7 @@ class ShannonProver:
         seed = [int(i) for i in oracle.seed_ids()]
         known = set(seed)
         add_active(seed)
-        for _ in range(options.max_rounds):
+        for _ in range(rowgen.MAX_ROUNDS):
             probe = model.solve()
             if probe.status != LPStatus.OPTIMAL:
                 raise CertificateError(
@@ -335,7 +335,7 @@ class ShannonProver:
                     tolerance,
                 )
             dense = oracle.dense_from_canonical(probe.solution[:width])
-            cut_ids, _ = oracle.separate(dense, options.tolerance)
+            cut_ids, _ = oracle.separate(dense, rowgen.TOLERANCE)
             new_ids = [int(i) for i in cut_ids if int(i) not in known]
             if not new_ids:
                 # The probe point lies in Γn and makes every branch negative.

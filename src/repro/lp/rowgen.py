@@ -75,6 +75,7 @@ from repro.lp.backends import resolve_backend
 from repro.obs.metrics import global_registry
 from repro.obs.tracer import record_span
 from repro.lp.solver import (
+    SLACK_THRESHOLD,
     BlockFeasibilityResult,
     FeasibilityBlock,
     LPResult,
@@ -107,6 +108,15 @@ AUTO_BLOCK_ROW_THRESHOLD = 1024
 #: Names accepted by the :attr:`RowGenOptions.seed` knob (and the
 #: ``seed`` parameter of the decision layers above the LP).
 SEED_NAMES = ("generic", "containment")
+
+# The loops' constants, read at call time.  A row counts as violated when
+# its value is below ``-TOLERANCE``.  A separation round admits at most
+# ``MAX_CUTS_PER_ROUND`` of the most-violated rows (``None`` = the oracle
+# heuristic ``max(64, 4·n²)``).  ``MAX_ROUNDS`` is exceeded only by a bug,
+# since every round adds a new row out of a finite set.
+TOLERANCE = 1e-8
+MAX_CUTS_PER_ROUND: Optional[int] = None
+MAX_ROUNDS = 10_000
 
 
 # --------------------------------------------------------------------- #
@@ -152,7 +162,6 @@ def _record_round(
 def _separate_timed(
     oracle: "ShannonRowOracle",
     solution,
-    options: "RowGenOptions",
     loop: str,
     round_number: int,
     round_started: float,
@@ -166,9 +175,7 @@ def _separate_timed(
     """
     oracle_started = time.perf_counter()
     dense = oracle.dense_from_canonical(solution)
-    cut_ids, scores = oracle.separate(
-        dense, options.tolerance, options.max_cuts_per_round
-    )
+    cut_ids, scores = oracle.separate(dense, TOLERANCE, MAX_CUTS_PER_ROUND)
     cuts = int(cut_ids.size)
     if cuts:
         _ROWGEN_CUTS.inc(cuts)
@@ -208,18 +215,10 @@ def _canon_masks_for_bits(k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RowGenOptions:
-    """Tuning knobs of the cutting-plane loops.
+    """What a caller asks of a cutting-plane loop.
 
     Attributes
     ----------
-    tolerance:
-        A row counts as violated when its value is below ``-tolerance``.
-    max_cuts_per_round:
-        Most-violated rows added per round (``None`` = the oracle heuristic
-        ``max(64, 4·n²)``).
-    max_rounds:
-        Hard iteration cap; exceeded only by a bug, since every round adds a
-        new row out of a finite set.
     early_stop_objective:
         Stop as soon as the *relaxation's* optimum reaches this value.  The
         relaxed feasible set contains the true one, so its minimum is a
@@ -238,9 +237,6 @@ class RowGenOptions:
         separation rounds on containment traffic).
     """
 
-    tolerance: float = 1e-8
-    max_cuts_per_round: Optional[int] = None
-    max_rounds: int = 10_000
     early_stop_objective: Optional[float] = None
     seed: str = "generic"
 
@@ -617,7 +613,7 @@ def minimize_lazy(
     model.add_rows(seed, -oracle.rows_matrix(seed))
     known = set(seed)
     seed_size = len(known)
-    for round_number in range(1, options.max_rounds + 1):
+    for round_number in range(1, MAX_ROUNDS + 1):
         round_started = time.perf_counter()
         result = model.solve(warm=False)
         _ROWGEN_ROUNDS.inc()
@@ -643,7 +639,7 @@ def minimize_lazy(
                 rowgen=_report(round_number, known, seed_size, oracle, early_stopped=True),
             )
         cut_ids, _ = _separate_timed(
-            oracle, result.solution, options, "minimize", round_number, round_started
+            oracle, result.solution, "minimize", round_number, round_started
         )
         entered = _admit(known, cut_ids)
         if not entered:
@@ -654,7 +650,7 @@ def minimize_lazy(
                 rowgen=report,
             )
         model.add_rows(entered, -oracle.rows_matrix(entered))
-    raise LPError("row generation did not converge within max_rounds")
+    raise LPError("row generation did not converge within MAX_ROUNDS")
 
 
 def _with_slack_column(matrix: sp.csr_matrix) -> sp.csr_matrix:
@@ -668,7 +664,6 @@ def _with_slack_column(matrix: sp.csr_matrix) -> sp.csr_matrix:
 def solve_feasibility_blocks_lazy(
     blocks: Sequence[FeasibilityBlock],
     oracle: ShannonRowOracle,
-    slack_threshold: float = 0.5,
     options: Optional[RowGenOptions] = None,
 ) -> List[BlockFeasibilityResult]:
     """Feasibility blocks with implicit elemental rows, one model per block.
@@ -681,7 +676,7 @@ def solve_feasibility_blocks_lazy(
     rows start at the seed (materialized once per call) and grow by
     separation on the block's relaxed solution, and every re-solve is warm
     from the block's previous basis.  A block is done the round its
-    relaxation becomes infeasible (slack at margin) or its relaxed point
+    relaxation becomes infeasible (slack at 1) or its relaxed point
     enters ``Γn``, and it costs nothing after that.  The
     blocks share no model, so a block's verdict, solution and duals do not
     depend on which other blocks share the call.  An infeasible block's
@@ -693,7 +688,7 @@ def solve_feasibility_blocks_lazy(
     seed = [int(row_id) for row_id in oracle.seed_ids_for(options.seed)]
     seed_rows = _with_slack_column(-oracle.rows_matrix(seed))
     return [
-        _solve_block_lazy(index, block, oracle, seed, seed_rows, slack_threshold, options)
+        _solve_block_lazy(index, block, oracle, seed, seed_rows)
         for index, block in enumerate(blocks)
     ]
 
@@ -704,8 +699,6 @@ def _solve_block_lazy(
     oracle: ShannonRowOracle,
     seed: List[int],
     seed_rows: sp.csr_matrix,
-    slack_threshold: float,
-    options: RowGenOptions,
 ) -> BlockFeasibilityResult:
     """One block of :func:`solve_feasibility_blocks_lazy`, on its own model."""
     width = block.num_variables
@@ -733,7 +726,7 @@ def _solve_block_lazy(
     )
     model.add_rows(seed, seed_rows)
     known = set(seed)
-    for round_number in range(1, options.max_rounds + 1):
+    for round_number in range(1, MAX_ROUNDS + 1):
         round_started = time.perf_counter()
         result = model.solve()
         _ROWGEN_ROUNDS.inc()
@@ -741,7 +734,7 @@ def _solve_block_lazy(
             # The slack LP is always feasible and bounded below by 0.
             raise LPError(f"block feasibility program failed: {result.status}")
         slack = float(result.solution[width])
-        if slack >= slack_threshold:
+        if slack >= SLACK_THRESHOLD:
             _record_round(
                 "blocks", round_number, round_started, time.perf_counter(), 0, block=index
             )
@@ -766,7 +759,7 @@ def _solve_block_lazy(
             )
         solution = np.asarray(result.solution[:width])
         cut_ids, _ = _separate_timed(
-            oracle, solution, options, "blocks", round_number, round_started, block=index
+            oracle, solution, "blocks", round_number, round_started, block=index
         )
         entered = _admit(known, cut_ids)
         if not entered:
@@ -774,7 +767,7 @@ def _solve_block_lazy(
                 feasible=True, solution=solution, slack=slack, rows_used=len(known)
             )
         model.add_rows(entered, _with_slack_column(-oracle.rows_matrix(entered)))
-    raise LPError("block row generation did not converge within max_rounds")
+    raise LPError("block row generation did not converge within MAX_ROUNDS")
 
 
 __all__ = [

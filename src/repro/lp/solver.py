@@ -88,8 +88,9 @@ def record_solver_path(method: str) -> None:
     """Tally one ``Γn`` LP decision taken through ``method`` (dense/rowgen).
 
     Validity checks, feasibility searches and certificate extractions each
-    count separately — a ``decide_max_ii(..., with_certificate=True)`` call
-    therefore records twice, once per LP-layer decision it makes.
+    count separately — a ``decide_max_ii`` call followed by
+    ``shannon_prover(ground).certificate(e)`` therefore records twice, once
+    per LP-layer decision.
     """
     with _PATH_LOCK:
         _SOLVER_PATH_COUNTS[method] = _SOLVER_PATH_COUNTS.get(method, 0) + 1
@@ -260,7 +261,7 @@ class FeasibilityBlock:
     The system is ``A_hard x ≤ b_hard`` (enforced exactly) together with
     ``A_soft x ≤ b_soft`` (relaxed by the block's slack variable), over
     ``x ≥ 0``.  In the cone-decision application the hard rows are the cone
-    description and the soft rows are the branch rows ``E_ℓ(h) ≤ -margin``.
+    description and the soft rows are the branch rows ``E_ℓ(h) ≤ -1``.
     """
 
     num_variables: int
@@ -300,9 +301,17 @@ class BlockFeasibilityResult:
     lazy_duals: Optional[Tuple[Tuple[int, float], ...]] = None
 
 
+#: A block is infeasible when its optimal slack reaches this value.  For the
+#: cone-decision shape (hard rows ``-M h ≤ 0`` describing a cone, soft rows
+#: ``E_ℓ(h) ≤ -1``) the optimal slack is exactly 0 or 1: if some cone point
+#: makes every ``E_ℓ`` negative, scaling drives the values to ``-1`` with
+#: zero slack, and otherwise ``h = 0`` is optimal with slack 1.  The
+#: midpoint separates the verdicts robustly.
+SLACK_THRESHOLD = 0.5
+
+
 def solve_feasibility_blocks(
     blocks: Sequence[FeasibilityBlock],
-    slack_threshold: float = 0.5,
     lazy_rows=None,
     rowgen_options=None,
 ) -> List[BlockFeasibilityResult]:
@@ -325,14 +334,9 @@ def solve_feasibility_blocks(
     :func:`repro.lp.rowgen.solve_feasibility_blocks_lazy`, one warm-started
     model per block.
 
-    For the cone-decision shape (hard rows ``-M h ≤ 0`` describing a cone,
-    soft rows ``E_ℓ(h) ≤ -margin``) the optimal slack is exactly 0 or
-    ``margin`` — if some cone point makes every ``E_ℓ`` negative, scaling
-    drives the values to ``-margin`` with zero slack, and otherwise ``h = 0``
-    is optimal with slack ``margin`` — so a ``slack_threshold`` at the
-    midpoint (``margin / 2``; the default 0.5 fits the standard margin of 1)
-    separates the verdicts robustly.  With ``lazy_rows``, every infeasible
-    block's result carries its duals from this solve (see
+    A block counts as feasible when its optimal slack is below
+    :data:`SLACK_THRESHOLD`.  With ``lazy_rows``, every infeasible block's
+    result carries its duals from this solve (see
     :class:`BlockFeasibilityResult`).
     """
     if not blocks:
@@ -341,12 +345,7 @@ def solve_feasibility_blocks(
     if path == "rowgen":
         from repro.lp.rowgen import solve_feasibility_blocks_lazy
 
-        return solve_feasibility_blocks_lazy(
-            blocks,
-            lazy_rows,
-            slack_threshold,
-            options=rowgen_options,
-        )
+        return solve_feasibility_blocks_lazy(blocks, lazy_rows, options=rowgen_options)
     if path == "dense":
         cone_rows = -lazy_rows.full_matrix()
         blocks = [
@@ -420,7 +419,7 @@ def solve_feasibility_blocks(
     outcomes: List[BlockFeasibilityResult] = []
     for i, block in enumerate(blocks):
         slack = float(result.solution[offset + i])
-        if slack < slack_threshold:
+        if slack < SLACK_THRESHOLD:
             start = column_offsets[i]
             solution = np.asarray(
                 result.solution[start : start + block.num_variables]

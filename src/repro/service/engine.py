@@ -11,8 +11,9 @@ of them at once:
   arity (and seed hint).  Each group's inequalities are renamed onto a shared canonical
   ground tuple — an order-preserving positional rename, so the LP matrices
   are bit-for-bit the ones the sequential path would build — and decided in
-  chunks through :func:`repro.infotheory.maxiip.decide_max_ii_many`, one
-  call per chunk.  The arity picks how each block carries the ``Γn``
+  chunks of at most :data:`CHUNK_SIZE` through
+  :func:`repro.infotheory.maxiip.decide_max_ii_many`, one call per chunk.
+  The arity picks how each block carries the ``Γn``
   description: up to ``n = 7`` the dense path stacks one full
   elemental-matrix copy per pair into one block-diagonal HiGHS solve, and
   from ``n = 8`` row generation gives every block a small lazily-grown
@@ -56,6 +57,11 @@ from repro.infotheory.setfunction import SetFunction
 from repro.obs import tracer as obs_tracer
 from repro.service.evidence import rename_certificate
 from repro.service.stats import GroupTiming, ServiceStats
+
+#: Most same-arity ``Γn`` requests folded into one block-LP call, read at
+#: call time.  It does not bind on the benchmark's cold batches: their
+#: largest same-arity group is 17 pairs.
+CHUNK_SIZE = 32
 
 
 def _canonical_ground(size: int) -> Tuple[str, ...]:
@@ -109,17 +115,9 @@ class PipelineSpec:
     q1: ConjunctiveQuery
     q2: ConjunctiveQuery
     method: str = "auto"
-    max_witness_rows: int = 1024
-    refutation_effort: int = 1
 
     def build(self) -> ContainmentPipeline:
-        return containment_pipeline(
-            self.q1,
-            self.q2,
-            method=self.method,
-            max_witness_rows=self.max_witness_rows,
-            refutation_effort=self.refutation_effort,
-        )
+        return containment_pipeline(self.q1, self.q2, method=self.method)
 
 
 class _PairRun:
@@ -158,9 +156,6 @@ class BatchEngine:
 
     Parameters
     ----------
-    chunk_size:
-        Maximum number of same-arity Shannon-cone requests folded into one
-        block-LP solve.
     pair_budget:
         Optional per-pair wall-clock budget in seconds, measured over the
         pair's pipeline stages.  A pair that exceeds it is closed out with an
@@ -179,19 +174,15 @@ class BatchEngine:
 
     def __init__(
         self,
-        chunk_size: int = 32,
         pair_budget: Optional[float] = None,
         on_error: str = "raise",
         stats: Optional[ServiceStats] = None,
         deadline: Optional[float] = None,
     ):
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be at least 1")
         if on_error not in ("raise", "capture"):
             raise ValueError("on_error must be 'raise' or 'capture'")
         if deadline is not None and deadline < 0:
             raise ValueError("deadline must be non-negative (or None)")
-        self.chunk_size = chunk_size
         self.pair_budget = pair_budget
         self.deadline = deadline
         self.on_error = on_error
@@ -366,10 +357,8 @@ class BatchEngine:
         answers: List[Tuple[_PairRun, MaxIIVerdict]] = []
         for key in sorted(grouped):
             group = grouped[key]
-            for start in range(0, len(group), self.chunk_size):
-                answers.extend(
-                    self._solve_gamma_chunk(group[start : start + self.chunk_size])
-                )
+            for start in range(0, len(group), CHUNK_SIZE):
+                answers.extend(self._solve_gamma_chunk(group[start : start + CHUNK_SIZE]))
         answers.extend(self._solve_scalar(run) for run in scalar)
         return answers
 

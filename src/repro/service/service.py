@@ -51,12 +51,10 @@ _USE_OPTIONS_DEADLINE = object()
 class BatchOptions:
     """Execution knobs of a :class:`ContainmentService`.
 
-    ``method``, ``max_witness_rows`` and ``refutation_effort`` are forwarded
-    to every pair's pipeline (same meaning as in
-    :func:`repro.core.containment.decide_containment`).  ``chunk_size``,
-    ``pair_budget`` and ``on_error`` configure the engine (see
-    :class:`repro.service.engine.BatchEngine`).  ``cache_size`` bounds the
-    plan cache (``None`` = unbounded).
+    ``method`` is forwarded to every pair's pipeline (same meaning as in
+    :func:`repro.core.containment.decide_containment`).  ``pair_budget``
+    and ``on_error`` configure the engine (see
+    :class:`repro.service.engine.BatchEngine`).
 
     ``deadline`` is an optional wall-clock bound in seconds for each
     :meth:`ContainmentService.run` call: pairs still undecided when it
@@ -69,12 +67,8 @@ class BatchOptions:
     """
 
     method: str = "auto"
-    max_witness_rows: int = 1024
-    refutation_effort: int = 1
-    chunk_size: int = 32
     pair_budget: Optional[float] = None
     on_error: str = "raise"
-    cache_size: Optional[int] = 4096
     deadline: Optional[float] = None
     store_path: Optional[str] = None
 
@@ -133,7 +127,7 @@ class ContainmentService:
         # counters on its own metrics registry; by default the stats carry a
         # private one.
         self.stats = ServiceStats(registry)
-        self.cache = PlanCache(maxsize=options.cache_size)
+        self.cache = PlanCache()
         self.store = None
         if options.store_path is not None:
             from repro.store import VerdictStore
@@ -162,13 +156,7 @@ class ContainmentService:
     # Submission
     # ------------------------------------------------------------------ #
     def _spec(self, q1: ConjunctiveQuery, q2: ConjunctiveQuery) -> PipelineSpec:
-        return PipelineSpec(
-            q1=q1,
-            q2=q2,
-            method=self.options.method,
-            max_witness_rows=self.options.max_witness_rows,
-            refutation_effort=self.options.refutation_effort,
-        )
+        return PipelineSpec(q1=q1, q2=q2, method=self.options.method)
 
     def run(
         self,
@@ -186,7 +174,6 @@ class ContainmentService:
         if deadline is _USE_OPTIONS_DEADLINE:
             deadline = options.deadline
         engine = BatchEngine(
-            chunk_size=options.chunk_size,
             pair_budget=options.pair_budget,
             on_error=options.on_error,
             stats=self.stats,
@@ -315,6 +302,6 @@ def decide_containment_many(
     Returns one :class:`ContainmentResult` per pair, in order, with statuses
     identical to a per-pair :func:`~repro.core.containment.decide_containment`
     loop.  Keyword overrides are :class:`BatchOptions` fields, e.g.
-    ``decide_containment_many(pairs, chunk_size=64, pair_budget=2.0)``.
+    ``decide_containment_many(pairs, pair_budget=2.0, on_error="capture")``.
     """
     return ContainmentService(options, **overrides).decide_many(pairs)

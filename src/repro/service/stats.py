@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.obs.metrics import LATENCY_BUCKETS, MetricsRegistry
 
@@ -176,16 +176,25 @@ class ServiceStats:
             buckets=LATENCY_BUCKETS,
             labelnames=("cone", "ground_size"),
         )
-        self.group_timings: List[GroupTiming] = []
+        # Running totals per (cone, n): a snapshot costs one entry per
+        # arity, however many chunks the service has solved.
+        self.group_totals: Dict[Tuple[str, int], Dict[str, float]] = {}
         # A daemon's connection threads read these stats (``status``,
         # ``metrics``) while a batch runs on another thread; the lock keeps
-        # group_timings appends and snapshots consistent (the counters carry
+        # group_totals updates and snapshots consistent (the counters carry
         # their own registry lock).
         self._lock = threading.Lock()
 
     def record_chunk(self, timing: GroupTiming) -> None:
         with self._lock:
-            self.group_timings.append(timing)
+            totals = self.group_totals.setdefault(
+                (timing.cone, timing.ground_size),
+                {"chunks": 0, "requests": 0, "rows": 0, "seconds": 0.0},
+            )
+            totals["chunks"] += 1
+            totals["requests"] += timing.requests
+            totals["rows"] += timing.rows
+            totals["seconds"] += timing.seconds
         self._counters["block_solves"].inc()
         saved = max(0, timing.requests - 1)
         if saved:
@@ -216,18 +225,10 @@ class ServiceStats:
     def per_group(self) -> Dict[str, Dict[str, float]]:
         """Group timings aggregated per ``cone:n=<arity>`` key."""
         with self._lock:
-            timings = list(self.group_timings)
-        per_group: Dict[str, Dict[str, float]] = {}
-        for timing in timings:
-            key = f"{timing.cone}:n={timing.ground_size}"
-            bucket = per_group.setdefault(
-                key, {"chunks": 0, "requests": 0, "rows": 0, "seconds": 0.0}
-            )
-            bucket["chunks"] += 1
-            bucket["requests"] += timing.requests
-            bucket["rows"] += timing.rows
-            bucket["seconds"] += timing.seconds
-        return per_group
+            return {
+                f"{cone}:n={size}": dict(totals)
+                for (cone, size), totals in self.group_totals.items()
+            }
 
     def as_dict(self) -> Dict[str, object]:
         """A JSON-ready snapshot (group timings aggregated per arity)."""

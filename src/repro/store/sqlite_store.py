@@ -286,9 +286,13 @@ class VerdictStore:
         """Merge records from a JSONL export; returns ``(imported, skipped)``.
 
         Records whose hash is already present are skipped (the store is
-        append-only and first-wins); invalid lines raise :class:`StoreError`.
+        append-only and first-wins).  Every line is parsed and validated
+        before any record is appended, so an invalid line raises
+        :class:`StoreError`, naming the stream's file and the line, and
+        leaves the store as it was.
         """
-        imported = skipped = 0
+        name = getattr(stream, "name", "<input>")
+        records = []
         for number, line in enumerate(stream, start=1):
             line = line.strip()
             if not line:
@@ -296,8 +300,16 @@ class VerdictStore:
             try:
                 record = json.loads(line)
             except ValueError as error:
-                raise StoreError(f"import line {number} is not valid JSON: {error}") from error
-            validate_record(record)
+                raise StoreError(
+                    f"{name}: import line {number} is not valid JSON: {error}"
+                ) from error
+            try:
+                validate_record(record)
+            except StoreError as error:
+                raise StoreError(f"{name}: import line {number}: {error}") from error
+            records.append(record)
+        imported = skipped = 0
+        for record in records:
             with self._lock:
                 if record["hash"] in self._index:
                     skipped += 1

@@ -7,10 +7,12 @@ duplicates and isomorphic renamed copies that hit the plan cache —
 sequential ``decide_containment`` loop.
 """
 
+from unittest import mock
+
 import pytest
 
 from repro.core.containment import decide_containment
-from repro.service import ContainmentService, decide_containment_many
+from repro.service import ContainmentService, decide_containment_many, engine
 from repro.workloads.generators import mixed_containment_pairs
 
 
@@ -30,7 +32,8 @@ def test_batch_statuses_equal_sequential(seed):
 @pytest.mark.parametrize("chunk_size", [1, 4, 64])
 def test_equivalence_independent_of_chunking(seed, chunk_size):
     pairs = mixed_containment_pairs(16, seed=seed)
-    batch = decide_containment_many(pairs, chunk_size=chunk_size)
+    with mock.patch.object(engine, "CHUNK_SIZE", chunk_size):
+        batch = decide_containment_many(pairs)
     assert [r.status for r in batch] == _sequential_statuses(pairs)
 
 

@@ -10,7 +10,7 @@ dense paths, each pinned with ``tests/lp_paths.py``, must return
   :meth:`ShannonCertificate.verify`, which re-sums the weighted elemental
   inequalities without any LP), among them the Theorem 6.1 certificates
   batched decisions read off the block LP's duals on either path, and
-* identical batch-service statuses across ``chunk_size`` × path
+* identical batch-service statuses across the engine's ``CHUNK_SIZE`` × path
   combinations.
 
 A wrong-but-fast separation oracle would silently flip containment
@@ -18,6 +18,8 @@ verdicts; these properties are what make that class of bug loud.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from repro.infotheory.expressions import LinearExpression
 from repro.infotheory.maxiip import decide_max_ii_many
 from repro.infotheory.polymatroid import is_polymatroid
 from repro.infotheory.shannon import ShannonProver, shannon_prover
-from repro.service import decide_containment_many
+from repro.service import decide_containment_many, engine
 from repro.workloads.generators import mixed_containment_pairs, random_max_ii
 
 TOLERANCE = 1e-6
@@ -187,10 +189,11 @@ def assert_verdict_matches_block(verdict, point, expressions, ground):
 )
 def test_batch_service_statuses_identical_across_lp_methods(seed, chunk_size):
     pairs = mixed_containment_pairs(10, seed=seed)
-    with pin_path("dense"):
-        dense_results = decide_containment_many(pairs, chunk_size=chunk_size)
-    with pin_path("rowgen"):
-        lazy_results = decide_containment_many(pairs, chunk_size=chunk_size)
+    with mock.patch.object(engine, "CHUNK_SIZE", chunk_size):
+        with pin_path("dense"):
+            dense_results = decide_containment_many(pairs)
+        with pin_path("rowgen"):
+            lazy_results = decide_containment_many(pairs)
     assert [r.status for r in dense_results] == [r.status for r in lazy_results]
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from unittest import mock
 
 import linprog_oracle
 import pytest
@@ -28,7 +29,7 @@ from repro.core.containment import containment_pipeline, decide_containment
 from repro.cq.parser import parse_query
 from repro.cq.query import ConjunctiveQuery
 from repro.infotheory.maxiip import decide_max_ii, decide_max_ii_many
-from repro.service import decide_containment_many
+from repro.service import decide_containment_many, engine
 
 CORPUS_PATH = Path(__file__).with_name("containment_corpus.json")
 CORPUS = json.loads(CORPUS_PATH.read_text())["pairs"]
@@ -91,8 +92,8 @@ def test_sequential_replay_matches_frozen_verdict(entry, path):
 @pytest.mark.parametrize("chunk_size", [1, 32])
 def test_batch_replay_matches_frozen_verdicts(path, chunk_size):
     pairs = [load_pair(entry) for entry in CORPUS]
-    with pin_path(path):
-        results = decide_containment_many(pairs, chunk_size=chunk_size)
+    with pin_path(path), mock.patch.object(engine, "CHUNK_SIZE", chunk_size):
+        results = decide_containment_many(pairs)
     got = [result.status.value for result in results]
     expected = [entry["status"] for entry in CORPUS]
     mismatches = [

@@ -127,9 +127,7 @@ def test_batch_witness_rows_count_the_witness_facts(tmp_path):
 def test_batch_command_with_knobs(tmp_path):
     pairs = tmp_path / "pairs.txt"
     pairs.write_text("R(x,y), R(y,z), R(z,x) | R(a,b), R(a,c)\n")
-    code, output = run_cli(
-        "batch", str(pairs), "--chunk-size", "4", "--method", "auto"
-    )
+    code, output = run_cli("batch", str(pairs), "--budget", "30", "--method", "auto")
     assert code == 0
     assert json.loads(output.splitlines()[0])["status"] == "contained"
 
@@ -164,6 +162,11 @@ def test_batch_command_non_string_json_values(tmp_path):
     [
         (["batch", "{tmp}/missing.txt"], "missing.txt: No such file"),
         (["batch", "{tmp}/pairs.txt", "--stats-json", "{tmp}/no/s.json"], "no/s.json"),
+        (
+            ["batch", "{tmp}/pairs.txt", "--store", "{tmp}/s.sqlite"]
+            + ["--trace", "{tmp}/no/t.jsonl"],
+            "no/t.jsonl: No such file",
+        ),
         (["trace", "summarize", "{tmp}/missing.jsonl"], "missing.jsonl: No such file"),
         (["trace", "summarize", "{tmp}/spans.jsonl"], "spans.jsonl: line 2 is not"),
         (
@@ -171,7 +174,14 @@ def test_batch_command_non_string_json_values(tmp_path):
             "missing.jsonl: No such file",
         ),
     ],
-    ids=["batch-missing", "batch-stats-json", "trace-missing", "trace-not-json", "import"],
+    ids=[
+        "batch-missing",
+        "batch-stats-json",
+        "batch-trace",
+        "trace-missing",
+        "trace-not-json",
+        "import",
+    ],
 )
 def test_file_errors_end_in_one_error_line(tmp_path, argv, named):
     (tmp_path / "pairs.txt").write_text("R(x,y), R(y,z) | R(x,y)\n")
@@ -181,7 +191,8 @@ def test_file_errors_end_in_one_error_line(tmp_path, argv, named):
     )
     code, output = run_cli(*(arg.format(tmp=tmp_path) for arg in argv))
     assert code == 1
-    # One line and no verdicts: the unwritable --stats-json fails before solving.
+    # One line and no verdicts: an unwritable --stats-json or --trace fails
+    # before solving, so no store is created either.
     assert output.startswith("error: ") and output.count("\n") == 1
     assert named in output
     assert not (tmp_path / "s.sqlite").exists()
@@ -193,6 +204,37 @@ def test_cache_commands_refuse_a_missing_store(tmp_path, command):
     code, output = run_cli("cache", command, "--store", str(store))
     assert (code, output) == (1, f"error: no verdict store at {store}\n")
     assert not store.parent.exists()
+
+
+def test_soak_refuses_an_unwritable_report_before_it_runs(tmp_path, monkeypatch):
+    def must_not_run(options):
+        raise AssertionError("the soak ran before its report path was checked")
+
+    monkeypatch.setattr("repro.obs.soak.run_soak", must_not_run)
+    report = tmp_path / "no" / "r.json"
+    code, output = run_cli("soak", "--report", str(report))
+    assert (code, output) == (1, f"error: {report}: No such file or directory\n")
+
+
+@pytest.mark.parametrize("bad_line", ["not-json", "hash-mismatch"])
+def test_cache_import_commits_nothing_from_a_bad_file(tmp_path, bad_line):
+    source, target = tmp_path / "a.sqlite", tmp_path / "b.sqlite"
+    pairs, exported = tmp_path / "pairs.txt", tmp_path / "records.jsonl"
+    pairs.write_text("R(x,y), R(y,z) | R(x,y)\n")
+    assert run_cli("batch", "--store", str(source), str(pairs))[0] == 0
+    assert run_cli("cache", "export", "--store", str(source), str(exported))[0] == 0
+    [line] = exported.read_text().splitlines()
+    if bad_line == "not-json":
+        last = "not json"
+    else:
+        last = json.dumps(dict(json.loads(line), hash="0" * 16))
+    exported.write_text(f"{line}\n{last}\n")
+    code, output = run_cli("cache", "import", "--store", str(target), str(exported))
+    assert code == 1
+    assert output.startswith(f"error: {exported}: import line 2")
+    assert output.count("\n") == 1
+    code, output = run_cli("cache", "info", "--store", str(target))
+    assert code == 0 and json.loads(output)["entries"] == 0
 
 
 def test_cache_import_creates_a_missing_store(tmp_path):

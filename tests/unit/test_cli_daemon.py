@@ -55,7 +55,7 @@ class TestArgumentParsing:
     def test_daemon_subcommands_parse(self):
         parser = build_parser()
         for argv in (
-            ["daemon", "run", "--socket", "/tmp/x.sock", "--chunk-size", "4"],
+            ["daemon", "run", "--socket", "/tmp/x.sock", "--budget", "4"],
             ["daemon", "start", "--max-queue-depth", "8", "--shed-policy", "degrade"],
             ["daemon", "stop"],
             ["daemon", "status", "--socket", "localhost:7411"],
@@ -70,14 +70,14 @@ class TestArgumentParsing:
         start = parser.parse_args(
             [
                 "daemon", "start", "--method", "sufficient",
-                "--chunk-size", "8", "--budget", "2.5", "--store", "v.sqlite",
+                "--budget", "2.5", "--store", "v.sqlite",
                 "--max-queue-depth", "4", "--shed-policy", "degrade",
                 "--degrade-budget", "0.5", "--default-deadline", "9",
             ]
         )
         run = parser.parse_args(["daemon", "run", *_daemon_run_args(start)])
         for name in (
-            "method", "chunk_size", "budget", "store",
+            "method", "budget", "store",
             "max_queue_depth", "shed_policy", "degrade_budget", "default_deadline",
         ):
             assert getattr(run, name) == getattr(start, name), name
@@ -124,6 +124,10 @@ class TestArgumentParsing:
             (["daemon", "run"], ["--lp-method", "rowgen"]),
             (["daemon", "start"], ["--lp-method", "rowgen"]),
             (["fleet", "start"], ["--lp-method", "rowgen"]),
+            (["batch", "p.txt"], ["--chunk-size", "4"]),
+            (["daemon", "run"], ["--chunk-size", "4"]),
+            (["daemon", "start"], ["--chunk-size", "4"]),
+            (["fleet", "start"], ["--chunk-size", "4"]),
         ],
         ids=[
             "batch",
@@ -145,6 +149,10 @@ class TestArgumentParsing:
             "lp-method-daemon-run",
             "lp-method-daemon-start",
             "lp-method-fleet-start",
+            "chunk-size-batch",
+            "chunk-size-daemon-run",
+            "chunk-size-daemon-start",
+            "chunk-size-fleet-start",
         ],
     )
     def test_removed_flag_is_rejected(self, command, flag, capsys):
@@ -185,11 +193,11 @@ class TestBatchViaDaemon:
         pairs.write_text(PAIRS_TEXT)
         code, _ = run_cli(
             "batch", str(pairs), "--daemon", live_daemon, "--daemon-only",
-            "--chunk-size", "4", "--method", "sufficient",
+            "--budget", "4", "--method", "sufficient",
         )
         assert code == 0
         err = capsys.readouterr().err
-        assert "--chunk-size" in err and "--method" in err and "ignored" in err
+        assert "--budget" in err and "--method" in err and "ignored" in err
 
     def test_fallback_when_no_daemon(self, tmp_path, capsys):
         pairs = tmp_path / "pairs.txt"

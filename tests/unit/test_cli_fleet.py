@@ -89,7 +89,7 @@ class TestArgumentParsing:
         parser = build_parser()
         for argv in (
             ["fleet", "start", "--dir", "/tmp/fleet", "--replicas", "4"],
-            ["fleet", "start", "--socket", "/tmp/gw.sock", "--chunk-size", "8"],
+            ["fleet", "start", "--socket", "/tmp/gw.sock", "--budget", "8"],
             ["fleet", "stop", "--dir", "/tmp/fleet"],
             ["fleet", "status", "--socket", "/tmp/gw.sock", "--prom"],
             ["fleet", "gateway", "--manifest", "/tmp/fleet/fleet.json"],

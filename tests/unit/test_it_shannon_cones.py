@@ -18,7 +18,7 @@ from repro.infotheory.maxiip import (
     essentially_shannon_agreement,
 )
 from repro.infotheory.polymatroid import is_polymatroid
-from repro.infotheory.shannon import ShannonProver
+from repro.infotheory.shannon import ShannonProver, shannon_prover
 
 GROUND = ("X1", "X2", "X3")
 
@@ -118,16 +118,15 @@ def test_cone_by_name():
         cone_by_name("entropic", GROUND)
 
 
-def test_decide_ii_valid_with_certificate():
-    verdict = decide_ii(
-        InformationInequality(submodularity_expression()),
-        over="gamma",
-        with_certificate=True,
-    )
+def test_decide_ii_valid_then_proved_by_the_prover():
+    # decide_ii computes no proof; a single inequality's proof comes from
+    # the ground's shared prover.
+    expression = submodularity_expression()
+    verdict = decide_ii(InformationInequality(expression), over="gamma")
     assert verdict.valid
-    assert verdict.certificate is not None
-    assert verdict.lambdas == (1.0,)
-    assert verdict.certificate.verify(submodularity_expression())
+    assert verdict.certificate is None and verdict.lambdas is None
+    certificate = shannon_prover(GROUND).certificate(expression)
+    assert certificate is not None and certificate.verify(expression)
 
 
 @pytest.mark.parametrize("path", PATHS)

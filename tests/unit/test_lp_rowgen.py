@@ -10,6 +10,8 @@ must show that row generation really solved with a fraction of the rows.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from lp_paths import pin_path
@@ -19,10 +21,10 @@ from repro.infotheory.cones import cone_by_name
 from repro.infotheory.expressions import LinearExpression, MaxInformationInequality
 from repro.infotheory.maxiip import decide_max_ii_many
 from repro.infotheory.shannon import shannon_prover
+from repro.lp import rowgen
 from repro.lp.rowgen import (
     AUTO_BLOCK_ROW_THRESHOLD,
     AUTO_ROW_THRESHOLD,
-    RowGenOptions,
     choose_path,
     shannon_row_oracle,
 )
@@ -254,14 +256,13 @@ def test_unbounded_relaxation_raises_instead_of_guessing():
 def test_tight_cut_budget_still_converges():
     oracle = shannon_row_oracle(GROUND)
     objective = _objective(GROUND, VALID)
-    with pin_path("rowgen"):
+    with pin_path("rowgen"), mock.patch.object(rowgen, "MAX_CUTS_PER_ROUND", 1):
         result = minimize(
             objective,
             A_ub=_normalization_row(GROUND),
             b_ub=[1.0],
             bounds=(0, 1),
             lazy_rows=oracle,
-            rowgen_options=RowGenOptions(max_cuts_per_round=1),
         )
     assert result.status == LPStatus.OPTIMAL
     assert result.objective == pytest.approx(0.0, abs=1e-7)

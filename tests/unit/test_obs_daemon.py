@@ -87,6 +87,25 @@ class TestServiceStatsView:
         hist = registry.get("repro_chunk_solve_seconds")
         assert hist.count(cone="gamma", ground_size="3") == 1
 
+    def test_group_totals_stay_one_entry_per_cone_and_arity(self):
+        # A long-lived daemon records one chunk per block-LP call: the stats
+        # keep running totals, not one timing per chunk.
+        stats = ServiceStats()
+        for index in range(10_000):
+            stats.record_chunk(
+                GroupTiming(
+                    cone="gamma",
+                    ground_size=3 + index % 2,
+                    requests=2,
+                    rows=5,
+                    seconds=0.25,
+                )
+            )
+        assert set(stats.group_totals) == {("gamma", 3), ("gamma", 4)}
+        totals = {"chunks": 5_000, "requests": 10_000, "rows": 25_000, "seconds": 1_250.0}
+        assert stats.per_group() == {"gamma:n=3": totals, "gamma:n=4": totals}
+        assert stats.block_solves == 10_000
+
     def test_observe_pair_seconds_lands_in_the_latency_histogram(self):
         registry = MetricsRegistry()
         stats = ServiceStats(registry)

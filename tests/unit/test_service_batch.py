@@ -1,5 +1,7 @@
 """Tests for the batch containment service, engine and plan cache."""
 
+from unittest import mock
+
 import pytest
 
 from repro.core.containment import ContainmentStatus, decide_containment
@@ -12,6 +14,7 @@ from repro.service import (
     PlanCache,
     decide_containment_many,
 )
+from repro.service import engine
 from repro.workloads.generators import (
     cycle_query,
     mixed_containment_pairs,
@@ -55,22 +58,6 @@ class TestDecideMaxIIMany:
 
     def test_empty_input(self):
         assert decide_max_ii_many([], over="gamma", ground=("A",)) == []
-
-    def test_batched_cones_respect_small_margins(self):
-        # Regression: the block solver's slack threshold must scale with the
-        # margin, or margins ≤ 0.5 flip infeasible blocks to feasible.
-        from repro.infotheory.cones import cone_by_name
-        from repro.infotheory.expressions import LinearExpression
-
-        ground = ("a", "b")
-        entropy = LinearExpression.entropy_term(ground, ("a", "b"))
-        for name in ("gamma", "normal", "modular"):
-            cone = cone_by_name(name, ground)
-            for margin in (0.25, 0.5, 1.0, 2.0):
-                single = cone.find_point_below([entropy], margin=margin)
-                [batched] = cone.find_points_below_many([[entropy]], margin=margin)
-                assert (single is None) == (batched is None), (name, margin)
-                assert batched is None  # h(ab) ≤ -margin has no cone solution
 
     def test_mixed_grounds_need_explicit_ground(self):
         with pytest.raises(ValueError):
@@ -117,7 +104,8 @@ class TestContainmentService:
 
     def test_chunk_size_one_still_correct(self):
         pairs = mixed_containment_pairs(12, seed=3)
-        batch = decide_containment_many(pairs, chunk_size=1)
+        with mock.patch.object(engine, "CHUNK_SIZE", 1):
+            batch = decide_containment_many(pairs)
         for (q1, q2), result in zip(pairs, batch):
             assert result.status == decide_containment(q1, q2).status
 
@@ -148,7 +136,7 @@ class TestContainmentService:
         assert len(service.cache) == 0
 
     def test_stats_snapshot_counts_grouped_solves(self):
-        service = ContainmentService(chunk_size=32)
+        service = ContainmentService()
         service.run(mixed_containment_pairs(20, seed=9))
         stats = service.stats.as_dict()
         assert stats["pairs_submitted"] == 20
@@ -166,9 +154,9 @@ class TestContainmentService:
             decide_containment_many([("not a query", VEE)])
 
     def test_options_object_with_overrides(self):
-        options = BatchOptions(chunk_size=8)
+        options = BatchOptions(method="sufficient")
         service = ContainmentService(options, pair_budget=2.0)
-        assert service.options.chunk_size == 8
+        assert service.options.method == "sufficient"
         assert service.options.pair_budget == 2.0
 
     @pytest.mark.parametrize(
@@ -178,12 +166,26 @@ class TestContainmentService:
             {"max_workers": 2},
             {"canonicalize": False},
             {"lp_method": "rowgen"},
+            {"chunk_size": 8},
+            {"cache_size": 16},
+            {"max_witness_rows": 64},
+            {"refutation_effort": 2},
         ],
-        ids=["worker_mode", "max_workers", "canonicalize", "lp_method"],
+        ids=[
+            "worker_mode",
+            "max_workers",
+            "canonicalize",
+            "lp_method",
+            "chunk_size",
+            "cache_size",
+            "max_witness_rows",
+            "refutation_effort",
+        ],
     )
     def test_removed_option_is_rejected(self, option):
         # The engine runs every round inline, every pair is canonicalized,
-        # and the row count picks each Γn LP path.
+        # the row count picks each Γn LP path, and the chunk cap, the plan
+        # cache's size and the witness and refutation budgets are constants.
         with pytest.raises(TypeError):
             BatchOptions(**option)
 

@@ -5,6 +5,7 @@ decision pair for pair and come back in submission order.
 """
 
 import pickle
+from unittest import mock
 
 import pytest
 
@@ -12,6 +13,7 @@ from repro.core.containment import ContainmentStatus, decide_containment
 from repro.cq.parser import parse_query
 from repro.exceptions import QueryError
 from repro.service import ContainmentService, PipelineSpec
+from repro.service import engine as engine_module
 from repro.service.engine import BatchEngine
 from repro.workloads.generators import mixed_containment_pairs
 
@@ -24,8 +26,9 @@ GOOD = parse_query("R(a,b)")
 class TestRunSpecs:
     def test_results_match_sequential_in_submission_order(self):
         pairs = mixed_containment_pairs(12, seed=5)
-        engine = BatchEngine(chunk_size=4)
-        results = engine.run_specs([PipelineSpec(q1=q1, q2=q2) for q1, q2 in pairs])
+        engine = BatchEngine()
+        with mock.patch.object(engine_module, "CHUNK_SIZE", 4):
+            results = engine.run_specs([PipelineSpec(q1=q1, q2=q2) for q1, q2 in pairs])
         sequential = [decide_containment(q1, q2) for q1, q2 in pairs]
         assert [(r.status, r.method) for r in results] == [
             (r.status, r.method) for r in sequential
@@ -46,24 +49,16 @@ class TestRunSpecs:
         assert all(seconds > 0.0 for seconds in engine.last_pair_seconds)
 
     def test_spec_round_trips_through_pickle(self):
-        spec = PipelineSpec(q1=TRIANGLE, q2=VEE, method="auto", refutation_effort=2)
+        spec = PipelineSpec(q1=TRIANGLE, q2=VEE, method="sufficient")
         restored = pickle.loads(pickle.dumps(spec))
         assert restored == spec
         assert restored.q1.atoms == TRIANGLE.atoms
         [result] = BatchEngine().run_specs([restored])
         assert result.status == ContainmentStatus.CONTAINED
 
-    @pytest.mark.parametrize(
-        "knob",
-        [
-            {"chunk_size": 0},
-            {"on_error": "ignore"},
-        ],
-        ids=["chunk_size", "on_error"],
-    )
-    def test_rejects_invalid_knob(self, knob):
+    def test_rejects_invalid_on_error(self):
         with pytest.raises(ValueError):
-            BatchEngine(**knob)
+            BatchEngine(on_error="ignore")
 
 
 class TestBatchBehaviour:
