@@ -583,15 +583,19 @@ def _cmd_cache_export(args, out) -> int:
 
 def _cmd_cache_import(args, out) -> int:
     from repro.store import VerdictStore
+    from repro.store.sqlite_store import read_import_records
 
     source = (
         contextlib.nullcontext(sys.stdin)
         if args.input == "-"
         else open(args.input, "r", encoding="utf-8")
     )
-    # The input opens first, so a missing one leaves no new store behind.
-    with source as handle, VerdictStore(args.store) as store:
-        imported, skipped = store.import_jsonl(handle)
+    # The input is read and validated first, so a missing or invalid one
+    # leaves no new store behind.
+    with source as handle:
+        records = read_import_records(handle)
+    with VerdictStore(args.store) as store:
+        imported, skipped = store.import_records(records)
     print(f"imported {imported} records, skipped {skipped} already present", file=out)
     return 0
 

@@ -192,8 +192,11 @@ def _refute_from_cone_pipeline(
 ) -> Generator[ConeDecisionRequest, MaxIIVerdict, Optional[WitnessDatabase]]:
     """Turn an LP violation over Nn (or Mn) into a verified witness, if possible.
 
-    The witness constructions cap the database at ``DEFAULT_MAX_ROWS`` rows
-    (:mod:`repro.core.witness`).
+    The witness constructions (:mod:`repro.core.witness`) climb the violating
+    point's powers ``m = 1, 2, …`` up to Lemma E.1's bound and return the
+    first database that separates; a climb ends early at a relation over
+    ``DEFAULT_MAX_ROWS`` rows.  A cone whose climb fails yields to the next,
+    and ``None`` means that neither gave a witness.
     """
     max_ii = inequality.as_max_ii()
     cones = ("modular", "normal") if prefer_modular else ("normal", "modular")
@@ -339,9 +342,13 @@ def theorem_3_1_decision(
 
     Requires ``Q2`` to be chordal with a simple junction tree (raises
     :class:`QueryError` otherwise).  The verdict is always CONTAINED or
-    NOT_CONTAINED; NOT_CONTAINED verdicts carry a verified witness whenever
-    one of at most ``DEFAULT_MAX_ROWS`` rows (:mod:`repro.core.witness`)
-    exists.
+    NOT_CONTAINED.  A NOT_CONTAINED verdict carries a verified witness built
+    from the violating ``Nn``/``Mn`` point at the smallest power that
+    separates, up to Lemma E.1's bound (:mod:`repro.core.witness`), when that
+    witness has at most ``DEFAULT_MAX_ROWS`` rows.  Otherwise
+    :func:`~repro.core.brute_force.brute_force_refute` is the last resort;
+    when it finds nothing too, the verdict carries no witness and
+    ``details["note"]`` says so.
     """
     if not (q1.is_boolean and q2.is_boolean):
         q1, q2 = to_boolean_pair(q1, q2)

@@ -13,10 +13,15 @@ of a special shape:
 
 This module constructs such witnesses from the violating modular / normal
 functions returned by the LP layer, following the proof of Lemma E.1: round
-the step coefficients to integers, scale until the entropy gap exceeds
-``log2 |hom(Q2, Q1)|``, materialize the domain product, annotate values with
-their column, induce the database and finally *verify the counts directly* —
-so a reported witness is always unconditionally correct.
+the step coefficients to integers, then climb the powers ``m = 1, 2, …`` of
+that integer point.  Each rung materializes the domain product, annotates
+values with their column, induces the database and *verifies the counts
+directly*; the first database that separates is the witness, so a reported
+witness is always unconditionally correct.  The last rung is Lemma E.1's
+power (:func:`_required_scaling`, where ``m · gap > log2 |hom(Q2, Q1)|``),
+at which separation is guaranteed; lower rungs usually separate already,
+with a far smaller database.  Relations grow with ``m``, so a rung beyond
+``max_rows`` ends the climb with a :class:`WitnessError`.
 """
 
 from __future__ import annotations
@@ -208,7 +213,11 @@ def _integer_multiplicities(
 
 
 def _required_scaling(gap: float, hom_count: int) -> int:
-    """Smallest integer ``m`` with ``m · gap > log2(hom_count)`` (Lemma 4.8 / E.1)."""
+    """Smallest integer ``m`` with ``m · gap > log2(hom_count)`` (Lemma 4.8 / E.1).
+
+    The last rung of the witness climb: at this power separation is
+    guaranteed, so no higher power is ever tried.
+    """
     if gap <= 0:
         raise WitnessError("the candidate function does not violate the inequality")
     needed = math.log2(max(1, hom_count)) + 1e-9
@@ -227,13 +236,18 @@ def witness_from_normal_coefficients(
     ``coefficients`` are the step-function coefficients of a normal function
     on which every branch of the containment inequality is below ``h(V)``
     (as returned by the ``Nn`` feasibility LP); ``hom_count`` is
-    ``|hom(Q2, Q1)|``.  The construction follows Lemma E.1: scale the
-    coefficients until the entropy gap exceeds ``log2(hom_count)``, build the
-    domain product of step relations, annotate, induce and verify.
+    ``|hom(Q2, Q1)|``.  The construction follows Lemma E.1: round the
+    coefficients to integer step multiplicities ``k_W``, then for
+    ``m = 1, 2, …`` build the domain product of ``m · k_W`` step relations,
+    annotate, induce and verify, and return the first database that
+    separates.  The last rung is :func:`_required_scaling`'s power, where the
+    entropy gap exceeds ``log2(hom_count)`` and Lemma E.1 guarantees
+    separation.
 
-    Raises :class:`WitnessError` if the witness would be too large or fails
-    verification (which, by Theorem 3.4, indicates numerically degenerate
-    input rather than a sound containment).
+    Raises :class:`WitnessError` when a rung's relation exceeds ``max_rows``
+    (higher rungs are larger still) or when no rung up to the bound verifies
+    (which, by Theorem 3.4, indicates numerically degenerate input rather
+    than a sound containment).
     """
     multiplicities = _integer_multiplicities(coefficients, max_denominator)
     ground = inequality.ground
@@ -241,24 +255,24 @@ def witness_from_normal_coefficients(
         ground, {key: float(value) for key, value in multiplicities.items()}
     )
     gap = candidate.total() - inequality.right_hand_side(candidate)
-    scale = _required_scaling(gap, hom_count)
-    scaled = {key: value * scale for key, value in multiplicities.items()}
-    relation = normal_witness_relation(ground, scaled, max_rows=max_rows)
-    witness = witness_from_relation(
-        inequality.q1,
-        inequality.q2,
-        relation,
-        description=(
-            f"normal witness from step multiplicities {_pretty(scaled)} "
-            f"(gap {gap:.3f} per copy, scaled ×{scale})"
-        ),
-    )
-    if witness is None:
-        raise WitnessError(
-            "the constructed normal relation failed verification; "
-            "the violating coefficients are likely numerically degenerate"
+    for scale in range(1, _required_scaling(gap, hom_count) + 1):
+        scaled = {key: value * scale for key, value in multiplicities.items()}
+        relation = normal_witness_relation(ground, scaled, max_rows=max_rows)
+        witness = witness_from_relation(
+            inequality.q1,
+            inequality.q2,
+            relation,
+            description=(
+                f"normal witness from step multiplicities {_pretty(scaled)} "
+                f"(gap {gap:.3f} per copy, scaled ×{scale})"
+            ),
         )
-    return witness
+        if witness is not None:
+            return witness
+    raise WitnessError(
+        "no normal relation up to the Lemma E.1 power passed verification; "
+        "the violating coefficients are likely numerically degenerate"
+    )
 
 
 def witness_from_modular_weights(
@@ -272,7 +286,12 @@ def witness_from_modular_weights(
 
     This is the Theorem 3.4(i) construction for totally disconnected junction
     trees: a modular function ``h(X) = Σ_{x∈X} a_x`` is the entropy of the
-    product relation with ``2^{a_x}`` values in column ``x``.
+    product relation with ``2^{a_x}`` values in column ``x``.  The weights are
+    rounded to integers and climbed like the normal witness's multiplicities:
+    the first ``m = 1, 2, …`` whose product relation with ``2^{m·a_x}`` values
+    per column separates is returned, up to :func:`_required_scaling`'s power.
+    Raises :class:`WitnessError` as :func:`witness_from_normal_coefficients`
+    does.
     """
     fractions = {
         variable: as_fraction(value, max_denominator)
@@ -292,26 +311,26 @@ def witness_from_modular_weights(
         },
     )
     gap = candidate.total() - inequality.right_hand_side(candidate)
-    scale = _required_scaling(gap, hom_count)
-    column_sizes = {
-        variable: 2 ** (integer_weights.get(variable, 0) * scale) for variable in ground
-    }
-    relation = product_witness_relation(ground, column_sizes, max_rows=max_rows)
-    witness = witness_from_relation(
-        inequality.q1,
-        inequality.q2,
-        relation,
-        description=(
-            f"product witness with column sizes {column_sizes} "
-            f"(gap {gap:.3f} per copy, scaled ×{scale})"
-        ),
-    )
-    if witness is None:
-        raise WitnessError(
-            "the constructed product relation failed verification; "
-            "the violating weights are likely numerically degenerate"
+    for scale in range(1, _required_scaling(gap, hom_count) + 1):
+        column_sizes = {
+            variable: 2 ** (integer_weights.get(variable, 0) * scale) for variable in ground
+        }
+        relation = product_witness_relation(ground, column_sizes, max_rows=max_rows)
+        witness = witness_from_relation(
+            inequality.q1,
+            inequality.q2,
+            relation,
+            description=(
+                f"product witness with column sizes {column_sizes} "
+                f"(gap {gap:.3f} per copy, scaled ×{scale})"
+            ),
         )
-    return witness
+        if witness is not None:
+            return witness
+    raise WitnessError(
+        "no product relation up to the Lemma E.1 power passed verification; "
+        "the violating weights are likely numerically degenerate"
+    )
 
 
 def _pretty(multiplicities: Mapping[FrozenSet[str], int]) -> str:

@@ -68,6 +68,33 @@ CREATE INDEX IF NOT EXISTS log_hash ON log (hash);
 """
 
 
+def read_import_records(stream) -> List[Dict[str, object]]:
+    """Parse and validate every line of a JSONL export, without a store.
+
+    Raises :class:`StoreError` naming the stream's file and the first line
+    that is not JSON or fails :func:`validate_record`; blank lines are
+    skipped.
+    """
+    name = getattr(stream, "name", "<input>")
+    records = []
+    for number, line in enumerate(stream, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except ValueError as error:
+            raise StoreError(
+                f"{name}: import line {number} is not valid JSON: {error}"
+            ) from error
+        try:
+            validate_record(record)
+        except StoreError as error:
+            raise StoreError(f"{name}: import line {number}: {error}") from error
+        records.append(record)
+    return records
+
+
 class VerdictStore:
     """Append-only durable store of containment verdicts and certificates.
 
@@ -285,29 +312,19 @@ class VerdictStore:
     def import_jsonl(self, stream) -> Tuple[int, int]:
         """Merge records from a JSONL export; returns ``(imported, skipped)``.
 
-        Records whose hash is already present are skipped (the store is
-        append-only and first-wins).  Every line is parsed and validated
+        Every line is parsed and validated (:func:`read_import_records`)
         before any record is appended, so an invalid line raises
         :class:`StoreError`, naming the stream's file and the line, and
         leaves the store as it was.
         """
-        name = getattr(stream, "name", "<input>")
-        records = []
-        for number, line in enumerate(stream, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError as error:
-                raise StoreError(
-                    f"{name}: import line {number} is not valid JSON: {error}"
-                ) from error
-            try:
-                validate_record(record)
-            except StoreError as error:
-                raise StoreError(f"{name}: import line {number}: {error}") from error
-            records.append(record)
+        return self.import_records(read_import_records(stream))
+
+    def import_records(self, records: List[Dict[str, object]]) -> Tuple[int, int]:
+        """Merge validated records; returns ``(imported, skipped)``.
+
+        Records whose hash is already present are skipped (the store is
+        append-only and first-wins).
+        """
         imported = skipped = 0
         for record in records:
             with self._lock:

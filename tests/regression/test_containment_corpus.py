@@ -25,9 +25,16 @@ import linprog_oracle
 import pytest
 from lp_paths import PATHS, pin_path
 
-from repro.core.containment import containment_pipeline, decide_containment
+from repro.core import containment
+from repro.core.containment import (
+    ContainmentStatus,
+    containment_pipeline,
+    decide_containment,
+)
+from repro.core.witness import verify_witness
 from repro.cq.parser import parse_query
 from repro.cq.query import ConjunctiveQuery
+from repro.cq.reductions import to_boolean_pair
 from repro.infotheory.maxiip import decide_max_ii, decide_max_ii_many
 from repro.service import decide_containment_many, engine
 
@@ -86,6 +93,39 @@ def test_sequential_replay_matches_frozen_verdict(entry, path):
         f"{entry['name']}: frozen {entry['status']!r} but {path} "
         f"path returned {result.status.value!r}"
     )
+
+
+def test_theorem_3_1_refutations_carry_witnesses_built_from_their_lp_points(monkeypatch):
+    """No Theorem 3.1 refutation of the corpus falls through to brute force.
+
+    Each one carries the witness built from its violating ``Nn``/``Mn``
+    point, and that witness separates the pair when recounted.
+    """
+    calls = []
+    brute_force_refute = containment.brute_force_refute
+
+    def recorded(q1, q2, *args, **kwargs):
+        calls.append((q1, q2))
+        return brute_force_refute(q1, q2, *args, **kwargs)
+
+    monkeypatch.setattr(containment, "brute_force_refute", recorded)
+    refuted = []
+    for entry in CORPUS:
+        calls.clear()
+        q1, q2 = load_pair(entry)
+        result = decide_containment(q1, q2)
+        if result.method != "theorem-3.1":
+            continue
+        assert not calls, f"{entry['name']}: the Theorem 3.1 route called brute force"
+        if result.status is ContainmentStatus.NOT_CONTAINED:
+            refuted.append(entry["name"])
+            recounted = verify_witness(*to_boolean_pair(q1, q2), result.witness.database)
+            assert recounted is not None, entry["name"]
+            assert (recounted.hom_q1, recounted.hom_q2) == (
+                result.witness.hom_q1,
+                result.witness.hom_q2,
+            )
+    assert len(refuted) >= 2
 
 
 @pytest.mark.parametrize("path", PATHS)

@@ -13,6 +13,7 @@ from repro.cli import _parse_structure, main
 from repro.core.containment import decide_containment
 from repro.cq.parser import parse_query
 from repro.exceptions import ReproError
+from repro.store import VerdictStore
 
 
 def run_cli(*argv):
@@ -216,9 +217,9 @@ def test_soak_refuses_an_unwritable_report_before_it_runs(tmp_path, monkeypatch)
     assert (code, output) == (1, f"error: {report}: No such file or directory\n")
 
 
-@pytest.mark.parametrize("bad_line", ["not-json", "hash-mismatch"])
-def test_cache_import_commits_nothing_from_a_bad_file(tmp_path, bad_line):
-    source, target = tmp_path / "a.sqlite", tmp_path / "b.sqlite"
+def _export_with_bad_line(tmp_path, bad_line):
+    """A one-record export followed by a line that is not JSON or fails validation."""
+    source = tmp_path / "a.sqlite"
     pairs, exported = tmp_path / "pairs.txt", tmp_path / "records.jsonl"
     pairs.write_text("R(x,y), R(y,z) | R(x,y)\n")
     assert run_cli("batch", "--store", str(source), str(pairs))[0] == 0
@@ -229,12 +230,29 @@ def test_cache_import_commits_nothing_from_a_bad_file(tmp_path, bad_line):
     else:
         last = json.dumps(dict(json.loads(line), hash="0" * 16))
     exported.write_text(f"{line}\n{last}\n")
+    return exported
+
+
+@pytest.mark.parametrize("bad_line", ["not-json", "hash-mismatch"])
+def test_cache_import_commits_nothing_from_a_bad_file(tmp_path, bad_line):
+    exported = _export_with_bad_line(tmp_path, bad_line)
+    target = tmp_path / "b.sqlite"
+    VerdictStore(str(target)).close()
     code, output = run_cli("cache", "import", "--store", str(target), str(exported))
     assert code == 1
     assert output.startswith(f"error: {exported}: import line 2")
     assert output.count("\n") == 1
     code, output = run_cli("cache", "info", "--store", str(target))
     assert code == 0 and json.loads(output)["entries"] == 0
+
+
+@pytest.mark.parametrize("bad_line", ["not-json", "hash-mismatch"])
+def test_failed_cache_import_leaves_no_new_store(tmp_path, bad_line):
+    exported = _export_with_bad_line(tmp_path, bad_line)
+    target = tmp_path / "new" / "b.sqlite"
+    code, output = run_cli("cache", "import", "--store", str(target), str(exported))
+    assert code == 1 and output.startswith(f"error: {exported}: import line 2")
+    assert not target.parent.exists()
 
 
 def test_cache_import_creates_a_missing_store(tmp_path):

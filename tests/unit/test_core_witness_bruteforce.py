@@ -1,5 +1,7 @@
 """Unit tests for witness construction and the brute-force refutation baselines."""
 
+import re
+
 import pytest
 
 from repro.cq.decompositions import junction_tree
@@ -15,14 +17,18 @@ from repro.core.brute_force import (
 )
 from repro.core.containment_inequality import build_containment_inequality
 from repro.core.witness import (
+    DEFAULT_MAX_ROWS,
+    _required_scaling,
     normal_witness_relation,
     product_witness_relation,
     verify_witness,
+    witness_from_modular_weights,
     witness_from_normal_coefficients,
     witness_from_relation,
 )
 from repro.exceptions import WitnessError
 from repro.infotheory.entropy import relation_entropy
+from repro.infotheory.functions import normal_function
 from repro.workloads.paper_examples import example_3_5, example_3_5_normal_witness
 
 
@@ -72,9 +78,40 @@ def test_verify_witness_positive_and_negative(example_35_pair):
     )
 
 
+def theorem_3_1_inequality(q1, q2):
+    return build_containment_inequality(q1, q2, [junction_tree(q2)])
+
+
+def lemma_e1_bound(inequality, steps, hom_count):
+    """The last rung of the climb: Lemma E.1's power for the normal function ``steps``."""
+    candidate = normal_function(inequality.ground, steps)
+    gap = candidate.total() - inequality.right_hand_side(candidate)
+    return _required_scaling(gap, hom_count)
+
+
+def normal_rungs(inequality, coefficients):
+    """``m ↦`` the normal relation of the integer ``coefficients`` at power ``m``."""
+    return lambda m: normal_witness_relation(
+        inequality.ground, {key: int(value) * m for key, value in coefficients.items()}
+    )
+
+
+def assert_smallest_separating_power(inequality, witness, bound, relation_at):
+    """``witness`` is the first rung ``m ≤ bound`` that separates; returns ``m``.
+
+    ``relation_at(m)`` rebuilds the candidate relation at power ``m``.
+    """
+    power = int(re.search(r"scaled ×(\d+)", witness.description).group(1))
+    assert 1 <= power <= bound
+    if power > 1:
+        below = witness_from_relation(inequality.q1, inequality.q2, relation_at(power - 1))
+        assert below is None
+    return power
+
+
 def test_witness_from_normal_coefficients_example_35(example_35_pair):
     q1, q2 = example_35_pair.q1, example_35_pair.q2
-    inequality = build_containment_inequality(q1, q2, [junction_tree(q2)])
+    inequality = theorem_3_1_inequality(q1, q2)
     hom_count = count_query_to_query_homomorphisms(q2, q1)
     coefficients = {
         frozenset({"x1", "x2"}): 1.0,
@@ -83,6 +120,81 @@ def test_witness_from_normal_coefficients_example_35(example_35_pair):
     witness = witness_from_normal_coefficients(inequality, coefficients, hom_count)
     assert witness.hom_q1 > witness.hom_q2
     assert "normal witness" in witness.description
+    # Lemma E.1 asks for m = 2 (gap 1, |hom(Q2, Q1)| = 2), but the paper's
+    # {(u,u,v,v)} over two values, the power 1, already separates.
+    bound = lemma_e1_bound(inequality, coefficients, hom_count)
+    power = assert_smallest_separating_power(
+        inequality,
+        witness,
+        bound,
+        normal_rungs(inequality, coefficients),
+    )
+    assert (power, bound) == (1, 2)
+
+
+def test_witness_from_normal_coefficients_climbs_past_a_rung_that_fails():
+    # path3 ⊑ path2: the power-1 normal relation does not separate, power 2 does.
+    q1 = parse_query("R(x0,x1), R(x1,x2), R(x2,x3)")
+    q2 = parse_query("R(y0,y1), R(y1,y2)")
+    inequality = theorem_3_1_inequality(q1, q2)
+    hom_count = count_query_to_query_homomorphisms(q2, q1)
+    coefficients = {frozenset({"x0", "x1", "x2"}): 1.0, frozenset({"x1", "x2", "x3"}): 1.0}
+    witness = witness_from_normal_coefficients(inequality, coefficients, hom_count)
+    power = assert_smallest_separating_power(
+        inequality,
+        witness,
+        lemma_e1_bound(inequality, coefficients, hom_count),
+        normal_rungs(inequality, coefficients),
+    )
+    assert power == 2
+
+
+def test_witness_from_modular_weights_stops_at_the_first_separating_power():
+    # A directed triangle is not contained in one edge; |hom(Q2, Q1)| = 3, so
+    # Lemma E.1 asks for 4 values per column, while 2 already separate.
+    q1 = parse_query("R(x,y), R(y,z), R(z,x)")
+    q2 = parse_query("R(u,v)")
+    inequality = theorem_3_1_inequality(q1, q2)
+    hom_count = count_query_to_query_homomorphisms(q2, q1)
+    weights = {"x": 1.0, "y": 1.0, "z": 1.0}
+    witness = witness_from_modular_weights(inequality, weights, hom_count)
+    assert witness.hom_q1 > witness.hom_q2
+    assert "product witness" in witness.description
+    ground = inequality.ground
+    bound = lemma_e1_bound(
+        inequality,
+        {frozenset(ground) - {variable}: weight for variable, weight in weights.items()},
+        hom_count,
+    )
+    power = assert_smallest_separating_power(
+        inequality,
+        witness,
+        bound,
+        lambda m: product_witness_relation(
+            ground, {variable: 2 ** (int(weight) * m) for variable, weight in weights.items()}
+        ),
+    )
+    assert (power, bound) == (1, 2)
+
+
+def test_witness_climb_ends_when_its_first_rung_exceeds_the_row_limit():
+    # The violating normal point the Nn LP returns for this Theorem 3.1 pair:
+    # its integer step multiplicities sum to 13, so even the power 1 is a
+    # 2^13-row relation, over DEFAULT_MAX_ROWS, and the climb stops there.
+    q1 = parse_query("R(x2,x0), R(x0,x3), R(x1,x1), R(x1,x2), R(x1,x0)")
+    q2 = parse_query("R(y0,y1), R(y1,y2), R(y1,y3)")
+    inequality = theorem_3_1_inequality(q1, q2)
+    hom_count = count_query_to_query_homomorphisms(q2, q1)
+    coefficients = {
+        frozenset({"x1", "x2"}): 2.0,
+        frozenset({"x0", "x2", "x3"}): 4.0,
+        frozenset({"x0", "x1", "x2"}): 3.0,
+        frozenset({"x0", "x1", "x3"}): 4.0,
+    }
+    assert 2**13 > DEFAULT_MAX_ROWS
+    assert lemma_e1_bound(inequality, coefficients, hom_count) > 1
+    with pytest.raises(WitnessError, match=r"2\^13 rows"):
+        witness_from_normal_coefficients(inequality, coefficients, hom_count)
 
 
 def test_witness_from_normal_coefficients_rejects_non_violating(vee_pair):

@@ -66,6 +66,24 @@ class TestSerialization:
         witness = record["evidence"]["witness"]
         assert witness["hom_q1"] > witness["hom_q2"]
 
+    def test_refutation_without_a_witness_is_audited_unchecked(self, tmp_path):
+        # Theorem 3.1 refutes this pair, but the integer step multiplicities
+        # of its LP point sum to 13: even the power-1 witness would have 2^13
+        # rows, over the size budget, and brute force finds none.
+        q1 = parse_query("R(x2,x0), R(x0,x3), R(x1,x1), R(x1,x2), R(x1,x0)")
+        q2 = parse_query("R(y0,y1), R(y1,y2), R(y1,y3)")
+        key, canonical = canonical_result(q1, q2)
+        assert canonical.status is ContainmentStatus.NOT_CONTAINED
+        assert canonical.method == "theorem-3.1"
+        assert canonical.witness is None
+        assert "size budget" in canonical.details["note"]
+        with VerdictStore(str(tmp_path / "s.sqlite")) as store:
+            store.record(key, canonical)
+            store.flush()
+            report = verify_store(store)
+        assert report.ok
+        assert (report.checked, report.witnesses, report.unchecked) == (1, 0, 1)
+
     def test_validate_record_rejects_wrong_hash(self):
         key, canonical = canonical_result(TRIANGLE, VEE)
         record = build_record(key, canonical)
