@@ -36,7 +36,15 @@ sequential semantics.
 The pipeline booleanizes the pair exactly once (Lemma A.1) and threads the
 Boolean pair through every stage; the public ``sufficient_containment_check``
 and ``theorem_3_1_decision`` wrappers still accept non-Boolean pairs and
-reduce them on entry for direct callers.
+reduce them on entry for direct callers.  The reduction hands back fresh
+queries even for a Boolean pair, so what the stages cache on them
+(decompositions) is not kept on the caller's objects.
+
+Both routes decide the Eq. (8) Max-II over ``Γn`` through
+:func:`_gamma_verdict`: when some ``φ ∈ hom(Q2, Q1)`` is onto ``vars(Q1)``,
+:func:`closed_form_verdict` proves the pair with ``λ = e_ℓ`` and an exact
+integer proof, and no ``Γn`` request is yielded; only the pairs whose
+certificate needs several branches reach the LP.
 
 Performance notes
 -----------------
@@ -45,10 +53,13 @@ resolves cones and Shannon provers through per-ground-tuple caches, and the
 elemental constraint matrices come from the shared bitmask lattice context —
 so repeated containment checks over the same arity rebuild nothing: only the
 per-query expression vectors and the LP solves themselves are paid per call.
+The closed form reads its rows from one shared oracle per arity, so a pair
+under fresh variable names builds no lattice of its own.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Generator, Optional, Sequence, Tuple
@@ -77,9 +88,12 @@ from repro.core.witness import (
     witness_from_modular_weights,
     witness_from_normal_coefficients,
 )
-from repro.exceptions import QueryError, WitnessError
+from repro.exceptions import CertificateError, QueryError, WitnessError
 from repro.infotheory.expressions import MaxInformationInequality
 from repro.infotheory.maxiip import MaxIIVerdict, decide_max_ii
+from repro.infotheory.polymatroid import materialize_elementals
+from repro.infotheory.shannon import ShannonCertificate
+from repro.lp.rowgen import shannon_row_oracle
 
 
 class ContainmentStatus(Enum):
@@ -220,6 +234,102 @@ def _refute_from_cone_pipeline(
 
 
 # ---------------------------------------------------------------------- #
+# The Γn verdict: a closed form for an onto branch, else the LP
+# ---------------------------------------------------------------------- #
+def closed_form_verdict(inequality: ContainmentInequality) -> Optional[MaxIIVerdict]:
+    """A valid ``Γn`` verdict with an integer Shannon proof, when a branch's φ is onto.
+
+    Let the branch ``ℓ`` of ``φ ∈ hom(Q2, Q1)`` be the first whose φ is onto
+    ``V = vars(Q1)``.  Its terms ``h(A_t | C_t)`` list the decomposition's
+    bags parents first (:func:`~repro.core.et_expression.et_expression`):
+    ``A_t = φ(χ(t))`` and ``C_t`` is φ of the bag's separator, which lies in
+    the parent's ``A``.  So with ``U_t = A_1 ∪ … ∪ A_t``, ``C_t ⊆ U_{t−1}``,
+    ``U_last = V`` because φ is onto, and the branch telescopes:
+    ``E_ℓ − h(V) = Σ_t I(A_t ; U_{t−1} | C_t)``.  With
+    ``K_t = A_t ∩ U_{t−1}``, each term is
+    ``h(K_t | C_t) + I(A_t∖K_t ; U_{t−1}∖K_t | K_t)``, and the chain rule
+    expands both into elemental rows
+    (:meth:`~repro.lp.rowgen.ShannonRowOracle.conditional_entropy_row_ids`,
+    :meth:`~repro.lp.rowgen.ShannonRowOracle.mutual_information_row_ids`)
+    whose integer multipliers count how often each row occurs.
+
+    That is Theorem 6.1 with ``λ = e_ℓ``, for any tree decomposition.
+    Conversely, a branch whose φ misses some ``x`` is ``−1`` at the step
+    function ``h_{V∖x}``, so it is not valid alone: this returns ``None``
+    exactly for the pairs whose certificate needs several branches, and
+    those go to the LP.
+
+    The rows come from one shared oracle per arity, and the proof is
+    materialized under the pair's own names.  It is checked against
+    ``E_ℓ − h(V)`` at tolerance 0; a proof that does not sum raises
+    :class:`CertificateError`.
+    """
+    ground = inequality.ground
+    onto = next(
+        (
+            index
+            for index, branch in enumerate(inequality.branches)
+            if len(set(branch.homomorphism.values())) == len(ground)
+        ),
+        None,
+    )
+    if onto is None:
+        return None
+    branch = inequality.branches[onto]
+    bits = {variable: 1 << i for i, variable in enumerate(ground)}
+    # Named like the batch engine's canonical grounds, so both share one
+    # oracle per arity.
+    oracle = shannon_row_oracle(tuple(f"v{i}" for i in range(len(ground))))
+    counts: Counter = Counter()
+    union = 0
+    for term in branch.conditional.terms:
+        bag = sum(bits[variable] for variable in term.targets | term.given)
+        given = sum(bits[variable] for variable in term.given)
+        shared = bag & union
+        counts.update(oracle.conditional_entropy_row_ids(shared, given))
+        counts.update(
+            oracle.mutual_information_row_ids(bag & ~shared, union & ~shared, shared)
+        )
+        union |= bag
+    masks, coeffs, kinds = oracle.row_data(list(counts))
+    certificate = ShannonCertificate(
+        ground=ground,
+        multipliers=tuple(
+            zip(
+                materialize_elementals(ground, masks, coeffs, kinds),
+                map(float, counts.values()),
+            )
+        ),
+    )
+    target = MaxInformationInequality.containment_form(
+        1.0, ground, [branch.conditional.to_linear().with_ground(ground)]
+    ).branches[0]
+    if not certificate.verify(target, tolerance=0.0):
+        raise CertificateError(
+            f"the closed-form proof of branch {onto} does not sum to E_ℓ − h(V)"
+        )
+    return MaxIIVerdict(
+        valid=True,
+        cone="gamma",
+        certificate=certificate,
+        lambdas=tuple(float(index == onto) for index in range(len(inequality.branches))),
+    )
+
+
+def _gamma_verdict(
+    inequality: ContainmentInequality,
+) -> Generator[ConeDecisionRequest, MaxIIVerdict, MaxIIVerdict]:
+    """The Eq. (8) Max-II's ``Γn`` verdict: :func:`closed_form_verdict` when a
+    branch is onto, else the answer to one ``Γn`` request."""
+    verdict = closed_form_verdict(inequality)
+    if verdict is None:
+        verdict = yield ConeDecisionRequest(
+            inequality.as_max_ii(), "gamma", inequality.ground, seed="containment"
+        )
+    return verdict
+
+
+# ---------------------------------------------------------------------- #
 # Sufficient condition (Theorem 4.2)
 # ---------------------------------------------------------------------- #
 def _sufficient_pipeline(
@@ -244,9 +354,7 @@ def _sufficient_pipeline(
             inequality=inequality,
             details={"note": "hom(Q2,Q1) is empty but the canonical witness failed"},
         )
-    verdict = yield ConeDecisionRequest(
-        inequality.as_max_ii(), "gamma", inequality.ground, seed="containment"
-    )
+    verdict = yield from _gamma_verdict(inequality)
     if verdict.valid:
         return ContainmentResult(
             status=ContainmentStatus.CONTAINED,
@@ -273,9 +381,9 @@ def sufficient_containment_check(
     A CONTAINED verdict is always sound (``Γ*n ⊆ Γn``); any other outcome is
     reported as UNKNOWN by this function alone.
     """
-    if not (q1.is_boolean and q2.is_boolean):
-        q1, q2 = to_boolean_pair(q1, q2)
-    return run_containment_pipeline(_sufficient_pipeline(q1, q2, decompositions))
+    return run_containment_pipeline(
+        _sufficient_pipeline(*to_boolean_pair(q1, q2), decompositions)
+    )
 
 
 # ---------------------------------------------------------------------- #
@@ -300,9 +408,7 @@ def _theorem_3_1_pipeline(
             witness=witness,
             details={"reason": "hom(Q2, Q1) is empty"},
         )
-    verdict = yield ConeDecisionRequest(
-        inequality.as_max_ii(), "gamma", inequality.ground, seed="containment"
-    )
+    verdict = yield from _gamma_verdict(inequality)
     if verdict.valid:
         return ContainmentResult(
             status=ContainmentStatus.CONTAINED,
@@ -342,17 +448,19 @@ def theorem_3_1_decision(
 
     Requires ``Q2`` to be chordal with a simple junction tree (raises
     :class:`QueryError` otherwise).  The verdict is always CONTAINED or
-    NOT_CONTAINED.  A NOT_CONTAINED verdict carries a verified witness built
-    from the violating ``Nn``/``Mn`` point at the smallest power that
-    separates, up to Lemma E.1's bound (:mod:`repro.core.witness`), when that
-    witness has at most ``DEFAULT_MAX_ROWS`` rows.  Otherwise
+    NOT_CONTAINED.  A CONTAINED verdict with an onto homomorphism carries
+    its closed-form ``λ`` and Shannon proof (:func:`closed_form_verdict`);
+    one that needs several branches is decided by :func:`decide_max_ii`,
+    which computes no proof.  A NOT_CONTAINED verdict carries a verified
+    witness built from the violating ``Nn``/``Mn`` point at the smallest
+    power that separates, up to Lemma E.1's bound
+    (:mod:`repro.core.witness`), when that witness has at most
+    ``DEFAULT_MAX_ROWS`` rows.  Otherwise
     :func:`~repro.core.brute_force.brute_force_refute` is the last resort;
     when it finds nothing too, the verdict carries no witness and
     ``details["note"]`` says so.
     """
-    if not (q1.is_boolean and q2.is_boolean):
-        q1, q2 = to_boolean_pair(q1, q2)
-    return run_containment_pipeline(_theorem_3_1_pipeline(q1, q2))
+    return run_containment_pipeline(_theorem_3_1_pipeline(*to_boolean_pair(q1, q2)))
 
 
 # ---------------------------------------------------------------------- #

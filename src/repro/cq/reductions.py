@@ -43,14 +43,17 @@ def to_boolean_pair(
     Following Lemma A.1, the two queries must have the same number of head
     variables; the heads are aligned positionally and each position ``i``
     receives a fresh unary atom ``U_i`` on the corresponding head variable.
-    ``Q1 ⊑ Q2`` holds iff the returned Boolean pair is contained.
+    ``Q1 ⊑ Q2`` holds iff the returned Boolean pair is contained.  Boolean
+    inputs come back as fresh copies, so what a containment pipeline caches
+    on its pair (:attr:`ConjunctiveQuery.decompositions`) lives as long as
+    the pipeline's own objects, not as long as the caller's queries.
     """
     if len(q1.head) != len(q2.head):
         raise ReductionError(
             "queries must have the same number of head variables"
         )
     if q1.is_boolean:
-        return q1, q2
+        return q1.drop_head(), q2.drop_head()
     used = {atom.relation for atom in q1.atoms} | {atom.relation for atom in q2.atoms}
 
     def guard(query: ConjunctiveQuery) -> ConjunctiveQuery:

@@ -59,6 +59,10 @@ class MaxIIVerdict:
         over ``Γn``; a block whose duals failed the proof check has
         neither.  :func:`decide_max_ii` computes no proof; for a single
         inequality ``e``, ``shannon_prover(ground).certificate(e)`` does.
+        A containment pipeline whose pair has an onto homomorphism makes
+        its verdict without an LP
+        (:func:`repro.core.containment.closed_form_verdict`): ``λ`` is
+        ``e_ℓ`` and the proof has integer multipliers, checked exactly.
     """
 
     valid: bool

@@ -101,26 +101,29 @@ def describe_elemental(
     return f"I({left};{right}|{','.join(sorted(context)) or '∅'}) >= 0"
 
 
-def _materialize_elemental(lattice, row_masks, row_coeffs, kind: str) -> ElementalInequality:
-    """Build one :class:`ElementalInequality` from its mask/coefficient row."""
-    subsets_by_mask = lattice.subsets_by_mask
+def _materialize_elemental(
+    subset_of, positions, row_masks, row_coeffs, kind: str
+) -> ElementalInequality:
+    """Build one :class:`ElementalInequality` from its mask/coefficient row.
+
+    ``subset_of`` maps a bitmask to its subset and ``positions`` a variable
+    to its bit position.
+    """
     coefficients = tuple(
-        (subsets_by_mask[mask], float(coeff))
+        (subset_of(mask), float(coeff))
         for mask, coeff in zip(row_masks, row_coeffs)
         if coeff != 0.0
     )
     if kind == "monotonicity":
-        full = subsets_by_mask[row_masks[0]]
-        rest = subsets_by_mask[row_masks[1]]
+        full = subset_of(row_masks[0])
+        rest = subset_of(row_masks[1])
         description = (
             f"h({','.join(sorted(full))}) - h({','.join(sorted(rest))}) >= 0"
         )
     else:
-        pair = subsets_by_mask[row_masks[2]] - subsets_by_mask[row_masks[3]]
-        context = subsets_by_mask[row_masks[3]]
-        left, right = sorted(
-            pair, key=lambda variable: lattice.positions[variable]
-        )
+        pair = subset_of(row_masks[2]) - subset_of(row_masks[3])
+        context = subset_of(row_masks[3])
+        left, right = sorted(pair, key=positions.__getitem__)
         description = (
             f"I({left};{right}|{','.join(sorted(context)) or '∅'}) >= 0"
         )
@@ -136,13 +139,28 @@ def materialize_elementals(
 
     ``masks``/``coeffs`` are ``(m, 4)`` arrays in the layout of
     :meth:`SubsetLattice.elemental_structure` and
-    :meth:`repro.lp.rowgen.ShannonRowOracle.row_data`.  The row-generation
-    certificate path uses this to materialize only the handful of rows with
-    positive multipliers instead of every elemental inequality of ``Γn``.
+    :meth:`repro.lp.rowgen.ShannonRowOracle.row_data`, bit ``i`` standing
+    for ``ground[i]``.  The certificate paths use this to materialize only
+    the handful of rows a proof uses instead of every elemental inequality
+    of ``Γn``.  The subsets are built from ``ground``'s names alone, so rows
+    read from the oracle of any ground of the same size come out under
+    ``ground``'s names, and no lattice of ``ground`` is built.
     """
-    lattice = lattice_context(tuple(ground))
+    ground = tuple(ground)
+    positions = {variable: i for i, variable in enumerate(ground)}
+    subsets: Dict[int, FrozenSet[str]] = {}
+
+    def subset_of(mask) -> FrozenSet[str]:
+        mask = int(mask)
+        subset = subsets.get(mask)
+        if subset is None:
+            subset = subsets[mask] = frozenset(
+                variable for i, variable in enumerate(ground) if mask >> i & 1
+            )
+        return subset
+
     return [
-        _materialize_elemental(lattice, row_masks, row_coeffs, kind)
+        _materialize_elemental(subset_of, positions, row_masks, row_coeffs, kind)
         for row_masks, row_coeffs, kind in zip(masks, coeffs, kinds)
     ]
 
@@ -152,8 +170,9 @@ def _elemental_inequalities(ground: Tuple[str, ...]) -> Tuple[ElementalInequalit
     """Materialize the :class:`ElementalInequality` objects, once per ground tuple."""
     lattice = lattice_context(ground)
     _, masks, coeffs, kinds = lattice.elemental_structure()
+    subset_of = lattice.subsets_by_mask.__getitem__
     return tuple(
-        _materialize_elemental(lattice, row_masks, row_coeffs, kind)
+        _materialize_elemental(subset_of, lattice.positions, row_masks, row_coeffs, kind)
         for row_masks, row_coeffs, kind in zip(masks, coeffs, kinds)
     )
 

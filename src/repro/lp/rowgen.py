@@ -270,7 +270,15 @@ class ShannonRowOracle:
     LP layer's canonical non-empty-subset coordinates.
     """
 
-    __slots__ = ("lattice", "n", "row_count", "_context_block", "_pair_bits", "_pair_contexts")
+    __slots__ = (
+        "lattice",
+        "n",
+        "row_count",
+        "_context_block",
+        "_pair_bits",
+        "_pair_contexts",
+        "_context_position",
+    )
 
     def __init__(self, lattice: SubsetLattice):
         self.lattice = lattice
@@ -279,6 +287,12 @@ class ShannonRowOracle:
         # Contexts per pair block (1 when n == 2; no pairs at all when n < 2).
         self._context_block = 1 << max(n - 2, 0)
         sub_masks = _canon_masks_for_bits(max(n - 2, 0))
+        # A context's position in its pair's block, indexed by the context
+        # with the pair's two bits squeezed out (see _submodularity_row_id).
+        position = [0] * self._context_block
+        for index, mask in enumerate(sub_masks.tolist()):
+            position[mask] = index
+        self._context_position = position
         # Per ground-ordered pair (a, b): its bits, and its contexts (the
         # subsets of the other variables, canonical order) in one row.
         bits: List[Tuple[int, int]] = []
@@ -494,33 +508,71 @@ class ShannonRowOracle:
         )
         return masks, coeffs, kinds
 
-    def nonnegativity_row_ids(self, mask: int) -> List[int]:
-        """Elemental rows that sum to ``h(X)``, ``X`` the subset bitmask ``mask``.
+    def _submodularity_row_id(self, x: int, z: int, context: int) -> int:
+        """The id of the row ``I(x ; z | K)``: bit positions ``x ≠ z``, ``K`` a
+        bitmask holding neither."""
+        a, b = min(x, z), max(x, z)
+        pair_index = a * (2 * self.n - a - 1) // 2 + (b - a - 1)
+        # Squeeze bits a and b out of K: the pair's contexts enumerate the
+        # subsets of the other n - 2 positions, in canonical order.
+        squeezed = (
+            context & ((1 << a) - 1)
+            | (context >> (a + 1) & ((1 << (b - a - 1)) - 1)) << a
+            | (context >> (b + 1)) << (b - 1)
+        )
+        return self.n + pair_index * self._context_block + self._context_position[squeezed]
 
-        By the chain rule ``h(X) = Σ_i h(x_i | x_1 … x_{i-1})``, and each
-        ``h(x | Y) = h(x | V∖x) + Σ_j I(x ; z_j | Y z_1 … z_{j-1})`` over the
-        elements ``z_j`` of ``V ∖ xY``: one monotonicity row and
-        submodularity rows.  With multiplier 1 each, the returned rows (ids
-        may repeat) are a Shannon proof of ``h(X) ≥ 0``.
+    def conditional_entropy_row_ids(self, mask: int, given: int = 0) -> List[int]:
+        """Elemental rows that sum to ``h(X | Y)``, ``X``/``Y`` the bitmasks ``mask``/``given``.
+
+        By the chain rule ``h(X | Y) = Σ_i h(x_i | Y x_1 … x_{i-1})`` over
+        the elements of ``X ∖ Y``, and each ``h(x | Z) = h(x | V∖x) +
+        Σ_j I(x ; z_j | Z z_1 … z_{j-1})`` over the elements ``z_j`` of
+        ``V ∖ xZ``: one monotonicity row and submodularity rows.  With
+        multiplier 1 each, the returned rows (ids may repeat) are a Shannon
+        proof of ``h(X | Y) ≥ 0``.
         """
-        n = self.n
         ids: List[int] = []
-        before = 0
-        for x in range(n):
-            if not mask >> x & 1:
+        before = given
+        for x in range(self.n):
+            if not mask >> x & 1 or before >> x & 1:
                 continue
             ids.append(x)
             context = before
-            for z in range(n):
-                if z == x or before >> z & 1:
+            for z in range(self.n):
+                if z == x or context >> z & 1:
                     continue
-                a, b = min(x, z), max(x, z)
-                pair_index = a * (2 * n - a - 1) // 2 + (b - a - 1)
-                contexts = self._pair_contexts[pair_index]
-                position = int(np.flatnonzero(contexts == context)[0])
-                ids.append(n + pair_index * self._context_block + position)
+                ids.append(self._submodularity_row_id(x, z, context))
                 context |= 1 << z
             before |= 1 << x
+        return ids
+
+    def nonnegativity_row_ids(self, mask: int) -> List[int]:
+        """Elemental rows that sum to ``h(X)``: :meth:`conditional_entropy_row_ids`
+        with ``Y = ∅``."""
+        return self.conditional_entropy_row_ids(mask)
+
+    def mutual_information_row_ids(self, left: int, right: int, given: int = 0) -> List[int]:
+        """Elemental rows that sum to ``I(A ; B | K)``, for disjoint bitmasks
+        ``A``/``B``/``K`` (``left``/``right``/``given``).
+
+        By the chain rule on both sides, ``I(A ; B | K) = Σ_i Σ_j
+        I(a_i ; b_j | K a_1 … a_{i-1} b_1 … b_{j-1})``: ``|A|·|B|``
+        submodularity rows, each with multiplier 1.
+        """
+        if left & right or (left | right) & given:
+            raise LPError("I(A ; B | K) needs pairwise disjoint A, B and K")
+        ids: List[int] = []
+        before = given
+        for a in range(self.n):
+            if not left >> a & 1:
+                continue
+            context = before
+            for b in range(self.n):
+                if right >> b & 1:
+                    ids.append(self._submodularity_row_id(a, b, context))
+                    context |= 1 << b
+            before |= 1 << a
         return ids
 
     def rows_matrix(self, row_ids: Sequence[int]) -> sp.csr_matrix:

@@ -6,12 +6,14 @@ round each still-active pipeline has exactly one pending
 :class:`~repro.core.containment.ConeDecisionRequest`; the engine answers all
 of them at once:
 
-* **Shannon-cone requests** (``over="gamma"`` — the hot path: every pair's
-  Theorem 3.1 / Theorem 4.2 check issues exactly one) are grouped by ground
-  arity (and seed hint).  Each group's inequalities are renamed onto a shared canonical
-  ground tuple — an order-preserving positional rename, so the LP matrices
-  are bit-for-bit the ones the sequential path would build — and decided in
-  chunks of at most :data:`CHUNK_SIZE` through
+* **Shannon-cone requests** (``over="gamma"`` — every pair's Theorem 3.1 /
+  Theorem 4.2 check issues one, unless a homomorphism onto ``vars(Q1)``
+  lets the pipeline prove the pair in closed form and issue none) are
+  grouped by ground arity (and seed hint).  Each group's inequalities are
+  renamed onto a shared canonical ground tuple — an order-preserving
+  positional rename, so the LP matrices are bit-for-bit the ones the
+  sequential path would build — and decided in chunks of at most
+  :data:`CHUNK_SIZE` through
   :func:`repro.infotheory.maxiip.decide_max_ii_many`, one call per chunk.
   The arity picks how each block carries the ``Γn``
   description: up to ``n = 7`` the dense path stacks one full

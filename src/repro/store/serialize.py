@@ -9,11 +9,16 @@ for NOT_CONTAINED verdicts.  Everything is stored over the canonical
 variable names ``c0, c1, ...`` of the key's labeling, so a record is
 machine-independent and answers every isomorphic pair.
 
-A batch-engine verdict arrives with its certificate already attached,
-read off the duals of the block LP that decided it, and the record just
-serializes it.  Only a verdict without one (a sequential
-``decide_containment`` result, or a block whose duals failed the proof
-check) runs the certificate loop at record time (see :func:`build_record`).
+A CONTAINED verdict usually arrives with its certificate already
+attached, and the record just serializes it.  A pair with an onto
+homomorphism carries the pipeline's closed-form proof
+(:func:`repro.core.containment.closed_form_verdict`, ``λ = e_ℓ`` and
+integer multipliers), sequential or batched; a batch-engine verdict of a
+pair that needs several branches carries the proof read off the duals of
+the block LP that decided it.  Only a multi-branch verdict without one (a
+sequential ``decide_containment`` result, or a block whose duals failed the
+proof check) runs the certificate loop at record time (see
+:func:`build_record`).  All three serialize alike.
 
 Records are rendered with :func:`canonical_json` (sorted keys, minimal
 separators), which makes the on-disk payload — and therefore checksums,
@@ -313,12 +318,13 @@ def build_record(
     stored form).  CONTAINED verdicts with an Eq. (8) inequality persist a
     Theorem 6.1 Farkas certificate, so the stored verdict is independently
     re-checkable forever after: the ``λ`` and Shannon proof the verdict
-    carries (the batch engine's block LP reads them off its duals), or,
-    for a verdict without them, one computed here by
-    :func:`~repro.core.convex_certificate.find_convex_certificate` (the
-    sequential ``decide_containment`` path, and any block whose duals
-    failed the proof check).  NOT_CONTAINED verdicts persist their
-    counterexample witness instead.
+    carries (the pipeline's closed form for a pair with an onto
+    homomorphism, else the batch engine's block-LP duals), or, for a
+    verdict without them, one computed here by
+    :func:`~repro.core.convex_certificate.find_convex_certificate` (a
+    sequential ``decide_containment`` result of a multi-branch pair, and
+    any block whose duals failed the proof check).  NOT_CONTAINED verdicts
+    persist their counterexample witness instead.
     """
     evidence: Dict[str, object] = {}
     if result.witness is not None:

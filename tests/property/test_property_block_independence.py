@@ -4,9 +4,10 @@ On the row-generation path every block of a ``decide_max_ii_many`` call is
 solved on its own model, so deciding an inequality inside a chunk must give
 the same verdict, the same violating point, the same ``λ`` and the same
 Shannon proof (multiplier for multiplier) as deciding it alone.  Checked on
-the two ``n = 9`` CONTAINED pairs of the benchmark's LP catalogue, decided
-as the batch engine decides them, and on random chunks at ``n = 4–6`` that
-mix valid and invalid inequalities.
+the Eq. (8) Max-IIs of the two ``n = 9`` CONTAINED pairs of the benchmark's
+LP catalogue, renamed and decided as the batch engine decides a ``Γn``
+request, and on random chunks at ``n = 4–6`` that mix valid and invalid
+inequalities.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from lp_paths import pin_path
 
-from repro.core.containment import containment_pipeline
+from repro.core.containment_inequality import build_containment_inequality
+from repro.cq.decompositions import junction_tree
 from repro.cq.parser import parse_query
 from repro.infotheory.expressions import LinearExpression, MaxInformationInequality
 from repro.infotheory.maxiip import decide_max_ii_many
@@ -65,13 +67,17 @@ def assert_chunk_mate_independent(inequalities, ground, seed="generic"):
 
 
 def test_benchmark_n9_pairs_get_their_own_proofs_in_a_chunk():
+    # The pipeline proves these pairs in closed form (each has an onto
+    # homomorphism) and asks the LP nothing, so their Eq. (8) Max-IIs are
+    # built here, as the Theorem 3.1 route builds them.
     inequalities = []
+    canonical = _canonical_ground(9)
     for q1_text, q2_text in LP_PAIRS_N9:
-        request = next(containment_pipeline(parse_query(q1_text), parse_query(q2_text)))
-        assert request.over == "gamma" and len(request.ground) == 9
-        canonical = _canonical_ground(9)
-        mapping = dict(zip(request.ground, canonical))
-        inequalities.append(_rename_max_ii(request.max_ii, mapping, canonical))
+        q1, q2 = parse_query(q1_text), parse_query(q2_text)
+        inequality = build_containment_inequality(q1, q2, [junction_tree(q2)])
+        assert len(inequality.ground) == 9
+        mapping = dict(zip(inequality.ground, canonical))
+        inequalities.append(_rename_max_ii(inequality.as_max_ii(), mapping, canonical))
     assert [len(inequality.branches) for inequality in inequalities] == [18, 74]
     # The block LP runs row generation at n = 9.
     chunk = assert_chunk_mate_independent(

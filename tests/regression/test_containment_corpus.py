@@ -5,10 +5,12 @@ Every entry of ``containment_corpus.json`` is a pair with a known verdict
 each pair through the sequential driver and the batch service on both
 ``Γn`` LP paths (the dense elemental matrix and row generation, each pinned
 with ``tests/lp_paths.py``) — any future solver change that flips a verdict
-fails loudly with the pair's name.  Each pair's ``Γn`` decision is also checked against the one-shot
-``linprog`` oracle (``tests/linprog_oracle.py``), on the sequential path
-and on the block LP the batch engine drives, whose valid verdicts carry
-the Theorem 6.1 certificate read off its duals.
+fails loudly with the pair's name.  Each pair's Eq. (8) Max-II is also
+decided by the ``Γn`` LP, even when the pipeline proves it in closed form,
+and checked against the one-shot ``linprog`` oracle
+(``tests/linprog_oracle.py``), on the sequential path and on the block LP
+the batch engine drives, whose valid verdicts carry the Theorem 6.1
+certificate read off its duals.
 
 Regenerate (only for deliberate corpus extensions) with::
 
@@ -26,12 +28,10 @@ import pytest
 from lp_paths import PATHS, pin_path
 
 from repro.core import containment
-from repro.core.containment import (
-    ContainmentStatus,
-    containment_pipeline,
-    decide_containment,
-)
+from repro.core.containment import ContainmentStatus, decide_containment
+from repro.core.containment_inequality import build_containment_inequality
 from repro.core.witness import verify_witness
+from repro.cq.decompositions import has_simple_junction_tree, junction_tree
 from repro.cq.parser import parse_query
 from repro.cq.query import ConjunctiveQuery
 from repro.cq.reductions import to_boolean_pair
@@ -55,25 +55,28 @@ def load_pair(entry):
     return deserialize_query(entry["q1"]), deserialize_query(entry["q2"])
 
 
-def gamma_request(entry):
-    """The pair's first cone-decision request when it is over ``Γn``, else ``None``."""
-    pipeline = containment_pipeline(*load_pair(entry))
-    try:
-        request = next(pipeline)
-    except StopIteration:
-        return None
-    pipeline.close()
-    return request if request.over == "gamma" else None
+def eq8_inequality(entry):
+    """The pair's Eq. (8) inequality as its pipeline builds it, or ``None``
+    when ``hom(Q2, Q1)`` is empty.
+
+    Built here rather than read off the pipeline's first ``Γn`` request:
+    a pair with an onto homomorphism is proved in closed form and yields no
+    request, and these cases check the LP on every pair's Max-II.
+    """
+    q1, q2 = to_boolean_pair(*load_pair(entry))
+    decompositions = [junction_tree(q2)] if has_simple_junction_tree(q2) else None
+    inequality = build_containment_inequality(q1, q2, decompositions)
+    return None if inequality.is_trivially_false else inequality
 
 
-GAMMA_ENTRIES = [entry for entry in CORPUS if gamma_request(entry) is not None]
+GAMMA_ENTRIES = [entry for entry in CORPUS if eq8_inequality(entry) is not None]
 
 
 def gamma_case(entry):
-    """``(request, ground, branches)`` of a ``GAMMA_ENTRIES`` pair, branches over ``ground``."""
-    request = gamma_request(entry)
-    ground = request.ground
-    return request, ground, [branch.with_ground(ground) for branch in request.max_ii.branches]
+    """``(max_ii, ground, branches)`` of a ``GAMMA_ENTRIES`` pair, branches over ``ground``."""
+    inequality = eq8_inequality(entry)
+    max_ii, ground = inequality.as_max_ii(), inequality.ground
+    return max_ii, ground, [branch.with_ground(ground) for branch in max_ii.branches]
 
 
 def test_corpus_is_intact():
@@ -147,9 +150,9 @@ def test_batch_replay_matches_frozen_verdicts(path, chunk_size):
 @pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("entry", GAMMA_ENTRIES, ids=[e["name"] for e in GAMMA_ENTRIES])
 def test_gamma_decision_matches_linprog_oracle(entry, path):
-    request, ground, branches = gamma_case(entry)
+    max_ii, ground, branches = gamma_case(entry)
     with pin_path(path):
-        verdict = decide_max_ii(request.max_ii, over="gamma", ground=ground, seed=request.seed)
+        verdict = decide_max_ii(max_ii, over="gamma", ground=ground, seed="containment")
     assert verdict.valid == (linprog_oracle.point_below(ground, branches) is None)
     if not verdict.valid:
         linprog_oracle.assert_point_below(verdict.violating_function, branches)
@@ -159,10 +162,8 @@ def test_gamma_decision_matches_linprog_oracle(entry, path):
 @pytest.mark.parametrize("entry", GAMMA_ENTRIES, ids=[e["name"] for e in GAMMA_ENTRIES])
 def test_block_decision_matches_linprog_oracle(entry, path):
     """The batched path: the block LP's verdict, ``λ`` and proof, or its point."""
-    request, ground, branches = gamma_case(entry)
+    max_ii, ground, branches = gamma_case(entry)
     with pin_path(path):
-        (verdict,) = decide_max_ii_many(
-            [request.max_ii], over="gamma", ground=ground, seed=request.seed
-        )
+        (verdict,) = decide_max_ii_many([max_ii], over="gamma", ground=ground, seed="containment")
     assert verdict.valid == (linprog_oracle.point_below(ground, branches) is None)
     linprog_oracle.assert_block_verdict(verdict, ground, branches)

@@ -10,6 +10,7 @@ from repro.core.containment import (
 )
 from repro.cq.parser import parse_query
 from repro.exceptions import QueryError
+from repro.service import ContainmentService
 from repro.workloads.generators import clique_query, cycle_query, path_query
 
 
@@ -165,3 +166,34 @@ def test_non_chordal_containing_query_falls_back():
     result = decide_containment(q, q)
     assert result.status == ContainmentStatus.CONTAINED
     assert result.method == "sufficient-gamma"
+
+
+def solved_pairs():
+    """Fresh Boolean pairs: Theorem 3.1 (contained and not) and the general route."""
+    return [
+        (parse_query("R(x,y), R(y,z), R(z,x)"), parse_query("R(a,b), R(a,c)")),
+        (path_query(3), path_query(2)),
+        (cycle_query(4), cycle_query(4)),
+        (clique_query(4), cycle_query(4)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda pairs: [decide_containment(q1, q2) for q1, q2 in pairs],
+        lambda pairs: [sufficient_containment_check(q1, q2) for q1, q2 in pairs],
+        lambda pairs: [theorem_3_1_decision(q1, q2) for q1, q2 in pairs[:2]],
+        lambda pairs: ContainmentService().run(pairs).results,
+    ],
+    ids=["decide_containment", "sufficient", "theorem-3.1", "service"],
+)
+def test_solving_leaves_no_decompositions_on_the_callers_queries(solve):
+    # The pipeline caches cliques, junction trees and validated
+    # decompositions on the Boolean queries it works on; a Boolean input must
+    # not be one of them, or a caller that keeps its queries keeps all that.
+    pairs = solved_pairs()
+    results = solve(pairs)
+    assert {result.status for result in results} != {ContainmentStatus.UNKNOWN}
+    for q1, q2 in pairs:
+        assert "decompositions" not in vars(q1) and "decompositions" not in vars(q2)

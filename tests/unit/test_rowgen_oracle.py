@@ -177,6 +177,64 @@ def test_nonnegativity_rows_sum_to_the_subset_entropy(n):
         np.testing.assert_array_equal(total, expected)
 
 
+def entropy_vector(lattice, terms):
+    """``Σ coefficient · h(mask)`` over canonical non-empty columns."""
+    vector = np.zeros(lattice.size - 1)
+    for mask, coefficient in terms:
+        if mask:
+            vector[lattice.canon_pos[mask] - 1] += coefficient
+    return vector
+
+
+def summed_rows(oracle, ids):
+    if not ids:
+        return np.zeros(oracle.lattice.size - 1)
+    return np.asarray(oracle.rows_matrix(ids).sum(axis=0)).ravel()
+
+
+@pytest.mark.parametrize("n", sorted(GROUNDS))
+def test_conditional_entropy_rows_sum_to_the_conditional_entropy(n):
+    # h(X | Y) = h(XY) - h(Y) exactly, for every X and Y (X may meet Y).
+    ground = GROUNDS[n]
+    oracle = shannon_row_oracle(ground)
+    lattice = lattice_context(ground)
+    for x in range(lattice.size):
+        for y in range(lattice.size):
+            ids = oracle.conditional_entropy_row_ids(x, y)
+            expected = entropy_vector(lattice, [(x | y, 1.0), (y, -1.0)])
+            np.testing.assert_array_equal(summed_rows(oracle, ids), expected)
+
+
+@pytest.mark.parametrize("n", sorted(GROUNDS))
+def test_mutual_information_rows_sum_to_the_conditional_mutual_information(n):
+    # Every assignment of the variables to A, B, K or none of them.
+    ground = GROUNDS[n]
+    oracle = shannon_row_oracle(ground)
+    lattice = lattice_context(ground)
+    for code in range(4**n):
+        a = b = k = 0
+        for i in range(n):
+            part = code // 4**i % 4
+            a |= (part == 1) << i
+            b |= (part == 2) << i
+            k |= (part == 3) << i
+        ids = oracle.mutual_information_row_ids(a, b, k)
+        assert len(ids) == bin(a).count("1") * bin(b).count("1")
+        assert not any(row_id < n for row_id in ids)  # submodularity rows only
+        expected = entropy_vector(
+            lattice, [(a | k, 1.0), (b | k, 1.0), (a | b | k, -1.0), (k, -1.0)]
+        )
+        np.testing.assert_array_equal(summed_rows(oracle, ids), expected)
+
+
+def test_mutual_information_rows_need_disjoint_sets():
+    oracle = shannon_row_oracle(GROUNDS[3])
+    with pytest.raises(LPError):
+        oracle.mutual_information_row_ids(0b011, 0b010)
+    with pytest.raises(LPError):
+        oracle.mutual_information_row_ids(0b001, 0b010, given=0b011)
+
+
 @pytest.mark.parametrize("n", sorted(GROUNDS))
 def test_seed_ids_are_monotonicity_plus_rank1_submodularity(n):
     ground = GROUNDS[n]

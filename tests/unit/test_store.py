@@ -6,6 +6,7 @@ import sqlite3
 from pathlib import Path
 
 import pytest
+from multi_branch_pairs import triangle_vee_with_path
 
 from repro.core.containment import ContainmentStatus, decide_containment
 from repro.cq.parser import parse_query
@@ -329,10 +330,21 @@ class TestHighArityEvidence:
 
 
 class TestCertificatesFromTheDecision:
-    """Store certificates are the ones the block LP's duals hand back; the
-    certificate loop only fills in for a verdict that carries none."""
+    """Store certificates of multi-branch pairs are the ones the block LP's
+    duals hand back; the certificate loop only fills in for a verdict that
+    carries none.
 
-    PAIRS = [(TRIANGLE, VEE), (PATH2, EDGE), tree_pair(8, 5), tree_pair(9, 9)]
+    The pairs at ``n = 8`` and ``9`` have no onto homomorphism, so no
+    closed-form proof (see ``tests/multi_branch_pairs.py``): the block LP
+    decides all three CONTAINED pairs.
+    """
+
+    PAIRS = [
+        (TRIANGLE, VEE),
+        (PATH2, EDGE),
+        triangle_vee_with_path(4),
+        triangle_vee_with_path(5),
+    ]
 
     def run_batch(self, path):
         service = ContainmentService(BatchOptions(on_error="capture", store_path=path))
