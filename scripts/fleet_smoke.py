@@ -16,17 +16,22 @@ locally with ``PYTHONPATH=src python scripts/fleet_smoke.py``):
    gateway-side fold) — routing is deterministic, so the second replay
    routes each representative to the same replica whose plan cache the
    first replay warmed;
-4. replay a **duplicate-salted** corpus (every pair plus a variable-renamed
+4. replay a **renamed, atom-shuffled** corpus (every variable renamed
+   afresh, every query's atoms in a shuffled order) and assert every verdict
+   matches the corpus and comes from a cache tier: routing by canonical key
+   still sends each isomorph of a pair, as the one canonical text the
+   gateway forwards, to the replica that holds the pair;
+5. replay a **duplicate-salted** corpus (every pair plus a variable-renamed
    isomorphic copy) and assert the gateway folded the copies: the salted
    verdicts still match the corpus, at least one verdict per copy carries
    ``source="gateway-dedup"``, and ``repro_gateway_dedup_folded_total``
    is positive;
-5. check the gateway's fleet status: both replicas healthy, and **both**
+6. check the gateway's fleet status: both replicas healthy, and **both**
    actually routed pairs (the corpus must not collapse onto one shard);
-6. scrape the gateway's own metrics (``repro fleet status --prom``) and
+7. scrape the gateway's own metrics (``repro fleet status --prom``) and
    assert the exposition parses, every submitted pair is accounted for as
    either routed or folded, and no drain events fired;
-7. ``repro fleet stop`` and assert the shutdown is clean: exit code 0, the
+8. ``repro fleet stop`` and assert the shutdown is clean: exit code 0, the
    gateway and replica socket files unlinked, pings unanswered.
 
 Any violated expectation exits non-zero with a message, so the CI job fails
@@ -38,6 +43,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import random
 import signal
 import sys
 import tempfile
@@ -79,32 +85,58 @@ def corpus_pair_lines() -> tuple[list[str], list[str]]:
     return lines, expected
 
 
+def rename_text(text: str, suffix: str, rng: random.Random | None = None) -> str:
+    """An isomorphic copy of a query text: every variable gets ``suffix``;
+    with ``rng``, the atoms also come in a shuffled order."""
+    from repro.cq.parser import parse_query
+
+    query = parse_query(text, name="Q")
+    renamed = query.rename({v: f"{v}{suffix}" for v in query.variables})
+    atoms = [str(atom) for atom in renamed.atoms]
+    if rng is not None:
+        rng.shuffle(atoms)
+    body = ", ".join(atoms)
+    if renamed.head:
+        return f"({', '.join(renamed.head)}) :- {body}"
+    return body
+
+
 def salted_pair_lines(lines: list[str]) -> list[str]:
     """Each corpus pair followed by a variable-renamed isomorphic copy.
 
     The copies are exactly what the gateway's dedup pass must fold: a
     different surface text, the same canonical key.
     """
-    from repro.cq.parser import parse_query
-
-    def rename_text(text: str) -> str:
-        query = parse_query(text, name="Q")
-        renamed = query.rename({v: f"{v}_salt" for v in query.variables})
-        body = ", ".join(str(atom) for atom in renamed.atoms)
-        if renamed.head:
-            return f"({', '.join(renamed.head)}) :- {body}"
-        return body
-
     salted = []
     for line in lines:
         record = json.loads(line)
         salted.append(line)
         salted.append(
             json.dumps(
-                {"q1": rename_text(record["q1"]), "q2": rename_text(record["q2"])}
+                {
+                    "q1": rename_text(record["q1"], "_salt"),
+                    "q2": rename_text(record["q2"], "_salt"),
+                }
             )
         )
     return salted
+
+
+def shuffled_pair_lines(lines: list[str], seed: int = 0) -> list[str]:
+    """Every corpus pair renamed afresh, each query's atoms shuffled."""
+    rng = random.Random(seed)
+    shuffled = []
+    for index, line in enumerate(lines):
+        record = json.loads(line)
+        shuffled.append(
+            json.dumps(
+                {
+                    "q1": rename_text(record["q1"], f"_s{index}", rng),
+                    "q2": rename_text(record["q2"], f"_s{index}", rng),
+                }
+            )
+        )
+    return shuffled
 
 
 def run_cli(*argv: str) -> tuple[int, str]:
@@ -191,6 +223,27 @@ def main() -> int:
             "cache/store tiers (routing affinity held)"
         )
 
+        shuffled_file = scratch / "corpus_pairs_shuffled.jsonl"
+        shuffled_file.write_text("\n".join(shuffled_pair_lines(lines)) + "\n")
+        shuffled_records = replay(shuffled_file, gateway_socket, fleet_dir)
+        if [record["status"] for record in shuffled_records] != expected:
+            fail("renamed, atom-shuffled replay statuses diverge from the corpus", fleet_dir)
+        cold = [
+            record["index"]
+            for record in shuffled_records
+            if record["source"] not in WARM_SOURCES
+        ]
+        if cold:
+            fail(
+                f"renamed, atom-shuffled pairs {cold} were not answered from a "
+                f"cache tier (sources must be one of {WARM_SOURCES})",
+                fleet_dir,
+            )
+        print(
+            f"fleet-smoke: renamed, atom-shuffled replay ok — all {len(lines)} "
+            "pairs from cache/store tiers (isomorphs reach their replica)"
+        )
+
         salted_lines = salted_pair_lines(lines)
         salted_file = scratch / "corpus_pairs_salted.jsonl"
         salted_file.write_text("\n".join(salted_lines) + "\n")
@@ -209,7 +262,7 @@ def main() -> int:
                 f"{len(lines)} duplicate copies at the gateway",
                 fleet_dir,
             )
-        pairs_sent = 2 * len(lines) + len(salted_lines)
+        pairs_sent = 3 * len(lines) + len(salted_lines)
         print(
             f"fleet-smoke: salted replay ok — {len(folded_records)} of "
             f"{len(salted_lines)} pairs folded at the gateway"
@@ -267,7 +320,7 @@ def main() -> int:
             fail(
                 f"exposition accounts for {routed_total} routed + "
                 f"{folded_total} folded pairs, expected {pairs_sent} total "
-                "across the three replays",
+                "across the four replays",
                 fleet_dir,
             )
         drains = sum(samples.get("repro_gateway_drain_events_total", {}).values())

@@ -356,22 +356,23 @@ def _cmd_batch(args, out) -> int:
             obs_tracer.deactivate()
             spans = tracer.export_jsonl(args.trace)
             print(f"trace: wrote {spans} spans to {args.trace}", file=sys.stderr)
+    # Each record reads only renaming-invariant fields, so no evidence is
+    # renamed onto the requesters' variables (see PairOutcome).
     for outcome, (q1, q2) in zip(report.outcomes, pairs):
+        entry = outcome.entry
         record = {
             "index": outcome.index,
-            "status": outcome.result.status.value,
-            "method": outcome.result.method,
+            "status": entry.status.value,
+            "method": entry.method,
             "source": outcome.source,
             "q1": str(q1),
             "q2": str(q2),
         }
-        if outcome.result.witness is not None:
-            record["witness_rows"] = outcome.result.witness.database.total_tuples()
+        if entry.witness is not None:
+            record["witness_rows"] = entry.witness.database.total_tuples()
         print(json.dumps(record), file=out)
     _emit_batch_stats(report.stats, args)
-    return _batch_exit_code(
-        [outcome.result.status.value for outcome in report.outcomes]
-    )
+    return _batch_exit_code([outcome.entry.status.value for outcome in report.outcomes])
 
 
 # ---------------------------------------------------------------------- #

@@ -2,11 +2,12 @@
 
 A bounded LRU mapping from :data:`~repro.service.canonical.PairKey` to
 :class:`~repro.core.containment.ContainmentResult`.  Entries are stored in
-*canonical* variables (the ``c0, c1, ...`` names of the key's labeling) and
-renamed onto each requesting pair's variables on a hit, so the witness and
-inequality a hit returns are always expressed over the requester's own
-variable names — never a representative's — and the same canonical entry is
-what the durable verdict store persists (see :mod:`repro.store`).
+*canonical* variables (the ``c0, c1, ...`` names of the key's labeling), and
+the same canonical entry is what the durable verdict store persists (see
+:mod:`repro.store`).  A hit returns the canonical entry; the service renames
+it onto the requesting pair's variables when its evidence is read, so the
+witness and inequality a caller sees are always expressed over the
+requester's own variable names — never a representative's.
 
 Membership semantics: ``key in cache`` is a first-class cache read.  It
 counts a hit or a miss and refreshes the entry's LRU recency exactly like
@@ -23,16 +24,11 @@ diagrammed in ``docs/architecture.md``.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import replace
 from typing import Hashable, Optional
 
 from repro.core.containment import ContainmentResult
 from repro.service.canonical import PairLabelings
-from repro.service.evidence import (
-    canonical_mappings,
-    rename_result,
-    requester_mappings,
-)
+from repro.service.evidence import canonical_mappings, rename_result
 
 
 class PlanCache:
@@ -63,16 +59,13 @@ class PlanCache:
         hit/miss or refreshing recency."""
         return self._entries.get(key)
 
-    def get(
-        self, key: Hashable, labelings: Optional[PairLabelings] = None
-    ) -> Optional[ContainmentResult]:
-        """Look up a result, counting the hit/miss and refreshing recency.
+    def get(self, key: Hashable) -> Optional[ContainmentResult]:
+        """Look up an entry, counting the hit/miss and refreshing recency.
 
-        With ``labelings`` (the requesting pair's canonical labelings, from
-        :func:`~repro.service.canonical.pair_key_with_labelings`) a hit is
-        renamed from the stored canonical variables onto the requester's
-        variables and tagged ``provenance="cache-hit"``; without, the stored
-        entry is returned as is.
+        The entry is returned as stored, in canonical variables.  The caller
+        renames it onto a requester's variables only when the evidence is
+        read (:attr:`repro.service.service.PairOutcome.result`, which also
+        tags a replay ``provenance="cache-hit"``).
         """
         result = self._entries.get(key)
         if result is None:
@@ -80,11 +73,6 @@ class PlanCache:
             return None
         self._entries.move_to_end(key)
         self.hits += 1
-        if labelings is not None and isinstance(result, ContainmentResult):
-            mapping1, mapping2 = requester_mappings(labelings)
-            return replace(
-                rename_result(result, mapping1, mapping2), provenance="cache-hit"
-            )
         return result
 
     def put(

@@ -416,16 +416,19 @@ class ContainmentDaemon:
             self.gate.release()
             self._request_seconds.observe(time.perf_counter() - received)
         self._requests_total.inc(outcome="degraded" if degraded else "ok")
+        # The wire verdict reads only what renaming leaves alone, so it is
+        # built from each outcome's entry and no evidence is renamed.
         verdicts = []
         for outcome in report.outcomes:
+            entry = outcome.entry
             witness_rows = None
-            if outcome.result.witness is not None:
-                witness_rows = outcome.result.witness.database.total_tuples()
+            if entry.witness is not None:
+                witness_rows = entry.witness.database.total_tuples()
             verdicts.append(
                 PairVerdict(
                     index=outcome.index,
-                    status=outcome.result.status.value,
-                    method=outcome.result.method,
+                    status=entry.status.value,
+                    method=entry.method,
                     source=outcome.source,
                     witness_rows=witness_rows,
                 )

@@ -13,7 +13,10 @@ along a variable bijection per query side.  The bijections come from the
 canonical labelings of :func:`repro.service.canonical.pair_key_with_labelings`:
 ``canonical_mappings`` maps a solved pair's variables *onto* the canonical
 names (``c0, c1, ...``) for storage, and ``requester_mappings`` maps the
-canonical names back onto a requesting pair's variables on a hit.  Equal
+canonical names back onto a requesting pair's variables when a hit's
+evidence is read (:attr:`repro.service.service.PairOutcome.result`; a
+caller that reads only status, method and witness size, such as the
+daemon, renames nothing).  Equal
 keys guarantee both sides are isomorphic to the same canonical pair, so the
 composition is always a sound bijection — even when the canonicalization
 search budget was exhausted (the key *is* the serialization under the
@@ -27,9 +30,9 @@ only ever mentions variables of the submitted queries — both mappings are
 total on everything that needs renaming.
 
 This renaming invariant — evidence is stored canonical, delivered in the
-requester's variables — is what makes plan-cache hits, store hits, and the
-gateway's cross-shard dedup indistinguishable from fresh solves; see
-``docs/architecture.md``.
+requester's variables when read — is what makes plan-cache hits, store hits,
+and the gateway's cross-shard dedup indistinguishable from fresh solves;
+see ``docs/architecture.md``.
 """
 
 from __future__ import annotations

@@ -9,20 +9,30 @@ that speaks the same JSONL protocol on both sides — any existing client
 gateway and see a single, faster daemon.
 
 The gateway **dedups before it shards**: every pair in the incoming batch
-is parsed and canonicalized through :func:`repro.service.canonical.pair_key`
-(LRU-cached on the raw pair text), exact-duplicate *and* isomorphic pairs
-fold onto one representative per canonical key, and only representatives
-are dispatched.  The representative's verdict then fans back out to every
-folded requester (``source="gateway-dedup"``).  This is sound for the same
-reason the single-service dedup is: the paper's reduction makes bag
-containment a property of the canonical pair alone (containment ⇔ a
-max-information inequality over the canonicalized queries), and the wire
-verdict — status, method, provenance, witness row count — is invariant
-under variable renaming.  Evidence that *does* mention variables
-(certificates, witness databases) lives replica-side in canonical
-variables and is renamed into each requester's variables by the service
-layer via :mod:`repro.service.evidence`; the gateway never has to undo a
-renaming because the protocol never carries renamed payloads.
+is parsed and canonicalized through :func:`repro.service.canonical.pair_key`,
+exact-duplicate *and* isomorphic pairs fold onto one representative per
+canonical key, and only representatives are dispatched.  The
+representative's verdict then fans back out to every folded requester
+(``source="gateway-dedup"``).  This is sound for the same reason the
+single-service dedup is: the paper's reduction makes bag containment a
+property of the canonical pair alone (containment ⇔ a max-information
+inequality over the canonicalized queries), and the wire verdict — status,
+method, provenance, witness row count — is invariant under variable
+renaming.
+
+The gateway **forwards canonical forms**: each representative travels to
+its replica as the text of its canonical key
+(:func:`repro.service.canonical.canonical_text` — variables ``c0, c1, ...``,
+atoms in key order, head kept), not as the client sent it.  Every isomorph
+of a pair thus reaches its replica as one text, and the replica's own
+canonicalization of that text is a hit in its labeling memo.  The
+gateway's text cache (LRU on the raw pair texts) holds each pair's routing
+hash together with its canonical pair.  The wire protocol is unchanged: a
+replica still computes its own key, so an older gateway or a direct client
+only misses the memo.  A replica solves the canonical form, so the evidence
+a fleet keeps depends only on the pair's isomorphism class; it lives
+replica-side in canonical variables, and since the wire verdict carries
+none of it, nothing renames evidence on the way to a client.
 
 Routing is by **consistent-hash ring** (:mod:`repro.service.ring`): the
 canonical key's structural hash is looked up on a ring with a configurable
@@ -78,9 +88,10 @@ Consistency invariants (see ``docs/architecture.md`` for the layer map and
   re-route rounds it took;
 * **first-wins appends** — re-warm merges peer stores with
   ``export | import`` semantics, so merging is idempotent and order-free;
-* **dedup-evidence renaming** — gateway folding relies on wire verdicts
-  being renaming-invariant; per-requester evidence renaming stays in
-  :mod:`repro.service.evidence` on the replica side.
+* **renaming-invariant verdicts** — gateway folding and canonical
+  forwarding rely on wire verdicts being renaming-invariant; in-process
+  callers that read evidence get it renamed onto their own variables by
+  :mod:`repro.service.evidence`.
 
 The fleet's place in the stack is diagrammed in ``docs/architecture.md``;
 the operator runbook (lifecycle, drain/re-warm, failure modes, gateway
@@ -91,6 +102,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import functools
 import io
 import json
 import os
@@ -106,7 +118,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.cq.parser import parse_query
 from repro.exceptions import ReproError
 from repro.obs.metrics import LATENCY_BUCKETS, MetricsRegistry
-from repro.service.canonical import pair_key
+from repro.service.canonical import canonical_text, pair_key
 from repro.service.daemon import (
     DaemonClient,
     _clear_stale_socket,
@@ -121,6 +133,7 @@ from repro.service.protocol import (
     BatchRequest,
     BatchResponse,
     ControlRequest,
+    PairSpec,
     PairVerdict,
     ProtocolError,
     encode_batch_response,
@@ -145,6 +158,22 @@ _STREAM_LIMIT = 16 * 1024 * 1024
 
 #: Name of the manifest file a running fleet keeps in its directory.
 MANIFEST_NAME = "fleet.json"
+
+#: Distinct pair texts whose route the gateway remembers (least recently
+#: used first out).
+ROUTE_CACHE_SIZE = 4096
+
+
+def _canonical_route(q1_text: str, q2_text: str) -> Tuple[int, PairSpec]:
+    """A pair's routing integer and the texts of its canonical form.
+
+    Parses both queries, so it raises on unparseable text.
+    """
+    key = pair_key(parse_query(q1_text, name="Q1"), parse_query(q2_text, name="Q2"))
+    return (
+        int(structural_hash(key), 16),
+        PairSpec(canonical_text(key[0]), canonical_text(key[1])),
+    )
 
 
 @dataclass(frozen=True)
@@ -204,7 +233,6 @@ class FleetGateway:
         reply_margin: float = 5.0,
         rewarmer: Optional[Rewarmer] = None,
         registry: Optional[MetricsRegistry] = None,
-        hash_cache_size: int = 4096,
         ring_vnodes: int = DEFAULT_VNODES,
         dispatch_parallelism: Optional[int] = None,
     ):
@@ -241,8 +269,11 @@ class FleetGateway:
         self._stop_requested = False
         self._stopping: Optional[asyncio.Event] = None
         self._bound_inode: Optional[int] = None
-        self._hash_cache: "OrderedDict[Tuple[str, str], int]" = OrderedDict()
-        self._hash_cache_size = hash_cache_size
+        # Keyed by the pair's raw texts.  Routing runs in executor threads,
+        # and ``lru_cache`` keeps its bookkeeping consistent across them.
+        self._route_cache = functools.lru_cache(maxsize=ROUTE_CACHE_SIZE)(
+            _canonical_route
+        )
 
         self.registry = registry if registry is not None else MetricsRegistry()
         self._requests_total = self.registry.counter(
@@ -319,25 +350,10 @@ class FleetGateway:
     # ------------------------------------------------------------------ #
     # Routing
     # ------------------------------------------------------------------ #
-    def _route_hashes(self, pairs) -> List[int]:
-        """The structural-hash routing integer for every pair (parses)."""
-        out = []
-        for spec in pairs:
-            cache_key = (spec.q1, spec.q2)
-            value = self._hash_cache.get(cache_key)
-            if value is None:
-                key = pair_key(
-                    parse_query(spec.q1, name="Q1"),
-                    parse_query(spec.q2, name="Q2"),
-                )
-                value = int(structural_hash(key), 16)
-                self._hash_cache[cache_key] = value
-                if len(self._hash_cache) > self._hash_cache_size:
-                    self._hash_cache.popitem(last=False)
-            else:
-                self._hash_cache.move_to_end(cache_key)
-            out.append(value)
-        return out
+    def _route_hashes(self, pairs: Sequence[PairSpec]) -> List[Tuple[int, PairSpec]]:
+        """Every pair's structural-hash routing integer and the canonical
+        form it is forwarded as (parses; cached on the raw texts)."""
+        return [self._route_cache(spec.q1, spec.q2) for spec in pairs]
 
     def _replica_for(self, hash_int: int, candidates: Sequence[int]) -> int:
         """The ring owner among the admitted candidates.
@@ -361,7 +377,7 @@ class FleetGateway:
         started = time.monotonic()
         loop = asyncio.get_running_loop()
         try:
-            hashes = await loop.run_in_executor(
+            routes = await loop.run_in_executor(
                 None, self._route_hashes, request.pairs
             )
         except ReproError as error:
@@ -383,7 +399,8 @@ class FleetGateway:
         first_seen: Dict[int, int] = {}
         folds: Dict[int, List[int]] = {}
         pending: "OrderedDict[int, int]" = OrderedDict()
-        for index, hash_int in enumerate(hashes):
+        forwarded = [spec for _, spec in routes]
+        for index, (hash_int, _) in enumerate(routes):
             representative = first_seen.setdefault(hash_int, index)
             if representative == index:
                 pending[index] = hash_int
@@ -449,7 +466,9 @@ class FleetGateway:
                         budget = deadline - (time.monotonic() - started)
                         if budget <= 0:
                             return ("deadline", replica, indices, None)
-                    return await self._dispatch(replica, indices, request, budget)
+                    return await self._dispatch(
+                        replica, indices, forwarded, request, budget
+                    )
 
             results = await asyncio.gather(
                 *(bounded(replica, indices) for replica, indices in groups.items())
@@ -524,10 +543,14 @@ class FleetGateway:
         self,
         replica: int,
         indices: List[int],
+        forwarded: Sequence[PairSpec],
         request: BatchRequest,
         remaining: Optional[float],
     ) -> Tuple[str, int, List[int], object]:
         """Send one sub-batch; returns ``(tag, replica, indices, payload)``.
+
+        The sub-batch carries ``forwarded[i]``, the canonical form of pair
+        ``i``, for every index in ``indices``.
 
         ``tag`` is ``"ok"`` (payload: the :class:`BatchResponse`),
         ``"deadline"`` (the budget ran out waiting) or ``"failed"``
@@ -536,7 +559,7 @@ class FleetGateway:
         """
         state = self._states[replica]
         sub = BatchRequest(
-            pairs=tuple(request.pairs[i] for i in indices),
+            pairs=tuple(forwarded[i] for i in indices),
             deadline_seconds=remaining,
             priority=request.priority,
         )

@@ -14,7 +14,8 @@ probed against the :class:`~repro.store.VerdictStore` (counted separately as
 cacheable solved verdict is recorded to the store with provenance — so a
 restarted service replays previously decided pairs without a single LP
 solve.  Evidence from either tier is renamed onto the requesting pair's own
-variable names (see :mod:`repro.service.evidence`).
+variable names when a caller reads it (:attr:`PairOutcome.result`, see
+:mod:`repro.service.evidence`).
 
 The cache→store→solve tiering is diagrammed in ``docs/architecture.md``;
 store operations are documented in ``docs/operations.md``.
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.containment import ContainmentResult
@@ -81,20 +83,47 @@ class PairOutcome:
     ``"batch-dedup"`` (folded into an equivalent pair of the same batch),
     ``"plan-cache"`` (answered from a previous call of the same service) or
     ``"store"`` (answered from the durable verdict store on disk).
+
+    ``entry`` is the result the pair was answered from: its own solve, or
+    the canonical-variable entry of the plan cache or store, in which case
+    ``labelings`` holds the requester's canonical labelings.  Status, method
+    and the witness database read the same from either, because renaming
+    changes none of them.  :attr:`result` renames the entry's evidence onto
+    the requester's variables on first read and keeps the renamed result,
+    so a caller that never reads the evidence (the daemon) never pays for
+    the renaming.
     """
 
     index: int
-    result: ContainmentResult
     source: str
+    entry: ContainmentResult
+    labelings: Optional[PairLabelings] = None
+
+    @cached_property
+    def result(self) -> ContainmentResult:
+        """The result with its evidence in the requester's own variables;
+        a plan-cache replay is tagged ``provenance="cache-hit"``."""
+        if self.labelings is None:
+            return self.entry
+        mapping1, mapping2 = requester_mappings(self.labelings)
+        result = rename_result(self.entry, mapping1, mapping2)
+        if self.source == "plan-cache":
+            result = replace(result, provenance="cache-hit")
+        return result
 
 
 @dataclass(frozen=True)
 class BatchReport:
     """Everything :meth:`ContainmentService.run` knows about one batch."""
 
-    results: Tuple[ContainmentResult, ...]
     outcomes: Tuple[PairOutcome, ...]
     stats: Dict[str, object] = field(default_factory=dict)
+
+    @cached_property
+    def results(self) -> Tuple[ContainmentResult, ...]:
+        """Every outcome's :attr:`PairOutcome.result`, in submission order
+        (renamed on first read, like each outcome's)."""
+        return tuple(outcome.result for outcome in self.outcomes)
 
 
 class ContainmentService:
@@ -199,39 +228,35 @@ class ContainmentService:
             keyed = [pair_key_with_labelings(q1, q2) for q1, q2 in pairs]
 
         jobs: List[Tuple[QueryPair, Hashable, PairLabelings]] = []
-        # Per input pair: ("hit", result, source) | ("job", job_index, source,
-        # labelings) — hits resolve immediately, jobs after the engine run.
-        placements: List[Tuple] = []
+        # Per input pair: a PairOutcome for hits, or (job_index, source,
+        # labelings) resolved after the engine run.
+        placements: List[object] = []
         first_seen: Dict[Hashable, int] = {}
         with obs_tracer.span("plan-cache", pairs=len(pairs)) as cache_span:
             hits = store_hits = duplicates = 0
-            for (q1, q2), (key, labelings) in zip(pairs, keyed):
-                cached = self.cache.get(key, labelings)
+            for index, ((q1, q2), (key, labelings)) in enumerate(zip(pairs, keyed)):
+                cached = self.cache.get(key)
                 if cached is not None:
                     self.stats.cache_hits += 1
                     hits += 1
-                    placements.append(("hit", cached, "plan-cache"))
+                    placements.append(PairOutcome(index, "plan-cache", cached, labelings))
                     continue
                 if self.store is not None:
                     stored = self.store.get(key)
                     if stored is not None:
                         self.stats.store_hits += 1
                         store_hits += 1
-                        # Promote the canonical entry into the memory tier,
-                        # then rename onto this requester's variables.
+                        # Promote the canonical entry into the memory tier.
                         self.cache.put(key, stored)
-                        mapping1, mapping2 = requester_mappings(labelings)
-                        placements.append(
-                            ("hit", rename_result(stored, mapping1, mapping2), "store")
-                        )
+                        placements.append(PairOutcome(index, "store", stored, labelings))
                         continue
                 if key in first_seen:
                     self.stats.batch_duplicates += 1
                     duplicates += 1
-                    placements.append(("job", first_seen[key], "batch-dedup", labelings))
+                    placements.append((first_seen[key], "batch-dedup", labelings))
                     continue
                 first_seen[key] = len(jobs)
-                placements.append(("job", len(jobs), "solved", labelings))
+                placements.append((len(jobs), "solved", labelings))
                 jobs.append(((q1, q2), key, labelings))
             cache_span.set(hits=hits, store_hits=store_hits, duplicates=duplicates)
 
@@ -262,25 +287,19 @@ class ContainmentService:
 
         outcomes: List[PairOutcome] = []
         for index, placement in enumerate(placements):
-            if placement[0] == "hit":
-                _, result, source = placement
+            if isinstance(placement, PairOutcome):
+                outcomes.append(placement)
+                continue
+            job_index, source, labelings = placement
+            canonical = canonical_by_job.get(job_index)
+            if source == "batch-dedup" and canonical is not None:
+                # The duplicate's evidence must be in *its* variables, not
+                # the variables of the batch-mate that ran the pipeline.
+                outcomes.append(PairOutcome(index, source, canonical, labelings))
             else:
-                _, job_index, source, labelings = placement
-                result = solved[job_index]
-                if source == "batch-dedup":
-                    # The duplicate's evidence must be in *its* variables, not
-                    # the variables of the batch-mate that ran the pipeline.
-                    canonical = canonical_by_job.get(job_index)
-                    if canonical is not None:
-                        mapping1, mapping2 = requester_mappings(labelings)
-                        result = rename_result(canonical, mapping1, mapping2)
-            outcomes.append(PairOutcome(index=index, result=result, source=source))
+                outcomes.append(PairOutcome(index, source, solved[job_index]))
         self.stats.wall_seconds += time.perf_counter() - started
-        return BatchReport(
-            results=tuple(outcome.result for outcome in outcomes),
-            outcomes=tuple(outcomes),
-            stats=self.stats.as_dict(),
-        )
+        return BatchReport(outcomes=tuple(outcomes), stats=self.stats.as_dict())
 
     def decide_many(self, pairs: Sequence[QueryPair]) -> List[ContainmentResult]:
         """Results only, in submission order (the batch counterpart of

@@ -18,8 +18,9 @@ the verdicts:
   the record's key, booleanized, and the homomorphism counts into the stored
   database are recounted; they must match the stored counts and separate the
   queries (``|hom(Q1, D)| > |hom(Q2, D)|``).
-* **Anything else** (UNKNOWN verdicts, certificates skipped for size) is
-  reported ``unchecked`` — present but carrying no re-checkable evidence.
+* **Anything else** (UNKNOWN verdicts, and CONTAINED verdicts over more than
+  ``CERTIFICATE_MAX_GROUND`` variables that carried no proof of their own)
+  is reported ``unchecked`` — present but carrying no re-checkable evidence.
 
 Operator usage (including the fleet's ``--verify-every`` periodic audit
 that drains a replica on failure) is documented in ``docs/operations.md``.
@@ -49,7 +50,6 @@ from repro.store.serialize import (
     queries_from_key,
 )
 from repro.store.sqlite_store import VerdictStore
-from repro.utils.lattice import lattice_context
 
 #: Tolerances of the audit: convexity of λ, and how far the floating-point
 #: elemental sum may differ from the combined inequality per coordinate.
@@ -142,8 +142,21 @@ def _verify_certificate(certificate: Dict[str, object]) -> None:
         )
 
     # Independent Farkas recheck: re-derive nonnegative multipliers expressing
-    # the combined expression over the stored elementals from scratch.
-    subsets = lattice_context(ground).nonempty_subsets
+    # the combined expression over the stored elementals from scratch.  Only
+    # the subsets the proof or the target mention get a column: every other
+    # coordinate reads 0 = 0.  They keep their order in the full lattice
+    # (by size, then by ground position), so the system solved is the one
+    # the full 2^n - 1 coordinates would give, at the proof's size.
+    position = {variable: i for i, variable in enumerate(ground)}
+    mentioned = {
+        subset
+        for elemental, _multiplier in shannon.multipliers
+        for subset in elemental.as_dict()
+    }
+    mentioned.update(subset for subset in combined.coefficients if subset)
+    subsets = sorted(
+        mentioned, key=lambda subset: (len(subset), sorted(position[v] for v in subset))
+    )
     index = {subset: i for i, subset in enumerate(subsets)}
     generators = np.zeros((len(shannon.multipliers), len(subsets)))
     for row, (elemental, _multiplier) in enumerate(shannon.multipliers):

@@ -69,9 +69,9 @@ from repro.service.canonical import PairKey
 #: Bumped on incompatible record-layout changes.
 RECORD_VERSION = 1
 
-#: Largest ground-set size for which a record carries a Farkas certificate
-#: (the Shannon proof ranges over ``2^n - 1`` coordinates, and a verdict
-#: without one has it computed at record time).
+#: Largest ground-set size for which the store computes a Farkas certificate
+#: itself, for a CONTAINED verdict that carries none (its LP ranges over
+#: ``2^n - 1`` coordinates).  A proof the verdict carries is kept at any size.
 CERTIFICATE_MAX_GROUND = 10
 
 
@@ -357,15 +357,15 @@ def _certificate_evidence(
     inequality = result.inequality
     if inequality is None or inequality.is_trivially_false:
         return None, None
+    branches = inequality.branch_expressions()
+    verdict = result.verdict
+    if verdict is not None and verdict.certificate is not None and verdict.lambdas is not None:
+        return serialize_certificate(verdict.lambdas, verdict.certificate, branches), None
     if len(inequality.ground) > CERTIFICATE_MAX_GROUND:
         return None, (
             f"certificate skipped: ground set of {len(inequality.ground)} exceeds "
             f"the limit of {CERTIFICATE_MAX_GROUND}"
         )
-    branches = inequality.branch_expressions()
-    verdict = result.verdict
-    if verdict is not None and verdict.certificate is not None and verdict.lambdas is not None:
-        return serialize_certificate(verdict.lambdas, verdict.certificate, branches), None
     try:
         certificate = find_convex_certificate(
             inequality.as_max_ii().branches,

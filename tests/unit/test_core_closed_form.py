@@ -10,13 +10,9 @@ several branches must still reach the block LP and record its duals.
 
 from __future__ import annotations
 
-import importlib.util
-import json
-import sys
-from pathlib import Path
-
 import pytest
 from multi_branch_pairs import MULTI_BRANCH_PAIRS
+from pair_sets import PAIR_SETS
 
 from repro.core.containment import (
     ContainmentStatus,
@@ -24,42 +20,9 @@ from repro.core.containment import (
     containment_pipeline,
     decide_containment,
 )
-from repro.cq.parser import parse_query
-from repro.cq.query import ConjunctiveQuery
 from repro.service import BatchOptions, ContainmentService
 from repro.service.canonical import pair_key
 from repro.store import VerdictStore, verify_store
-from repro.workloads.generators import mixed_containment_pairs
-
-ROOT = Path(__file__).resolve().parents[2]
-
-
-def benchmark_catalogue():
-    """The ``batch-cold`` catalogue: E13's 48 family pairs and the 3 LP pairs."""
-    spec = importlib.util.spec_from_file_location(
-        "benchmark_workloads", ROOT / "perfbench" / "workloads.py"
-    )
-    workloads = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
-    spec.loader.exec_module(workloads)
-    return workloads.cold_catalogue(lambda pair: pair_key(*pair))[0]
-
-
-def corpus_pairs():
-    def query(record):
-        parsed = parse_query(record["body"], name=record["name"])
-        if record["head"]:
-            return ConjunctiveQuery(atoms=parsed.atoms, head=tuple(record["head"]))
-        return parsed
-
-    corpus = json.loads((ROOT / "tests" / "regression" / "containment_corpus.json").read_text())
-    return [(query(entry["q1"]), query(entry["q2"])) for entry in corpus["pairs"]]
-
-
-PAIR_SETS = {
-    "batch-cold": benchmark_catalogue,
-    "e13": lambda: mixed_containment_pairs(128, seed=7),
-    "corpus": corpus_pairs,
-}
 
 
 def onto_branches(inequality):

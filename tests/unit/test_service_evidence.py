@@ -9,13 +9,29 @@ evidence as a fresh solve: every CONTAINED result, solved or replayed,
 carries a Theorem 6.1 proof in the requester's variables.
 """
 
+from dataclasses import replace
+
+import pytest
+from pair_sets import PAIR_SETS
+
 from repro.core.containment import ContainmentStatus, decide_containment
 from repro.core.witness import verify_witness
 from repro.cq.parser import parse_query
 from repro.cq.reductions import to_boolean_pair
 from repro.infotheory.expressions import LinearExpression
 from repro.service import BatchOptions, ContainmentService
+from repro.service import cache as cache_module
+from repro.service import service as service_module
 from repro.service.cache import PlanCache
+from repro.service.canonical import pair_key_with_labelings
+from repro.service.daemon import ContainmentDaemon
+from repro.service.evidence import rename_result, requester_mappings
+from repro.service.protocol import (
+    BatchRequest,
+    PairSpec,
+    encode_request,
+    parse_batch_response,
+)
 
 # Two isomorphic copies of each pair with disjoint variable vocabularies, so
 # any evidence leaking the representative's names is unmistakable.
@@ -196,3 +212,139 @@ class TestContainsAndPeekSemantics:
         # peek must not refresh recency: "a" is still the eviction candidate.
         cache.put("c", object())
         assert cache.peek("a") is None
+
+
+def _renamed(pair, tag):
+    q1, q2 = pair
+    return (
+        q1.rename({v: f"{v}_{tag}" for v in q1.variables}),
+        q2.rename({v: f"{v}_{tag}" for v in q2.variables}),
+    )
+
+
+def _query_text(query):
+    body = ", ".join(str(atom) for atom in query.atoms)
+    return f"({', '.join(query.head)}) :- {body}" if query.head else body
+
+
+def _count_renames(monkeypatch):
+    """Count ``rename_result`` calls where the service and the cache make them."""
+    calls = []
+
+    def counting(original):
+        def rename(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        return rename
+
+    monkeypatch.setattr(service_module, "rename_result", counting(rename_result))
+    monkeypatch.setattr(cache_module, "rename_result", counting(rename_result))
+    return calls
+
+
+class TestLazyRenaming:
+    """Outcomes keep their entry and rename evidence only when read."""
+
+    PROVENANCE = {"plan-cache": "cache-hit", "store": "store-hit", "batch-dedup": "solved"}
+
+    def assert_equals_eager_renaming(self, service, pairs, report):
+        """Each replayed outcome's result is its canonical entry renamed onto
+        the requester's variables, as the plan cache used to hand it out."""
+        replayed = 0
+        for (q1, q2), outcome in zip(pairs, report.outcomes):
+            if outcome.source == "solved" or outcome.labelings is None:
+                assert outcome.result is outcome.entry
+                continue
+            key, labelings = pair_key_with_labelings(q1, q2)
+            assert outcome.labelings == labelings
+            entry = service.cache.peek(key)
+            assert outcome.entry is entry
+            mapping1, mapping2 = requester_mappings(labelings)
+            eager = replace(
+                rename_result(entry, mapping1, mapping2),
+                provenance=self.PROVENANCE[outcome.source],
+            )
+            result = outcome.result
+            assert result == eager
+            assert (result.status, result.method) == (entry.status, entry.method)
+            assert result.provenance == self.PROVENANCE[outcome.source]
+            if result.inequality is not None:
+                assert_evidence_in_requester_variables(result, q1, q2)
+            elif result.verdict is not None:
+                # A store entry keeps no inequality to check the proof by.
+                ground = set(to_boolean_pair(q1, q2)[0].variables)
+                assert set(result.verdict.certificate.ground) <= ground
+            replayed += 1
+        return replayed
+
+    @pytest.mark.parametrize("name", ["batch-cold", "e13"])
+    def test_replayed_results_equal_eager_renaming(self, name, tmp_path):
+        pairs = PAIR_SETS[name]()
+        store_path = str(tmp_path / "lazy.sqlite")
+        copies = [_renamed(pair, "r") for pair in pairs]
+        with ContainmentService(BatchOptions(store_path=store_path)) as service:
+            first = service.run(pairs)
+            warm = service.run(copies)
+            dedups = self.assert_equals_eager_renaming(service, pairs, first)
+            hits = self.assert_equals_eager_renaming(service, copies, warm)
+        with ContainmentService(BatchOptions(store_path=store_path)) as restarted:
+            stored = restarted.run(copies)
+            stores = self.assert_equals_eager_renaming(restarted, copies, stored)
+        assert {outcome.source for outcome in warm.outcomes} == {"plan-cache"}
+        assert {outcome.source for outcome in stored.outcomes} <= {"store", "plan-cache"}
+        assert "store" in {outcome.source for outcome in stored.outcomes}
+        assert hits == stores == len(pairs)
+        if name == "e13":
+            assert dedups > 0
+
+    def test_batch_report_results_are_the_outcomes_results(self):
+        pairs = PAIR_SETS["e13"]()[:40]
+        with ContainmentService(BatchOptions()) as service:
+            service.run(pairs[:20])
+            report = service.run(pairs)
+        sources = {outcome.source for outcome in report.outcomes}
+        assert {"solved", "plan-cache"} <= sources
+        assert report.results == tuple(outcome.result for outcome in report.outcomes)
+        assert all(
+            result is outcome.result
+            for result, outcome in zip(report.results, report.outcomes)
+        )
+
+    def test_unread_outcomes_rename_nothing(self, monkeypatch):
+        with ContainmentService(BatchOptions()) as service:
+            service.run([(TRIANGLE_A, VEE_A), (PATH_A, EDGE_A)])
+            calls = _count_renames(monkeypatch)
+            report = service.run([(TRIANGLE_B, VEE_B), (PATH_B, EDGE_B)])
+            assert calls == []
+            assert [outcome.entry.status for outcome in report.outcomes] == [
+                ContainmentStatus.CONTAINED,
+                ContainmentStatus.NOT_CONTAINED,
+            ]
+            report.outcomes[0].result
+            assert len(calls) == 1
+            report.results
+            assert len(calls) == 2
+
+    def test_a_daemon_answering_a_warm_batch_renames_nothing(self, monkeypatch):
+        pairs = PAIR_SETS["e13"]()[:24]
+        daemon = ContainmentDaemon(BatchOptions(on_error="capture"))
+
+        def line(batch):
+            specs = tuple(PairSpec(_query_text(q1), _query_text(q2)) for q1, q2 in batch)
+            return encode_request(BatchRequest(pairs=specs)).encode("utf-8")
+
+        try:
+            primed = parse_batch_response(daemon.handle_line(line(pairs)))
+            calls = _count_renames(monkeypatch)
+            warm = parse_batch_response(
+                daemon.handle_line(line([_renamed(pair, "w") for pair in pairs]))
+            )
+        finally:
+            daemon.service.close()
+        assert primed.ok and warm.ok
+        assert calls == []
+        assert {verdict.source for verdict in warm.verdicts} == {"plan-cache"}
+        assert [(v.status, v.method, v.witness_rows) for v in warm.verdicts] == [
+            (v.status, v.method, v.witness_rows) for v in primed.verdicts
+        ]

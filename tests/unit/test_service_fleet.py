@@ -11,13 +11,19 @@ coverage for gateway queueing + replica time.
 
 import asyncio
 import json
+import random
+import sys
 import threading
 import time
 
 import pytest
 
+from repro.core.containment import decide_containment
+from repro.cq.parser import parse_query
 from repro.obs.metrics import parse_exposition
 from repro.service import BatchOptions
+from repro.service import fleet as fleet_module
+from repro.service.canonical import canonical_text, pair_key
 from repro.service.daemon import (
     DaemonClient,
     DaemonUnavailable,
@@ -110,7 +116,49 @@ class TestRouting:
         first = gateway._route_hashes(pairs)
         second = gateway._route_hashes(pairs)
         assert first == second
-        assert len(gateway._hash_cache) == 1
+        # The text cache holds the routing hash with the canonical pair.
+        ((hash_int, canonical),) = first
+        assert isinstance(hash_int, int)
+        assert canonical == PairSpec(
+            "R(c0, c1), R(c1, c2), R(c2, c0)", "R(c0, c1), R(c0, c2)"
+        )
+        info = gateway._route_cache.cache_info()
+        assert (info.currsize, info.hits, info.misses) == (1, 1, 1)
+
+    def test_route_cache_is_safe_across_executor_threads(self, monkeypatch):
+        # Routing runs on asyncio's executor threads, so two requests in
+        # flight share the text cache; with more texts than it holds, one
+        # thread's lookup races another's eviction.
+        monkeypatch.setattr(fleet_module, "ROUTE_CACHE_SIZE", 4)
+        gateway = FleetGateway(
+            [ReplicaSpec("only", "/tmp/x.sock")], probe_interval=None
+        )
+        texts = [PairSpec(f"R(x{i},y), R(y,z)", VEE_TEXT) for i in range(6)]
+        expected = gateway._route_hashes(texts[:1])[0]
+        errors = []
+
+        def route(seed):
+            rng = random.Random(seed)
+            try:
+                for _ in range(600):
+                    routes = gateway._route_hashes(rng.choices(texts, k=4))
+                    assert all(route == expected for route in routes)
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=route, args=(seed,)) for seed in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert gateway._route_cache.cache_info().currsize == 4
 
     def test_isomorphic_pairs_share_a_shard(self):
         # Routing hashes the canonical pair key, so renamed-variable copies
@@ -401,6 +449,104 @@ class TestGatewayDedup:
         assert {v.source for v in response.verdicts} >= {"gateway-dedup"}
         assert response.stats["pairs_submitted"] == 4
         assert response.stats["gateway"]["dedup_folded"] == 2
+
+
+def recording_stub(dispatched):
+    """A replica stand-in that records each sub-batch and answers CONTAINED."""
+
+    async def answer(spec, line):
+        sub = parse_request(line)
+        dispatched.append((spec.name, sub.pairs))
+        return encode_batch_response(
+            BatchResponse(
+                ok=True,
+                verdicts=tuple(
+                    PairVerdict(i, "contained", "theorem-3.1", "solved")
+                    for i in range(len(sub.pairs))
+                ),
+            )
+        ).encode("utf-8")
+
+    return answer
+
+
+def canonical_spec(q1_text, q2_text):
+    key = pair_key(parse_query(q1_text), parse_query(q2_text))
+    return PairSpec(canonical_text(key[0]), canonical_text(key[1]))
+
+
+class TestCanonicalForwarding:
+    """Representatives travel to their replica as the text of their canonical key."""
+
+    PAIRS = (
+        (TRIANGLE_TEXT, VEE_TEXT),
+        (VEE_TEXT, TRIANGLE_TEXT),
+        ("(x, x) :- R(x, y)", "(a, b) :- R(a, b)"),
+        ("R(x,y), S(y,z,x)", "R(a,b)"),
+        ("R(x,y), R(y,z)", "R(a,b), R(b,c), R(c,d)"),
+    )
+
+    def test_every_subbatch_carries_canonical_text(self, monkeypatch):
+        gateway = FleetGateway(
+            [ReplicaSpec("a", "/tmp/a.sock"), ReplicaSpec("b", "/tmp/b.sock")],
+            probe_interval=None,
+        )
+        dispatched = []
+        monkeypatch.setattr(gateway, "_replica_roundtrip", recording_stub(dispatched))
+        response = asyncio.run(gateway.handle_batch(batch_request(*self.PAIRS)))
+        assert response.ok
+        assert len(dispatched) == 2  # both replicas own some of the pairs
+        forwarded = [spec for _, specs in dispatched for spec in specs]
+        assert sorted(forwarded, key=str) == sorted(
+            (canonical_spec(*pair) for pair in self.PAIRS), key=str
+        )
+        for spec in forwarded:
+            assert all(v.startswith("c") for v in parse_query(spec.q1).variables)
+            key = pair_key(parse_query(spec.q1), parse_query(spec.q2))
+            assert (canonical_text(key[0]), canonical_text(key[1])) == (spec.q1, spec.q2)
+
+    def test_isomorphs_reach_their_replica_as_one_text(self, monkeypatch):
+        gateway = FleetGateway(
+            [ReplicaSpec("a", "/tmp/a.sock"), ReplicaSpec("b", "/tmp/b.sock")],
+            probe_interval=None,
+        )
+        dispatched = []
+        monkeypatch.setattr(gateway, "_replica_roundtrip", recording_stub(dispatched))
+        # One pair under two namings and two atom orders, one request each.
+        copies = (
+            ("R(x,y), R(y,z), S(z,x)", "(a) :- R(a,b), R(b,c)"),
+            ("S(w,u), R(u,v), R(v,w)", "(p) :- R(q,r), R(p,q)"),
+            ("R(y,z), S(z,x), R(x,y)", "(a) :- R(b,c), R(a,b)"),
+            ("R(k,l), R(l,m), S(m,k)", "(s) :- R(s,t), R(t,r)"),
+        )
+        for copy in copies:
+            response = asyncio.run(gateway.handle_batch(batch_request(copy)))
+            assert response.ok
+        assert len(dispatched) == len(copies)
+        assert len({name for name, _ in dispatched}) == 1
+        assert {specs for _, specs in dispatched} == {(canonical_spec(*copies[0]),)}
+
+    def test_raw_texts_answer_the_same_verdicts(self, tmp_path, live_replicas):
+        # A replica fed the clients' own texts, as from an older gateway or
+        # a direct client, answers as it does through the gateway.
+        gateway = FleetGateway(live_replicas, probe_interval=None)
+        through_gateway = asyncio.run(gateway.handle_batch(batch_request(*self.PAIRS)))
+        socket_path = str(tmp_path / "direct.sock")
+        thread = start_replica(socket_path)
+        client = DaemonClient(socket_path, timeout=30.0)
+        try:
+            direct = client.batch(list(self.PAIRS))
+        finally:
+            client.stop()
+            thread.join(timeout=10)
+        assert through_gateway.ok and direct.ok
+        assert [(v.status, v.method) for v in through_gateway.verdicts] == [
+            (v.status, v.method) for v in direct.verdicts
+        ]
+        assert [v.status for v in direct.verdicts] == [
+            decide_containment(parse_query(q1), parse_query(q2)).status.value
+            for q1, q2 in self.PAIRS
+        ]
 
 
 class TestBoundedDispatch:

@@ -25,7 +25,8 @@ from repro.store.serialize import (
     queries_from_key,
     validate_record,
 )
-from repro.workloads.generators import random_chordal_simple_query
+from repro.utils import lattice
+from repro.workloads.generators import path_query, random_chordal_simple_query
 
 CORPUS = Path(__file__).resolve().parents[1] / "regression" / "containment_corpus.json"
 
@@ -327,6 +328,61 @@ class TestHighArityEvidence:
         assert grounds == [8, 9]
         # verify_store re-sums each proof and re-derives it by a Farkas LP.
         assert report.ok and report.certificates == 2
+
+
+def path_with_chord(arity):
+    """``path_k`` plus ``R(x0, x_k)`` ⊑ ``path_k``, over ``arity = k + 1``
+    variables: CONTAINED, with an onto homomorphism, so the decision
+    carries a closed-form proof."""
+    path = path_query(arity - 1)
+    chord = Atom("R", ("x0", f"x{arity - 1}"))
+    return ConjunctiveQuery(atoms=path.atoms + (chord,), head=(), name="Q1"), path
+
+
+class TestCarriedProofsAboveTheCertificateLimit:
+    """``CERTIFICATE_MAX_GROUND`` bounds the store's own certificate loop,
+    not a proof the verdict carries."""
+
+    def record_and_audit(self, arity, path):
+        with ContainmentService(BatchOptions(store_path=path)) as service:
+            (result,) = service.run([path_with_chord(arity)]).results
+        assert result.status is ContainmentStatus.CONTAINED
+        assert result.verdict.certificate is not None
+        with VerdictStore(path) as store:
+            (record,) = [record for _, record in store.records()]
+            return record, verify_store(store)
+
+    @pytest.mark.parametrize("arity", [11, 12, 14])
+    def test_the_record_keeps_the_proof_and_audits_as_a_certificate(
+        self, arity, tmp_path, monkeypatch
+    ):
+        def no_loop(*args, **kwargs):
+            raise AssertionError("the store ran the certificate loop")
+
+        monkeypatch.setattr(serialize, "find_convex_certificate", no_loop)
+        assert arity > serialize.CERTIFICATE_MAX_GROUND
+        record, report = self.record_and_audit(arity, str(tmp_path / "s.sqlite"))
+        assert "note" not in record["evidence"]
+        assert len(record["evidence"]["certificate"]["shannon"]["ground"]) == arity
+        assert report.ok and report.certificates == 1 and report.unchecked == 0
+
+    def test_the_audit_indexes_only_what_the_proof_mentions(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "s.sqlite")
+        with ContainmentService(BatchOptions(store_path=path)) as service:
+            service.run([path_with_chord(15)])
+        built = []
+
+        def no_lattice(ground):
+            built.append(len(ground))
+            raise AssertionError("the audit built a subset lattice")
+
+        # Every lattice_context miss builds a SubsetLattice; start with none.
+        lattice.lattice_context.cache_clear()
+        monkeypatch.setattr(lattice, "SubsetLattice", no_lattice)
+        with VerdictStore(path) as store:
+            report = verify_store(store)
+        assert built == []
+        assert report.ok and report.certificates == 1
 
 
 class TestCertificatesFromTheDecision:
