@@ -26,7 +26,9 @@ locally with ``PYTHONPATH=src python scripts/daemon_smoke.py``):
    certificate and witness, and ``repro cache compact`` exits cleanly.
 
 Any violated expectation exits non-zero with a message, so the CI job fails
-loudly and the daemon log is printed for debugging.
+loudly and the daemon log is printed for debugging.  The scratch directory
+(stores, socket and logs) is removed after ``PASS``; on a failure it is
+kept, and its path printed.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import shutil
 import signal
 import sys
 import tempfile
@@ -98,8 +101,7 @@ def replay(pairs_file: Path, socket_path: str, stats_file: Path) -> tuple[list[d
     return [json.loads(line) for line in output.splitlines()], stats
 
 
-def main() -> int:
-    scratch = Path(tempfile.mkdtemp(prefix="repro-daemon-smoke-"))
+def smoke(scratch: Path) -> None:
     socket_path = str(scratch / "daemon.sock")
     log_path = scratch / "daemon.log"
     pairs_file = scratch / "corpus_pairs.jsonl"
@@ -275,6 +277,15 @@ def main() -> int:
         fail(f"cache compact exited {code}:\n{output}")
     print("daemon-smoke: cache compact ok")
 
+
+def main() -> int:
+    scratch = Path(tempfile.mkdtemp(prefix="repro-daemon-smoke-"))
+    try:
+        smoke(scratch)
+    except BaseException:
+        print(f"daemon-smoke: scratch directory kept at {scratch}", file=sys.stderr)
+        raise
+    shutil.rmtree(scratch)
     print("daemon-smoke: PASS")
     return 0
 

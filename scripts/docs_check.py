@@ -1,4 +1,4 @@
-"""CI docs check: links in the docs resolve, CLI and script references are real.
+"""CI docs check: links in the docs resolve; CLI, script and module references are real.
 
 The checked docs are ``README.md``, ``docs/*.md`` and the verify skill
 (``.claude/skills/verify/SKILL.md``).  The classes of rot this catches:
@@ -20,6 +20,11 @@ The checked docs are ``README.md``, ``docs/*.md`` and the verify skill
   ``PYTHONPATH=src``) must exist, relative to the repo root.  A path named
   in prose, without such a command before it, is not checked, so the docs
   can still say which deleted script made a snapshot.
+* **Phantom module names** — every backticked dotted ``repro.…`` name
+  (``repro.lp.rowgen.choose_path``, also written as a call) must resolve:
+  its longest importable module prefix is imported and the rest looked up
+  with ``getattr``.  ``docs/benchmarks.md`` is not checked: it is a dated
+  history and may name deleted code.
 
 Run from the repo root::
 
@@ -28,6 +33,7 @@ Run from the repo root::
 
 from __future__ import annotations
 
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -46,6 +52,15 @@ FLAG_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 COMMAND_RE = re.compile(r"(?<![\w./-])(?:python3?|pytest)(?![\w-])([^`|;&#]*)")
 # A relative ``.py`` path among the command's words (``::test`` ids allowed).
 SCRIPT_RE = re.compile(r"(?<!\S)([\w.-][\w./-]*\.py)(?:::\S*)?(?!\S)")
+# A backticked dotted ``repro.`` name, bare or called (``repro.a.f(x)``).
+NAME_RE = re.compile(r"`(repro(?:\.\w+)+)(?:\([^`]*\))?`")
+# The docs whose module names must resolve (see the module docstring).
+NAME_CHECKED_DOCS = (
+    "README.md",
+    "docs/architecture.md",
+    "docs/operations.md",
+    ".claude/skills/verify/SKILL.md",
+)
 
 
 def doc_files():
@@ -167,10 +182,40 @@ def script_errors(text):
     return errors
 
 
+def resolves(name):
+    """Whether ``name`` is an importable module or an attribute below one."""
+    parts = name.split(".")
+    for end in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:end]))
+        except ImportError:
+            continue
+        for attribute in parts[end:]:
+            if not hasattr(target, attribute):
+                return False
+            target = getattr(target, attribute)
+        return True
+    return False
+
+
+def name_errors(text):
+    """``line: message`` for every backticked ``repro.…`` name that does not resolve."""
+    errors = []
+    for number, line in enumerate(text.splitlines(), start=1):
+        for name in NAME_RE.findall(line):
+            if not resolves(name):
+                errors.append(f"{number}: docs name '{name}', which does not resolve")
+    return errors
+
+
 def check_references(path, top, nested, errors):
     text = path.read_text()
-    for error in cli_errors(text, top, nested) + script_errors(text):
-        errors.append(f"{path.relative_to(REPO_ROOT)}:{error}")
+    found = cli_errors(text, top, nested) + script_errors(text)
+    relative = path.relative_to(REPO_ROOT)
+    if relative.as_posix() in NAME_CHECKED_DOCS:
+        found += name_errors(text)
+    for error in found:
+        errors.append(f"{relative}:{error}")
 
 
 def main():

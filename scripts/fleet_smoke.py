@@ -35,7 +35,9 @@ locally with ``PYTHONPATH=src python scripts/fleet_smoke.py``):
    gateway and replica socket files unlinked, pings unanswered.
 
 Any violated expectation exits non-zero with a message, so the CI job fails
-loudly and the gateway/replica logs are printed for debugging.
+loudly and the gateway/replica logs are printed for debugging.  The scratch
+directory (stores, sockets and logs) is removed after ``PASS``; on a failure
+it is kept, and its path printed.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ import io
 import json
 import os
 import random
+import shutil
 import signal
 import sys
 import tempfile
@@ -168,8 +171,7 @@ def fleet_pids(fleet_dir: Path) -> list[int]:
     return [pid for pid in pids if isinstance(pid, int)]
 
 
-def main() -> int:
-    scratch = Path(tempfile.mkdtemp(prefix="repro-fleet-smoke-"))
+def smoke(scratch: Path) -> None:
     fleet_dir = scratch / "fleet"
     gateway_socket = str(scratch / "gateway.sock")
     pairs_file = scratch / "corpus_pairs.jsonl"
@@ -354,6 +356,15 @@ def main() -> int:
             except (OSError, ProcessLookupError):
                 pass
 
+
+def main() -> int:
+    scratch = Path(tempfile.mkdtemp(prefix="repro-fleet-smoke-"))
+    try:
+        smoke(scratch)
+    except BaseException:
+        print(f"fleet-smoke: scratch directory kept at {scratch}", file=sys.stderr)
+        raise
+    shutil.rmtree(scratch)
     print("fleet-smoke: PASS")
     return 0
 

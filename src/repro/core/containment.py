@@ -53,8 +53,8 @@ resolves cones and Shannon provers through per-ground-tuple caches, and the
 elemental constraint matrices come from the shared bitmask lattice context —
 so repeated containment checks over the same arity rebuild nothing: only the
 per-query expression vectors and the LP solves themselves are paid per call.
-The closed form reads its rows from one shared oracle per arity, so a pair
-under fresh variable names builds no lattice of its own.
+The closed form builds only the ``O(n²)`` rows its proof uses, from their
+keys, so a pair it proves builds no lattice at all, at any arity.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ from repro.infotheory.expressions import MaxInformationInequality
 from repro.infotheory.maxiip import MaxIIVerdict, decide_max_ii
 from repro.infotheory.polymatroid import materialize_elementals
 from repro.infotheory.shannon import ShannonCertificate
-from repro.lp.rowgen import shannon_row_oracle
+from repro.lp.rowgen import conditional_entropy_rows, key_row_data, mutual_information_rows
 
 
 class ContainmentStatus(Enum):
@@ -249,8 +249,8 @@ def closed_form_verdict(inequality: ContainmentInequality) -> Optional[MaxIIVerd
     ``K_t = A_t ∩ U_{t−1}``, each term is
     ``h(K_t | C_t) + I(A_t∖K_t ; U_{t−1}∖K_t | K_t)``, and the chain rule
     expands both into elemental rows
-    (:meth:`~repro.lp.rowgen.ShannonRowOracle.conditional_entropy_row_ids`,
-    :meth:`~repro.lp.rowgen.ShannonRowOracle.mutual_information_row_ids`)
+    (:func:`~repro.lp.rowgen.conditional_entropy_rows`,
+    :func:`~repro.lp.rowgen.mutual_information_rows`)
     whose integer multipliers count how often each row occurs.
 
     That is Theorem 6.1 with ``λ = e_ℓ``, for any tree decomposition.
@@ -259,7 +259,8 @@ def closed_form_verdict(inequality: ContainmentInequality) -> Optional[MaxIIVerd
     exactly for the pairs whose certificate needs several branches, and
     those go to the LP.
 
-    The rows come from one shared oracle per arity, and the proof is
+    The rows are built from their keys (:func:`~repro.lp.rowgen.key_row_data`),
+    with no lattice or oracle of the arity, and the proof is
     materialized under the pair's own names.  It is checked against
     ``E_ℓ − h(V)`` at tolerance 0; a proof that does not sum raises
     :class:`CertificateError`.
@@ -276,22 +277,18 @@ def closed_form_verdict(inequality: ContainmentInequality) -> Optional[MaxIIVerd
     if onto is None:
         return None
     branch = inequality.branches[onto]
+    n = len(ground)
     bits = {variable: 1 << i for i, variable in enumerate(ground)}
-    # Named like the batch engine's canonical grounds, so both share one
-    # oracle per arity.
-    oracle = shannon_row_oracle(tuple(f"v{i}" for i in range(len(ground))))
     counts: Counter = Counter()
     union = 0
     for term in branch.conditional.terms:
         bag = sum(bits[variable] for variable in term.targets | term.given)
         given = sum(bits[variable] for variable in term.given)
         shared = bag & union
-        counts.update(oracle.conditional_entropy_row_ids(shared, given))
-        counts.update(
-            oracle.mutual_information_row_ids(bag & ~shared, union & ~shared, shared)
-        )
+        counts.update(conditional_entropy_rows(n, shared, given))
+        counts.update(mutual_information_rows(n, bag & ~shared, union & ~shared, shared))
         union |= bag
-    masks, coeffs, kinds = oracle.row_data(list(counts))
+    masks, coeffs, kinds = key_row_data(n, counts)
     certificate = ShannonCertificate(
         ground=ground,
         multipliers=tuple(

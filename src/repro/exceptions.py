@@ -61,9 +61,5 @@ class ReductionError(ReproError):
     """A many-one reduction received input outside its domain."""
 
 
-class SearchBudgetExceeded(ReproError):
-    """A counterexample / witness search exhausted its budget inconclusively."""
-
-
 class StoreError(ReproError):
     """The durable verdict store is corrupt, unwritable or refused a record."""

@@ -16,9 +16,7 @@ inequalities (Sections 2.3, 3.2 and Appendices B–C):
   (:mod:`repro.infotheory.shannon`, :mod:`repro.infotheory.maxiip`),
 * the normalization constructions of Lemma 3.7 / Appendix C
   (:mod:`repro.infotheory.normalization`),
-* group-characterizable entropies (:mod:`repro.infotheory.group_entropy`),
-* counterexample search over entropic functions
-  (:mod:`repro.infotheory.counterexample`).
+* group-characterizable entropies (:mod:`repro.infotheory.group_entropy`).
 """
 
 from repro.infotheory.setfunction import SetFunction
@@ -38,7 +36,6 @@ from repro.infotheory.functions import (
 )
 from repro.infotheory.polymatroid import (
     elemental_inequalities,
-    is_entropic_like,
     is_modular,
     is_monotone,
     is_polymatroid,
@@ -61,17 +58,6 @@ from repro.infotheory.shannon import ShannonCertificate, ShannonProver, shannon_
 from repro.infotheory.cones import GammaCone, ModularCone, NormalCone
 from repro.infotheory.maxiip import MaxIIVerdict, decide_max_ii, decide_max_ii_many
 from repro.infotheory.normalization import modular_lower_bound, normal_lower_bound
-from repro.infotheory.group_entropy import (
-    entropy_from_subspaces,
-    group_characterizable_relation,
-)
-from repro.infotheory.counterexample import CounterexampleSearcher
-from repro.infotheory.copy_lemma import (
-    CopyLemmaProver,
-    CopyStep,
-    prove_with_copy_lemma,
-    zhang_yeung_copy_step,
-)
 
 __all__ = [
     "SetFunction",
@@ -89,7 +75,6 @@ __all__ = [
     "is_monotone",
     "is_submodular",
     "is_modular",
-    "is_entropic_like",
     "elemental_inequalities",
     "mobius_inverse",
     "from_mobius_inverse",
@@ -111,11 +96,4 @@ __all__ = [
     "MaxIIVerdict",
     "modular_lower_bound",
     "normal_lower_bound",
-    "entropy_from_subspaces",
-    "group_characterizable_relation",
-    "CounterexampleSearcher",
-    "CopyLemmaProver",
-    "CopyStep",
-    "prove_with_copy_lemma",
-    "zhang_yeung_copy_step",
 ]

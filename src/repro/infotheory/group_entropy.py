@@ -9,8 +9,7 @@ Theorem 4.4 — and the relations ``P`` they induce are *totally uniform*.
 
 This module implements the construction for elementary abelian 2-groups
 ``G = (F_2)^d`` whose subgroups are the GF(2) subspaces, which is enough to
-realize the paper's examples (including the parity function) and to power
-the counterexample searcher.
+realize the paper's examples (including the parity function).
 """
 
 from __future__ import annotations

@@ -257,16 +257,6 @@ def is_modular(function: SetFunction, tolerance: float = DEFAULT_TOLERANCE) -> b
     return bool(np.all(np.abs(vec - expected) <= tolerance))
 
 
-def is_entropic_like(function: SetFunction, tolerance: float = DEFAULT_TOLERANCE) -> bool:
-    """Cheap necessary conditions for being entropic.
-
-    Membership in ``Γ*n`` is not decidable in general (the point of the
-    paper!); this helper only checks the polymatroid axioms plus
-    non-negativity, which every entropic function satisfies.
-    """
-    return is_polymatroid(function, tolerance)
-
-
 def conditional_independence_holds(
     function: SetFunction,
     left: Sequence[str],

@@ -29,7 +29,6 @@ from repro.lp.solver import (
     check_feasibility,
     minimize,
     record_solver_path,
-    reset_solver_path_counts,
     solve_feasibility_blocks,
     solver_path_counts,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "choose_path",
     "record_solver_path",
     "solver_path_counts",
-    "reset_solver_path_counts",
     "HighsBackend",
     "highs_available",
     "resolve_backend",

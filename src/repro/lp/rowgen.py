@@ -31,6 +31,12 @@ This module makes the elemental rows *implicit*:
   (the dense path) or runs these loops, decided from the row count alone
   against :data:`AUTO_ROW_THRESHOLD` (sequential loops) or
   :data:`AUTO_BLOCK_ROW_THRESHOLD` (the block LP).  No caller names a path.
+* :func:`conditional_entropy_rows` and :func:`mutual_information_rows` — the
+  chain-rule expansions of ``h(X | Y)`` and ``I(A ; B | K)`` into elemental
+  rows, yielded as :data:`RowKey` values that need no lattice.  The closed
+  form of :func:`repro.core.containment.closed_form_verdict` builds its rows
+  from the keys (:func:`key_row_data`); the LP's certificates map keys to
+  row ids through :meth:`ShannonRowOracle.row_id`.
 
 Soundness of the loop shapes used by the library:
 
@@ -65,7 +71,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 import time
 from itertools import combinations
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -117,6 +123,10 @@ SEED_NAMES = ("generic", "containment")
 TOLERANCE = 1e-8
 MAX_CUTS_PER_ROUND: Optional[int] = None
 MAX_ROUNDS = 10_000
+
+#: An elemental row named by bit positions, independent of any lattice:
+#: ``(x,)`` for monotonicity, ``(a, b, K)`` with ``a < b`` for ``I(a ; b | K)``.
+RowKey = Tuple[int, ...]
 
 
 # --------------------------------------------------------------------- #
@@ -288,7 +298,7 @@ class ShannonRowOracle:
         self._context_block = 1 << max(n - 2, 0)
         sub_masks = _canon_masks_for_bits(max(n - 2, 0))
         # A context's position in its pair's block, indexed by the context
-        # with the pair's two bits squeezed out (see _submodularity_row_id).
+        # with the pair's two bits squeezed out (see row_id).
         position = [0] * self._context_block
         for index, mask in enumerate(sub_masks.tolist()):
             position[mask] = index
@@ -415,47 +425,6 @@ class ShannonRowOracle:
         order = np.argsort(all_values)
         return all_ids[order], all_values[order]
 
-    def row_values(self, dense: np.ndarray) -> np.ndarray:
-        """Every elemental row's value at a point, ordered by row id.
-
-        Materializes the full ``row_count`` vector — meant for tests and
-        diagnostics at small ``n``, not for the solving hot path.
-        """
-        parts = [self._monotonicity_values(dense)]
-        for bit_a, bit_b, contexts in self._pairs():
-            parts.append(
-                dense[contexts | bit_a]
-                + dense[contexts | bit_b]
-                - dense[contexts | bit_a | bit_b]
-                - dense[contexts]
-            )
-        return np.concatenate(parts)
-
-    def most_violated(self, dense: np.ndarray) -> Tuple[int, float]:
-        """The row id with the minimum value at a point, and that value.
-
-        The value may be non-negative — then no elemental inequality is
-        violated and the point lies in ``Γn``.
-        """
-        best_id, best_value = 0, np.inf
-        mono = self._monotonicity_values(dense)
-        row = int(np.argmin(mono))
-        if mono[row] < best_value:
-            best_id, best_value = row, float(mono[row])
-        offset = self.n
-        for bit_a, bit_b, contexts in self._pairs():
-            row_values = (
-                dense[contexts | bit_a]
-                + dense[contexts | bit_b]
-                - dense[contexts | bit_a | bit_b]
-                - dense[contexts]
-            )
-            row = int(np.argmin(row_values))
-            if row_values[row] < best_value:
-                best_id, best_value = offset + row, float(row_values[row])
-            offset += self._context_block
-        return best_id, best_value
-
     # ------------------------------------------------------------------ #
     # Materializing rows of the active set
     # ------------------------------------------------------------------ #
@@ -508,10 +477,12 @@ class ShannonRowOracle:
         )
         return masks, coeffs, kinds
 
-    def _submodularity_row_id(self, x: int, z: int, context: int) -> int:
-        """The id of the row ``I(x ; z | K)``: bit positions ``x ≠ z``, ``K`` a
-        bitmask holding neither."""
-        a, b = min(x, z), max(x, z)
+    def row_id(self, key: RowKey) -> int:
+        """The id of the row with ``key``: ``(x,)`` or ``(a, b, K)`` (see
+        :func:`conditional_entropy_rows`)."""
+        if len(key) == 1:
+            return key[0]
+        a, b, context = key
         pair_index = a * (2 * self.n - a - 1) // 2 + (b - a - 1)
         # Squeeze bits a and b out of K: the pair's contexts enumerate the
         # subsets of the other n - 2 positions, in canonical order.
@@ -522,58 +493,10 @@ class ShannonRowOracle:
         )
         return self.n + pair_index * self._context_block + self._context_position[squeezed]
 
-    def conditional_entropy_row_ids(self, mask: int, given: int = 0) -> List[int]:
-        """Elemental rows that sum to ``h(X | Y)``, ``X``/``Y`` the bitmasks ``mask``/``given``.
-
-        By the chain rule ``h(X | Y) = Σ_i h(x_i | Y x_1 … x_{i-1})`` over
-        the elements of ``X ∖ Y``, and each ``h(x | Z) = h(x | V∖x) +
-        Σ_j I(x ; z_j | Z z_1 … z_{j-1})`` over the elements ``z_j`` of
-        ``V ∖ xZ``: one monotonicity row and submodularity rows.  With
-        multiplier 1 each, the returned rows (ids may repeat) are a Shannon
-        proof of ``h(X | Y) ≥ 0``.
-        """
-        ids: List[int] = []
-        before = given
-        for x in range(self.n):
-            if not mask >> x & 1 or before >> x & 1:
-                continue
-            ids.append(x)
-            context = before
-            for z in range(self.n):
-                if z == x or context >> z & 1:
-                    continue
-                ids.append(self._submodularity_row_id(x, z, context))
-                context |= 1 << z
-            before |= 1 << x
-        return ids
-
     def nonnegativity_row_ids(self, mask: int) -> List[int]:
-        """Elemental rows that sum to ``h(X)``: :meth:`conditional_entropy_row_ids`
+        """Elemental row ids that sum to ``h(X)``: :func:`conditional_entropy_rows`
         with ``Y = ∅``."""
-        return self.conditional_entropy_row_ids(mask)
-
-    def mutual_information_row_ids(self, left: int, right: int, given: int = 0) -> List[int]:
-        """Elemental rows that sum to ``I(A ; B | K)``, for disjoint bitmasks
-        ``A``/``B``/``K`` (``left``/``right``/``given``).
-
-        By the chain rule on both sides, ``I(A ; B | K) = Σ_i Σ_j
-        I(a_i ; b_j | K a_1 … a_{i-1} b_1 … b_{j-1})``: ``|A|·|B|``
-        submodularity rows, each with multiplier 1.
-        """
-        if left & right or (left | right) & given:
-            raise LPError("I(A ; B | K) needs pairwise disjoint A, B and K")
-        ids: List[int] = []
-        before = given
-        for a in range(self.n):
-            if not left >> a & 1:
-                continue
-            context = before
-            for b in range(self.n):
-                if right >> b & 1:
-                    ids.append(self._submodularity_row_id(a, b, context))
-                    context |= 1 << b
-            before |= 1 << a
-        return ids
+        return [self.row_id(key) for key in conditional_entropy_rows(self.n, mask)]
 
     def rows_matrix(self, row_ids: Sequence[int]) -> sp.csr_matrix:
         """A CSR matrix of the given rows over canonical non-empty columns.
@@ -602,6 +525,80 @@ class ShannonRowOracle:
 def shannon_row_oracle(ground: Tuple[str, ...]) -> ShannonRowOracle:
     """The process-wide shared :class:`ShannonRowOracle` for a ground tuple."""
     return ShannonRowOracle(lattice_context(tuple(ground)))
+
+
+def conditional_entropy_rows(n: int, mask: int, given: int = 0) -> Iterator[RowKey]:
+    """Keys of the elemental rows over ``n`` variables that sum to ``h(X | Y)``,
+    ``X``/``Y`` the bitmasks ``mask``/``given``.
+
+    A key names a row by bit positions: ``(x,)`` the monotonicity row
+    ``h(V) − h(V∖x)``, ``(a, b, K)`` with ``a < b`` the submodularity row
+    ``I(a ; b | K)``, ``K`` a bitmask holding neither.  By the chain rule
+    ``h(X | Y) = Σ_i h(x_i | Y x_1 … x_{i-1})`` over the elements of
+    ``X ∖ Y``, and each ``h(x | Z) = h(x | V∖x) + Σ_j I(x ; z_j | Z z_1 …
+    z_{j-1})`` over the elements ``z_j`` of ``V ∖ xZ``: one monotonicity row
+    and submodularity rows.  With multiplier 1 each, the yielded rows (keys
+    may repeat) are a Shannon proof of ``h(X | Y) ≥ 0``.
+    """
+    before = given
+    for x in range(n):
+        if not mask >> x & 1 or before >> x & 1:
+            continue
+        yield (x,)
+        context = before
+        for z in range(n):
+            if z == x or context >> z & 1:
+                continue
+            yield (min(x, z), max(x, z), context)
+            context |= 1 << z
+        before |= 1 << x
+
+
+def mutual_information_rows(
+    n: int, left: int, right: int, given: int = 0
+) -> Iterator[RowKey]:
+    """Keys of the elemental rows over ``n`` variables that sum to
+    ``I(A ; B | K)``, for disjoint bitmasks ``A``/``B``/``K``
+    (``left``/``right``/``given``).
+
+    By the chain rule on both sides, ``I(A ; B | K) = Σ_i Σ_j
+    I(a_i ; b_j | K a_1 … a_{i-1} b_1 … b_{j-1})``: ``|A|·|B|``
+    submodularity rows, each with multiplier 1.  Keys as in
+    :func:`conditional_entropy_rows`.
+    """
+    if left & right or (left | right) & given:
+        raise LPError("I(A ; B | K) needs pairwise disjoint A, B and K")
+    before = given
+    for a in range(n):
+        if not left >> a & 1:
+            continue
+        context = before
+        for b in range(n):
+            if right >> b & 1:
+                yield (min(a, b), max(a, b), context)
+                context |= 1 << b
+        before |= 1 << a
+
+
+def key_row_data(n: int, keys: Iterable[RowKey]) -> Tuple[list, list, list]:
+    """``(masks, coeffs, kinds)`` for the rows ``keys`` over ``n`` variables,
+    row by row in the layout of :meth:`ShannonRowOracle.row_data`, with no
+    lattice or oracle built."""
+    full = (1 << n) - 1
+    masks, coeffs, kinds = [], [], []
+    for key in keys:
+        if len(key) == 1:
+            rest = full ^ (1 << key[0])
+            masks.append((full, rest, 0, 0))
+            coeffs.append((1.0, -1.0 if rest else 0.0, 0.0, 0.0))
+            kinds.append("monotonicity")
+        else:
+            a, b, context = key
+            bit_a, bit_b = 1 << a, 1 << b
+            masks.append((context | bit_a, context | bit_b, context | bit_a | bit_b, context))
+            coeffs.append((1.0, 1.0, -1.0, -1.0 if context else 0.0))
+            kinds.append("submodularity")
+    return masks, coeffs, kinds
 
 
 def _admit(known: set, cut_ids) -> List[int]:

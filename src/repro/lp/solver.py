@@ -103,12 +103,6 @@ def solver_path_counts() -> Dict[str, int]:
         return dict(_SOLVER_PATH_COUNTS)
 
 
-def reset_solver_path_counts() -> None:
-    with _PATH_LOCK:
-        for key in _SOLVER_PATH_COUNTS:
-            _SOLVER_PATH_COUNTS[key] = 0
-
-
 @dataclass(frozen=True)
 class LPResult:
     """Result of :func:`minimize`.

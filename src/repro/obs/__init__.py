@@ -33,7 +33,6 @@ from repro.obs.tracer import (
     Tracer,
     activate,
     active_tracer,
-    current_span_id,
     deactivate,
     read_spans_jsonl,
     record_span,
@@ -55,7 +54,6 @@ __all__ = [
     "Tracer",
     "activate",
     "active_tracer",
-    "current_span_id",
     "deactivate",
     "global_registry",
     "parse_exposition",

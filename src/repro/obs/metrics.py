@@ -229,9 +229,6 @@ class Gauge(_Metric):
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
 
-    def dec(self, amount: float = 1.0, **labels: str) -> None:
-        self.inc(-amount, **labels)
-
     def value(self, **labels: str) -> float:
         if self.callback is not None:
             return float(self.callback())

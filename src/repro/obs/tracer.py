@@ -333,8 +333,3 @@ def record_span(
     tracer = _ACTIVE
     if tracer is not None:
         tracer.record(name, started, duration, parent=parent, **attrs)
-
-
-def current_span_id() -> Optional[int]:
-    tracer = _ACTIVE
-    return tracer.current_id() if tracer is not None else None

@@ -269,9 +269,12 @@ def test_cache_import_creates_a_missing_store(tmp_path):
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
-def _cli_import_loads(module: str) -> bool:
-    """Whether a fresh ``import repro.cli`` puts ``module`` in ``sys.modules``."""
-    code = f"import sys, repro.cli; print({module!r} in sys.modules)"
+def _cli_import_loads(*modules: str) -> list:
+    """Those of ``modules`` that a fresh ``import repro.cli`` puts in ``sys.modules``."""
+    code = (
+        "import json, sys, repro.cli; "
+        f"print(json.dumps([m for m in {modules!r} if m in sys.modules]))"
+    )
     completed = subprocess.run(
         [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=SRC),
@@ -280,9 +283,7 @@ def _cli_import_loads(module: str) -> bool:
         timeout=120,
     )
     assert completed.returncode == 0, completed.stderr
-    out = completed.stdout.strip()
-    assert out in ("True", "False"), out
-    return out == "True"
+    return json.loads(completed.stdout)
 
 
 def test_importing_the_cli_skips_scipy_optimize():
@@ -293,6 +294,17 @@ def test_importing_the_cli_skips_scipy_optimize():
 
 def test_importing_the_cli_skips_the_process_executor_module():
     assert not _cli_import_loads("concurrent.futures.process")
+
+
+def test_importing_the_cli_skips_the_tools_no_command_runs():
+    # The non-Shannon tools and the group-entropy construction load only
+    # where they are imported by name; the other two modules are gone.
+    assert _cli_import_loads(
+        "repro.analysis",
+        "repro.infotheory.counterexample",
+        "repro.infotheory.copy_lemma",
+        "repro.infotheory.group_entropy",
+    ) == []
 
 
 def _run_with_closed_stdout(argv, unbuffered="", stdin_text=None):

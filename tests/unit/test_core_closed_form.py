@@ -5,7 +5,8 @@ pair with ``λ = e_ℓ`` and an integer proof of ``E_ℓ − h(V)``
 (:func:`repro.core.containment.closed_form_verdict`) and asks the ``Γn`` LP
 nothing.  Checked on the ``batch-cold`` benchmark catalogue, E13 and the
 corpus, sequential and batched, with the store audited; pairs that need
-several branches must still reach the block LP and record its duals.
+several branches must still reach the block LP and record its duals.  The
+proof is built from the rows it uses, so no arity's subset lattice is built.
 """
 
 from __future__ import annotations
@@ -20,9 +21,12 @@ from repro.core.containment import (
     containment_pipeline,
     decide_containment,
 )
+from repro.cq.query import Atom, ConjunctiveQuery
 from repro.service import BatchOptions, ContainmentService
 from repro.service.canonical import pair_key
 from repro.store import VerdictStore, verify_store
+from repro.utils import lattice
+from repro.workloads.generators import path_query
 
 
 def onto_branches(inequality):
@@ -95,3 +99,20 @@ def test_pairs_without_an_onto_branch_still_reach_the_block_lp(name, tmp_path):
         report = verify_store(store)
     assert record["evidence"]["certificate"]["lambdas"] == list(result.verdict.lambdas)
     assert report.ok and report.certificates == 1
+
+
+def test_a_closed_form_proof_builds_no_subset_lattice(monkeypatch):
+    # path_15 plus the chord R(x0, x15) ⊑ path_15: 16 variables, onto.  A
+    # lattice of the arity would hold 2^16 subsets and C(16,2)·2^14 rows.
+    def no_lattice(ground):
+        raise AssertionError(f"a subset lattice of {len(ground)} variables was built")
+
+    # Every lattice_context miss builds a SubsetLattice; start with none.
+    lattice.lattice_context.cache_clear()
+    monkeypatch.setattr(lattice, "SubsetLattice", no_lattice)
+    path = path_query(15)
+    chord = Atom("R", ("x0", "x15"))
+    result = decide_containment(ConjunctiveQuery(atoms=path.atoms + (chord,), head=()), path)
+    assert result.status is ContainmentStatus.CONTAINED
+    assert_closed_form(result)
+    assert len(result.verdict.certificate.ground) == 16

@@ -1,7 +1,9 @@
-"""The docs checker rejects CLI flags and scripts that do not exist."""
+"""The docs checker rejects CLI flags, scripts and module names that do not exist."""
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 SCRIPT = Path(__file__).resolve().parents[2] / "scripts" / "docs_check.py"
 
@@ -37,3 +39,35 @@ def test_a_command_running_a_missing_script_is_reported():
         "4: docs run 'retired/run_all.py', which does not exist",
         "4: docs run 'retired/test_y.py', which does not exist",
     ]
+
+
+def test_a_module_name_that_does_not_resolve_is_reported():
+    docs_check = load_docs_check()
+    text = (
+        "`repro.lp.rowgen.choose_path(row_count)` picks a path; see `repro.service`.\n"
+        "`repro.analysis` profiled relations; `repro.infotheory.CounterexampleSearcher`.\n"
+        "`repro.obs.metrics.MetricsRegistry.counter` and `repro.lp.solver.SLACK_THRESHOLD`.\n"
+        "`repro.lp.rowgen.ShannonRowOracle.most_violated(dense)`, in `repro` or repro.gone\n"
+    )
+    assert docs_check.name_errors(text) == [
+        "2: docs name 'repro.analysis', which does not resolve",
+        "2: docs name 'repro.infotheory.CounterexampleSearcher', which does not resolve",
+        "4: docs name 'repro.lp.rowgen.ShannonRowOracle.most_violated', which does not resolve",
+    ]
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        "README.md",
+        "docs/architecture.md",
+        "docs/operations.md",
+        ".claude/skills/verify/SKILL.md",
+    ],
+)
+def test_every_module_name_in_a_checked_doc_resolves(doc):
+    docs_check = load_docs_check()
+    assert doc in docs_check.NAME_CHECKED_DOCS
+    text = (docs_check.REPO_ROOT / doc).read_text()
+    assert docs_check.NAME_RE.search(text), "the doc names no repro module"
+    assert docs_check.name_errors(text) == []

@@ -1,6 +1,7 @@
 """Unit tests for entropy computations and the special function families."""
 
 import math
+import random
 
 import pytest
 
@@ -59,6 +60,19 @@ def test_relation_entropy_parity(parity):
         rows={(x, y, (x + y) % 2) for x in range(2) for y in range(2)},
     )
     assert relation_entropy(relation).is_close_to(parity)
+
+
+def test_random_relation_entropies_are_polymatroids():
+    # Shannon's inequalities hold for every entropic function.
+    rng = random.Random(0)
+    attributes = ("a", "b", "c", "d")
+    for _ in range(30):
+        rows = {
+            tuple(rng.randrange(3) for _ in attributes)
+            for _ in range(rng.randint(1, 12))
+        }
+        entropy = relation_entropy(Relation(attributes=attributes, rows=rows))
+        assert is_polymatroid(entropy, tolerance=1e-9)
 
 
 def test_relation_entropy_empty_rejected():

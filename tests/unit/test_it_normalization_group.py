@@ -1,5 +1,8 @@
 """Unit tests for Lemma 3.7 normalization and group-characterizable entropies."""
 
+import random
+from itertools import product
+
 import pytest
 
 from repro.cq.structures import Relation
@@ -134,6 +137,22 @@ def test_group_entropy_general_subspaces():
     assert entropy({"X1", "X2"}) == pytest.approx(2.0)
     relation = group_characterizable_relation(("X1", "X2", "X3"), 3, generators)
     assert relation_entropy(relation).is_close_to(entropy)
+
+
+def test_random_group_entropies_are_relation_entropies_of_polymatroids():
+    # Random subgroups of (F_2)^3 for four variables: the entropy is a
+    # polymatroid, and the coset relation is totally uniform with that
+    # entropy (Lemma 4.8).
+    ground = ("X1", "X2", "X3", "X4")
+    rng = random.Random(0)
+    vectors = list(product((0, 1), repeat=3))[1:]
+    for _ in range(20):
+        generators = {v: rng.sample(vectors, rng.randint(0, 3)) for v in ground}
+        entropy = entropy_from_subspaces(ground, 3, generators)
+        assert is_polymatroid(entropy, tolerance=1e-9)
+        relation = group_characterizable_relation(ground, 3, generators)
+        assert relation.is_totally_uniform()
+        assert relation_entropy(relation).is_close_to(entropy)
 
 
 def test_group_entropy_requires_all_variables():

@@ -1,15 +1,19 @@
 """Unit tests for the Zhang–Yeung non-Shannon inequality extension."""
 
+import random
+from itertools import product
+
 import pytest
 
-from repro.infotheory.counterexample import CounterexampleSearcher
-from repro.infotheory.expressions import MaxInformationInequality
+from repro.infotheory.functions import step_function
+from repro.infotheory.group_entropy import entropy_from_subspaces
 from repro.infotheory.non_shannon import (
     is_shannon_provable,
     zhang_yeung_inequality,
     zhang_yeung_violating_polymatroid,
 )
 from repro.infotheory.polymatroid import is_polymatroid
+from repro.utils.subsets import proper_subsets
 
 GROUND = ("A", "B", "C", "D")
 
@@ -27,19 +31,21 @@ def test_zhang_yeung_violating_polymatroid_is_a_gap_witness():
 
 
 def test_zhang_yeung_holds_on_entropic_families():
-    # The inequality is valid for entropic functions: the counterexample
-    # searcher (normal, modular, group-characterizable, random relations)
-    # must not find any violation.
+    # The inequality is valid for entropic functions.  It holds at the 15
+    # step functions h_W, W ⊊ V, which generate the normal cone Nn; the
+    # modular functions lie in Nn, so by linearity it holds at every normal
+    # and every modular function.
     inequality = zhang_yeung_inequality(GROUND)
-    searcher = CounterexampleSearcher(
-        GROUND, max_coefficient=1, group_dimension=3, random_relations=30
-    )
-    assert (
-        searcher.search(
-            MaxInformationInequality.single(inequality.expression), budget=3000
-        )
-        is None
-    )
+    for low in proper_subsets(GROUND):
+        assert inequality.expression.evaluate(step_function(GROUND, low)) >= 0.0
+    # And at group-characterizable entropies of (F_2)^3, whose subgroups
+    # are random subspaces of dimension at most 2.
+    rng = random.Random(0)
+    vectors = list(product((0, 1), repeat=3))[1:]
+    for _ in range(50):
+        generators = {v: rng.sample(vectors, rng.randint(0, 2)) for v in GROUND}
+        entropy = entropy_from_subspaces(GROUND, 3, generators)
+        assert inequality.holds_for(entropy, tolerance=1e-9)
 
 
 def test_zhang_yeung_holds_on_parity_like_functions(parity):

@@ -2,9 +2,10 @@
 
 The oracle's row ids and row values must match an exhaustive evaluation of
 :meth:`SubsetLattice.elemental_matrix` row by row — including the argmax of
-the violation, the no-cut answer on points already in ``Γn``, and tied
+the violation, the no-cut answer on points already in ``Γn`` and tied
 most-violated rows — on every ground size the dense matrix is cheap to
-enumerate (``n ≤ 5``).
+enumerate (``n ≤ 5``).  The chain-rule expansions that closed-form proofs use name their rows by key;
+their keys must sum exactly and map to the oracle's rows.
 """
 
 from __future__ import annotations
@@ -20,7 +21,12 @@ from repro.infotheory.functions import (
     uniform_function,
 )
 from repro.exceptions import LPError
-from repro.lp.rowgen import shannon_row_oracle
+from repro.lp.rowgen import (
+    conditional_entropy_rows,
+    key_row_data,
+    mutual_information_rows,
+    shannon_row_oracle,
+)
 from repro.utils.lattice import lattice_context
 
 GROUNDS = {n: tuple(f"X{i}" for i in range(1, n + 1)) for n in range(1, 6)}
@@ -50,24 +56,33 @@ def test_row_count_matches_dense_matrix(n):
 
 
 @pytest.mark.parametrize("n", sorted(GROUNDS))
-def test_row_values_match_dense_matrix_on_random_points(n):
+def test_row_data_values_match_dense_matrix_on_random_points(n):
+    # Every row, built from its masks and coefficients, takes the dense
+    # matrix's value (unused slots carry mask 0, where h(∅) = 0).
     ground = GROUNDS[n]
     oracle = shannon_row_oracle(ground)
+    masks, coeffs, _ = oracle.row_data(range(oracle.row_count))
     for dense in random_dense_points(ground, count=20, seed=n):
         np.testing.assert_allclose(
-            oracle.row_values(dense), dense_row_values(ground, dense), atol=1e-12
+            (coeffs * dense[masks]).sum(axis=1),
+            dense_row_values(ground, dense),
+            atol=1e-12,
         )
 
 
 @pytest.mark.parametrize("n", sorted(GROUNDS))
-def test_most_violated_agrees_with_explicit_argmax(n):
+def test_one_cut_is_the_explicit_argmax(n):
     ground = GROUNDS[n]
     oracle = shannon_row_oracle(ground)
     for dense in random_dense_points(ground, count=20, seed=100 + n):
         expected_values = dense_row_values(ground, dense)
-        row_id, value = oracle.most_violated(dense)
-        assert value == pytest.approx(expected_values.min(), abs=1e-12)
-        assert expected_values[row_id] == pytest.approx(value, abs=1e-12)
+        ids, values = oracle.separate(dense, 1e-9, max_cuts=1)
+        if expected_values.min() >= -1e-9:
+            assert ids.size == 0 and values.size == 0
+            continue
+        assert ids.size == 1
+        assert values[0] == pytest.approx(expected_values.min(), abs=1e-12)
+        assert expected_values[ids[0]] == pytest.approx(values[0], abs=1e-12)
 
 
 @pytest.mark.parametrize("n", sorted(GROUNDS))
@@ -128,12 +143,8 @@ def test_tied_most_violated_rows_are_all_reported():
     assert len(tied) >= 2  # the construction really does tie
     ids, values = oracle.separate(dense, 1e-9, max_cuts=oracle.row_count)
     reported = set(ids.tolist())
-    # Every tied row is violated, so all of them must be reported; the
-    # most-violated answer must sit inside the tie set.
+    # Every tied row is violated, so all of them must be reported.
     assert tied <= reported
-    row_id, value = oracle.most_violated(dense)
-    assert row_id in tied
-    assert value == pytest.approx(minimum, abs=1e-12)
 
 
 def test_max_cuts_keeps_the_most_violated_rows():
@@ -186,31 +197,28 @@ def entropy_vector(lattice, terms):
     return vector
 
 
-def summed_rows(oracle, ids):
-    if not ids:
-        return np.zeros(oracle.lattice.size - 1)
-    return np.asarray(oracle.rows_matrix(ids).sum(axis=0)).ravel()
+def summed_rows(lattice, keys):
+    """The sum of the rows ``keys``, built from the keys alone."""
+    masks, coeffs, _ = key_row_data(lattice.n, keys)
+    terms = [term for row in zip(masks, coeffs) for term in zip(*row)]
+    return entropy_vector(lattice, terms)
 
 
 @pytest.mark.parametrize("n", sorted(GROUNDS))
 def test_conditional_entropy_rows_sum_to_the_conditional_entropy(n):
     # h(X | Y) = h(XY) - h(Y) exactly, for every X and Y (X may meet Y).
-    ground = GROUNDS[n]
-    oracle = shannon_row_oracle(ground)
-    lattice = lattice_context(ground)
+    lattice = lattice_context(GROUNDS[n])
     for x in range(lattice.size):
         for y in range(lattice.size):
-            ids = oracle.conditional_entropy_row_ids(x, y)
+            keys = list(conditional_entropy_rows(n, x, y))
             expected = entropy_vector(lattice, [(x | y, 1.0), (y, -1.0)])
-            np.testing.assert_array_equal(summed_rows(oracle, ids), expected)
+            np.testing.assert_array_equal(summed_rows(lattice, keys), expected)
 
 
 @pytest.mark.parametrize("n", sorted(GROUNDS))
 def test_mutual_information_rows_sum_to_the_conditional_mutual_information(n):
     # Every assignment of the variables to A, B, K or none of them.
-    ground = GROUNDS[n]
-    oracle = shannon_row_oracle(ground)
-    lattice = lattice_context(ground)
+    lattice = lattice_context(GROUNDS[n])
     for code in range(4**n):
         a = b = k = 0
         for i in range(n):
@@ -218,21 +226,41 @@ def test_mutual_information_rows_sum_to_the_conditional_mutual_information(n):
             a |= (part == 1) << i
             b |= (part == 2) << i
             k |= (part == 3) << i
-        ids = oracle.mutual_information_row_ids(a, b, k)
-        assert len(ids) == bin(a).count("1") * bin(b).count("1")
-        assert not any(row_id < n for row_id in ids)  # submodularity rows only
+        keys = list(mutual_information_rows(n, a, b, k))
+        assert len(keys) == bin(a).count("1") * bin(b).count("1")
+        assert all(len(key) == 3 for key in keys)  # submodularity rows only
         expected = entropy_vector(
             lattice, [(a | k, 1.0), (b | k, 1.0), (a | b | k, -1.0), (k, -1.0)]
         )
-        np.testing.assert_array_equal(summed_rows(oracle, ids), expected)
+        np.testing.assert_array_equal(summed_rows(lattice, keys), expected)
 
 
 def test_mutual_information_rows_need_disjoint_sets():
-    oracle = shannon_row_oracle(GROUNDS[3])
     with pytest.raises(LPError):
-        oracle.mutual_information_row_ids(0b011, 0b010)
+        list(mutual_information_rows(3, 0b011, 0b010))
     with pytest.raises(LPError):
-        oracle.mutual_information_row_ids(0b001, 0b010, given=0b011)
+        list(mutual_information_rows(3, 0b001, 0b010, given=0b011))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_each_key_names_the_oracle_row_with_its_id(n):
+    # Every elemental row's key: monotonicity (x,), then I(a ; b | K) for
+    # a < b and every K holding neither.
+    keys = [(x,) for x in range(n)] + [
+        (a, b, context)
+        for a in range(n)
+        for b in range(a + 1, n)
+        for context in range(1 << n)
+        if not context & (1 << a | 1 << b)
+    ]
+    oracle = shannon_row_oracle(tuple(f"X{i}" for i in range(1, n + 1)))
+    ids = [oracle.row_id(key) for key in keys]
+    assert sorted(ids) == list(range(oracle.row_count))
+    masks, coeffs, kinds = oracle.row_data(ids)
+    key_masks, key_coeffs, key_kinds = key_row_data(n, keys)
+    np.testing.assert_array_equal(masks, np.array(key_masks).reshape(-1, 4))
+    np.testing.assert_array_equal(coeffs, np.array(key_coeffs).reshape(-1, 4))
+    assert kinds == tuple(key_kinds)
 
 
 @pytest.mark.parametrize("n", sorted(GROUNDS))
